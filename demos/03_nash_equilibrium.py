@@ -11,7 +11,7 @@ attain the minimum of its own frozen-opponent objective.
 
 from rsgame import (
     certify,
-    converse_check,
+    converse_report,
     find_nash,
     nash_iterate,
     shop_model,
@@ -31,13 +31,15 @@ print("player 1 actions at states 1..8:",
 print("player 2 actions at states 1..8:",
       [int(cert.v2.weights(i).argmax()) for i in range(1, 9)])
 
-print("\n-- independent re-certification --")
+print("\n-- certify the final pair on its own --")
+# the same four eigensolves the last round made, so the same numbers
 res = certify(model, trunc, cert.v1, cert.v2, eps=1e-8)
 print(f"gaps from a fresh certify call: ({res.delta1:.2e}, {res.delta2:.2e}) "
       f"-> {'pass' if res.passed else 'fail'}")
 
-print("\n-- converse (selector) check --")
-report = converse_check(model, trunc, cert.v1, cert.v2, tol=1e-9)
+print("\n-- converse (selector) check on the certificate's eigenpairs --")
+report = converse_report(model, trunc, cert.v1, cert.v2,
+                         (cert.eigen1, cert.eigen2), tol=1e-9)
 for p in report.players:
     print(f"player {p.player}: worst per-state defect {p.worst_defect:.2e} "
           f"at state {p.worst_state} (threshold {p.threshold:.2e}) -> "

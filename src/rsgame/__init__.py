@@ -64,6 +64,7 @@ from .nash import (
     best_response,
     certify,
     converse_check,
+    converse_report,
     find_nash,
     nash_iterate,
 )

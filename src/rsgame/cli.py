@@ -141,15 +141,13 @@ def _run_solve(config: RunConfig) -> int:
     try:
         cert = nash.nash_iterate(
             model, trunc, damping=config.damping, eps=config.eps,
-            max_rounds=config.max_rounds, tol=config.tol,
-            workers=config.workers)
+            max_rounds=config.max_rounds, tol=config.tol)
         payload["certificate"] = cert.to_json_dict(trunc)
-        recheck = nash.certify(model, trunc, cert.v1, cert.v2,
-                               eps=config.eps, tol=config.tol)
-        converse = nash.converse_check(model, trunc, cert.v1, cert.v2,
-                                       tol=config.tol)
-        payload["certify"] = {"delta": [recheck.delta1, recheck.delta2],
-                              "passed": recheck.passed}
+        converse = nash.converse_report(model, trunc, cert.v1, cert.v2,
+                                        (cert.eigen1, cert.eigen2),
+                                        tol=config.tol)
+        payload["certify"] = {"delta": [cert.delta1, cert.delta2],
+                              "passed": cert.gap <= cert.eps}
         payload["converse"] = {
             "passed": converse.passed,
             "worst_defect": converse.worst(),
@@ -160,7 +158,7 @@ def _run_solve(config: RunConfig) -> int:
                  "passed": p.passed}
                 for p in converse.players],
         }
-        if cert.converged and recheck.passed and converse.passed:
+        if cert.converged and converse.passed:
             status = 0
         print(f"solve: status={cert.status} rho=({cert.rho1:.9g}, "
               f"{cert.rho2:.9g}) gaps=({cert.delta1:.3e}, {cert.delta2:.3e}) "
@@ -241,8 +239,9 @@ def _run_simulate(config: RunConfig) -> int:
 
 def _run_verify(config: RunConfig) -> int:
     model = _load(config)
-    rng = range(1, config.check_range + 1)
-    payload = {"command": "verify", "checked_range": [1, config.check_range],
+    top = min(config.check_range, model.n_states or config.check_range)
+    rng = range(1, top + 1)
+    payload = {"command": "verify", "checked_range": [1, top],
                "notes": ["action-continuity conditions are vacuous on "
                          "finite action grids and are not checked"]}
     ok = True
@@ -253,7 +252,7 @@ def _run_verify(config: RunConfig) -> int:
     ok &= report.ok
 
     print(f"model invariants: {'ok' if report.ok else 'VIOLATED'} on "
-          f"1..{config.check_range}")
+          f"1..{top}")
 
     trunc, _ = truncate(model, min(config.trunc[0],
                                    model.n_states or config.trunc[0]))
@@ -281,6 +280,11 @@ def _run_verify(config: RunConfig) -> int:
             print(f"{rep.name}: {rep.status} "
                   f"(range {rep.checked_range[0]}..{rep.checked_range[1]})")
         print(conditions.summary())
+        overflow = [w.state for rep in (growth, killed)
+                    for w in rep.witnesses if w.note == verify.NOT_FINITE]
+        if overflow:
+            print(f"verify: {verify.NOT_FINITE}, first at state "
+                  f"{min(overflow)}; lower --range")
     else:
         anchor = verify.check_anchor_row(model)
         payload["anchor_row"] = anchor.to_json_dict()

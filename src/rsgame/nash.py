@@ -5,6 +5,9 @@ long-run growth rate by deviating unilaterally.  Because deviations within
 stationary strategies are resolved by the frozen-opponent eigenproblem,
 certification reduces to four eigensolves per pair: each player's value at
 the pair minus their best-response value against the other's strategy.
+Those eigenpairs belong to the certificate: :func:`nash_iterate` reuses
+the best responses it has already solved, and :func:`converse_report`
+reads the certificate's eigenpairs instead of solving them again.
 
 The iteration alternates (damped) best responses.  Existence of an
 equilibrium in mixed stationary strategies is a fixed-point fact, but
@@ -15,7 +18,6 @@ happened; it never fabricates convergence.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,7 @@ __all__ = [
     "nash_iterate",
     "find_nash",
     "converse_check",
+    "converse_report",
     "profile_count",
 ]
 
@@ -129,12 +132,21 @@ def certify(model: GameModel, truncation: Truncation,
             v1: StationaryStrategy, v2: StationaryStrategy, eps: float,
             tol: float = 1e-10, max_iter: int | None = None) -> CertifyResult:
     """Compute both deviation gaps and compare them against ``eps``."""
+    return _certify(model, truncation, v1, v2, eps, tol, max_iter,
+                    lambda player, opp: best_response_eigenpair(
+                        model, truncation, opp, player, tol, max_iter))
+
+
+def _certify(model, truncation, v1, v2, eps, tol, max_iter,
+             solve_br) -> CertifyResult:
+    """:func:`certify` with the best responses taken from
+    ``solve_br(player, opponent_strategy) -> (EigenPair, selector)``."""
     A1 = generator.assemble(model, truncation, v1, v2, 1)
     A2 = generator.assemble(model, truncation, v1, v2, 2)
     pair1 = principal_eigenpair(A1, model.anchor, tol, max_iter)
     pair2 = principal_eigenpair(A2, model.anchor, tol, max_iter)
-    br1, sel1 = best_response_eigenpair(model, truncation, v2, 1, tol, max_iter)
-    br2, sel2 = best_response_eigenpair(model, truncation, v1, 2, tol, max_iter)
+    br1, sel1 = solve_br(1, v2)
+    br2, sel2 = solve_br(2, v1)
     delta1 = pair1.rho - br1.rho
     delta2 = pair2.rho - br2.rho
     return CertifyResult(
@@ -205,8 +217,8 @@ def nash_iterate(model: GameModel, truncation: Truncation,
                  init: tuple | None = None, damping: float = 1.0,
                  eps: float = 1e-6, max_rounds: int = 100,
                  tol: float = 1e-10, max_iter: int | None = None,
-                 first_player: int = 1, mode: str = "alternating",
-                 workers: int = 1) -> NashCertificate:
+                 first_player: int = 1,
+                 mode: str = "alternating") -> NashCertificate:
     """Damped best-response iteration to an approximate equilibrium.
 
     Each round updates both players (in order ``first_player`` first when
@@ -214,55 +226,60 @@ def nash_iterate(model: GameModel, truncation: Truncation,
     best response into the old strategy with weight ``damping``.  The
     round ends with a full certification of the current pair; iteration
     stops on gaps at or below ``eps``, on a repeated quantized pair, or at
-    ``max_rounds``.  Solver failures are recorded in the trace and end the
-    iteration with status ``max_iter``.
+    ``max_rounds``.  A solver failure after the first round is recorded in
+    the trace and ends the iteration with status ``max_iter``; the
+    certificate then holds the last certified pair.  A failure in the
+    first round, before any pair is certified, propagates.
     """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     if mode not in ("alternating", "simultaneous"):
         raise ValueError(f"unknown mode {mode!r}")
     states = truncation.states
     v = {1: init[0] if init else uniform_strategy(model, 1),
          2: init[1] if init else uniform_strategy(model, 2)}
+    latest = {}
+
+    def solve_br(player, opp):
+        # A round's certification solves the last mover's best response
+        # again, and the next round starts from the other one: keep each
+        # player's latest solve, keyed by the opponent strategy object.
+        hit = latest.get(player)
+        if hit is None or hit[0] is not opp:
+            hit = latest[player] = (opp, best_response_eigenpair(
+                model, truncation, opp, player, tol, max_iter))
+        return hit[1]
+
+    def step(k, brk):
+        return brk if damping == 1.0 else mix_strategies(
+            model, brk, v[k], damping, states)
 
     seen = {_pair_key(v[1], v[2], states)}
     trace: list = []
     status = "max_iter"
-    rounds = 0
-    cert = None
+    certified = None
     for rounds in range(1, max_rounds + 1):
         try:
             if mode == "simultaneous":
-                if workers > 1:
-                    with ThreadPoolExecutor(max_workers=2) as pool:
-                        f1 = pool.submit(best_response, model, truncation,
-                                         v[2], 1, tol, max_iter)
-                        f2 = pool.submit(best_response, model, truncation,
-                                         v[1], 2, tol, max_iter)
-                        br = {1: f1.result()[0], 2: f2.result()[0]}
-                else:
-                    br = {1: best_response(model, truncation, v[2], 1, tol,
-                                           max_iter)[0],
-                          2: best_response(model, truncation, v[1], 2, tol,
-                                           max_iter)[0]}
+                br = {k: solve_br(k, v[3 - k])[1] for k in (1, 2)}
                 for k in (1, 2):
-                    v[k] = br[k] if damping == 1.0 else mix_strategies(
-                        model, br[k], v[k], damping, states)
+                    v[k] = step(k, br[k])
             else:
-                order = (first_player, 3 - first_player)
-                for k in order:
-                    opp = v[3 - k]
-                    brk, _ = best_response(model, truncation, opp, k, tol,
-                                           max_iter)
-                    v[k] = brk if damping == 1.0 else mix_strategies(
-                        model, brk, v[k], damping, states)
-            cert = certify(model, truncation, v[1], v[2], eps, tol, max_iter)
+                for k in (first_player, 3 - first_player):
+                    v[k] = step(k, solve_br(k, v[3 - k])[1])
+            cert = _certify(model, truncation, v[1], v[2], eps, tol,
+                            max_iter, solve_br)
         except ConvergenceError as exc:
+            if certified is None:
+                raise
             trace.append({"round": rounds, "error": str(exc)})
             status = "max_iter"
             break
+        certified = (v[1], v[2], cert)
         trace.append({"round": rounds, "rho1": cert.rho_pair[0],
                       "rho2": cert.rho_pair[1], "delta1": cert.delta1,
                       "delta2": cert.delta2})
@@ -276,10 +293,9 @@ def nash_iterate(model: GameModel, truncation: Truncation,
             break
         seen.add(key)
 
-    if cert is None:
-        cert = certify(model, truncation, v[1], v[2], eps, tol, max_iter)
+    v1, v2, cert = certified
     return NashCertificate(
-        v1=v[1], v2=v[2], eigen1=cert.br_eigen[0], eigen2=cert.br_eigen[1],
+        v1=v1, v2=v2, eigen1=cert.br_eigen[0], eigen2=cert.br_eigen[1],
         rho1=cert.rho_pair[0], rho2=cert.rho_pair[1],
         delta1=cert.delta1, delta2=cert.delta2, eps=eps, status=status,
         rounds=rounds, trace=tuple(trace))
@@ -316,7 +332,7 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
               damping: float = 1.0, max_rounds: int = 100,
               tol: float = 1e-10, max_iter: int | None = None,
               init: tuple | None = None, first_player: int = 1,
-              exhaustive_cap: int = 64, workers: int = 1) -> NashCertificate:
+              exhaustive_cap: int = 64) -> NashCertificate:
     """Equilibrium search with fallbacks.
 
     Tries plain best-response iteration, then a damped restart from the
@@ -327,14 +343,12 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
     """
     cert = nash_iterate(model, truncation, init=init, damping=damping,
                         eps=eps, max_rounds=max_rounds, tol=tol,
-                        max_iter=max_iter, first_player=first_player,
-                        workers=workers)
+                        max_iter=max_iter, first_player=first_player)
     if cert.converged:
         return cert
     retry = nash_iterate(model, truncation, init=None, damping=0.5,
                          eps=eps, max_rounds=max_rounds, tol=tol,
-                         max_iter=max_iter, first_player=first_player,
-                         workers=workers)
+                         max_iter=max_iter, first_player=first_player)
     if retry.converged:
         return retry
     best = min((cert, retry), key=lambda c: c.gap)
@@ -393,10 +407,27 @@ def converse_check(model: GameModel, truncation: Truncation,
                    v1: StationaryStrategy, v2: StationaryStrategy,
                    tol: float = 1e-10,
                    max_iter: int | None = None) -> ConverseReport:
+    """Solve both frozen-opponent eigenproblems, then
+    :func:`converse_report` the pair against them."""
+    eigenpairs = tuple(
+        best_response_eigenpair(model, truncation, opp, player, tol,
+                                max_iter)[0]
+        for player, opp in ((1, v2), (2, v1)))
+    return converse_report(model, truncation, v1, v2, eigenpairs, tol)
+
+
+def converse_report(model: GameModel, truncation: Truncation,
+                    v1: StationaryStrategy, v2: StationaryStrategy,
+                    eigenpairs: tuple, tol: float = 1e-10) -> ConverseReport:
+    """Per-state defects of ``(v1, v2)`` against given eigenpairs.
+
+    ``eigenpairs`` holds each player's frozen-opponent (best-response)
+    eigenpair against the other's strategy, such as a certificate's
+    ``(eigen1, eigen2)``.
+    """
     reports = []
-    for player, own, opp in ((1, v1, v2), (2, v2, v1)):
-        ep, _ = best_response_eigenpair(model, truncation, opp, player,
-                                        tol, max_iter)
+    for player, own, opp, ep in ((1, v1, v2, eigenpairs[0]),
+                                 (2, v2, v1, eigenpairs[1])):
         values = response_values(model, truncation, opp, player, ep.psi)
         defects = []
         for i, vals in zip(truncation.states, values):

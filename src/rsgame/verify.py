@@ -53,6 +53,7 @@ REL_TOL = 1e-9
 HOLDS = "holds-on-checked-range"
 VIOLATED = "violated-at"
 NEEDS_TAIL = "needs-analytic-tail"
+NOT_FINITE = "Lyapunov weight or weighted sum not finite in double precision"
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,26 @@ class AssumptionReport:
 
 
 def _tolerance(*values):
-    return REL_TOL * max(1.0, *(abs(v) for v in values))
+    return REL_TOL * max([1.0, *(abs(v) for v in values if math.isfinite(v))])
+
+
+def _defect(value):
+    """A defect, or ``inf`` where an overflowed weight left it non-finite:
+    such a state can never count as satisfying its bound."""
+    return value if math.isfinite(value) else math.inf
+
+
+def _witness(state, a1, a2, defect, note):
+    return Witness(state, a1, a2, defect,
+                   note if math.isfinite(defect) else NOT_FINITE)
+
+
+def _weight(W, i):
+    """``W(i)``, or ``inf`` where it overflows double precision."""
+    try:
+        return float(W(i))
+    except OverflowError:
+        return math.inf
 
 
 def _status(model, spec, witnesses):
@@ -110,9 +130,9 @@ def _status(model, spec, witnesses):
 
 def _weighted_row_sum(model, W, i, ia, ib):
     row = model.row(i, ia, ib)
-    total = row.diag * W(i)
-    for j, r in zip(row.cols, row.rates):
-        total += r * W(int(j))
+    total = float(row.diag) * _weight(W, i)
+    for j, r in zip(row.cols.tolist(), row.rates.tolist()):
+        total += r * _weight(W, j)
     return total
 
 
@@ -131,23 +151,24 @@ def check_growth_drift(model: GameModel, spec: LyapunovSpec,
     witnesses = []
     worst = 0.0
     for i in states:
-        if W(i) < 1.0 - REL_TOL:
-            witnesses.append(Witness(i, None, None, 1.0 - W(i),
+        w = _weight(W, i)
+        if w < 1.0 - REL_TOL:
+            witnesses.append(Witness(i, None, None, 1.0 - w,
                                      "Lyapunov weight below one"))
-        bound = spec.C1 * W(i) + spec.C2
-        exit_bound = spec.C3 * W(i)
+        bound = spec.C1 * w + spec.C2
+        exit_bound = spec.C3 * w
         for ia, ib in _action_pairs(model, i):
             drift = _weighted_row_sum(model, W, i, ia, ib)
-            defect = drift - bound
+            defect = _defect(drift - bound)
             worst = max(worst, defect)
             if defect > _tolerance(drift, bound):
-                witnesses.append(Witness(i, ia, ib, defect,
-                                         "weighted drift above C1*W + C2"))
-            exit_defect = model.row(i, ia, ib).exit_rate - exit_bound
+                witnesses.append(_witness(i, ia, ib, defect,
+                                          "weighted drift above C1*W + C2"))
+            exit_defect = _defect(model.row(i, ia, ib).exit_rate - exit_bound)
             worst = max(worst, exit_defect)
             if exit_defect > _tolerance(exit_bound):
-                witnesses.append(Witness(i, ia, ib, exit_defect,
-                                         "exit rate above C3*W"))
+                witnesses.append(_witness(i, ia, ib, exit_defect,
+                                          "exit rate above C3*W"))
     return AssumptionReport(
         name="growth-drift", status=_status(model, spec, witnesses),
         witnesses=tuple(witnesses), checked_range=(states[0], states[-1]),
@@ -188,17 +209,18 @@ def check_killed_drift(model: GameModel, spec: LyapunovSpec, variant: str,
         rate = spec.ell
 
     for i in states:
-        if W(i) < 1.0 - REL_TOL:
-            witnesses.append(Witness(i, None, None, 1.0 - W(i),
+        w = _weight(W, i)
+        if w < 1.0 - REL_TOL:
+            witnesses.append(Witness(i, None, None, 1.0 - w,
                                      "Lyapunov weight below one"))
-        bound = (spec.C4 if in_kappa(i) else 0.0) - rate(i) * W(i)
+        bound = (spec.C4 if in_kappa(i) else 0.0) - rate(i) * w
         for ia, ib in _action_pairs(model, i):
             drift = _weighted_row_sum(model, W, i, ia, ib)
-            defect = drift - bound
+            defect = _defect(drift - bound)
             worst = max(worst, defect)
             if defect > _tolerance(drift, bound):
-                witnesses.append(Witness(i, ia, ib, defect,
-                                         "killed drift bound violated"))
+                witnesses.append(_witness(i, ia, ib, defect,
+                                          "killed drift bound violated"))
 
     if variant == "unbounded":
         for player in (1, 2):
@@ -403,7 +425,7 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
         return [(u1, u2) for u1 in g1 for u2 in g2]
 
     def weighted(row):
-        return sum(r * W(j) for j, r in sorted(row.items()))
+        return sum(r * _weight(W, j) for j, r in sorted(row.items()))
 
     identity_w, killed_w, growth_w, exit_w = [], [], [], []
     id_margin = killed_margin = growth_margin = exit_margin = math.inf
@@ -416,6 +438,7 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
                                 "inverted relative to theta)"))
         killed_margin = margin
     for i in states:
+        w = _weight(W, i)
         for u1, u2 in grids(i):
             row = shop_row(params, i, u1, u2, boundary=boundary)
             drift = weighted(row)
@@ -423,32 +446,32 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
                 action_term = ((u1 * (math.exp(th) - 1.0)
                                 + u2 * (math.exp(-th) - 1.0))
                                if in_kappa(i) else 0.0)
-                rhs = i * W(i) * bracket + action_term
-                err = abs(drift - rhs)
-                scale = _tolerance(drift, rhs, i * W(i) * (params.buy_rate + params.sell_rate))
+                rhs = i * w * bracket + action_term
+                err = _defect(abs(drift - rhs))
+                scale = _tolerance(drift, rhs, i * w * (params.buy_rate + params.sell_rate))
                 id_margin = min(id_margin, scale - err)
                 if err > scale:
-                    identity_w.append(Witness(i, None, None, err,
-                                              f"identity off by {err:.3e} at "
-                                              f"actions ({u1:g},{u2:g})"))
-            killed_bound = (c4 if in_kappa(i) else 0.0) - ell(i) * W(i)
-            defect = drift - killed_bound
+                    identity_w.append(_witness(i, None, None, err,
+                                               f"identity off by {err:.3e} at "
+                                               f"actions ({u1:g},{u2:g})"))
+            killed_bound = (c4 if in_kappa(i) else 0.0) - ell(i) * w
+            defect = _defect(drift - killed_bound)
             killed_margin = min(killed_margin, -defect)
             if defect > _tolerance(drift, killed_bound):
-                killed_w.append(Witness(i, None, None, defect,
-                                        f"actions ({u1:g},{u2:g})"))
-            growth_bound = W(i) + c4
-            gdefect = drift - growth_bound
+                killed_w.append(_witness(i, None, None, defect,
+                                         f"actions ({u1:g},{u2:g})"))
+            growth_bound = w + c4
+            gdefect = _defect(drift - growth_bound)
             growth_margin = min(growth_margin, -gdefect)
             if gdefect > _tolerance(drift, growth_bound):
-                growth_w.append(Witness(i, None, None, gdefect,
-                                        f"actions ({u1:g},{u2:g})"))
+                growth_w.append(_witness(i, None, None, gdefect,
+                                         f"actions ({u1:g},{u2:g})"))
             exit_rate = -row[i]
-            edefect = exit_rate - c3 * W(i)
+            edefect = _defect(exit_rate - c3 * w)
             exit_margin = min(exit_margin, -edefect)
-            if edefect > _tolerance(exit_rate, c3 * W(i)):
-                exit_w.append(Witness(i, None, None, edefect,
-                                      f"actions ({u1:g},{u2:g})"))
+            if edefect > _tolerance(exit_rate, c3 * w):
+                exit_w.append(_witness(i, None, None, edefect,
+                                       f"actions ({u1:g},{u2:g})"))
 
     boundary_w = []
     lhs = weighted(boundary)

@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from rsgame import nash
 from rsgame.cli import main
 from rsgame.generator import assemble
-from rsgame.model import load_model, save_model, truncate, uniform_strategy
+from rsgame.model import (
+    load_model,
+    save_model,
+    shop_model,
+    tabular_strategy,
+    truncate,
+    uniform_strategy,
+)
+
+from tests.helpers import random_game
 
 from tests.test_nash import decoupled_game, matching_pennies
 from tests.test_simulate import flip_flop_model
@@ -49,6 +59,70 @@ class TestSolve:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _count_solves(monkeypatch):
+    """Count the linear and best-response eigensolves made through ``nash``."""
+    counts = {"linear": 0, "best_response": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nash, "principal_eigenpair",
+                        counting("linear", nash.principal_eigenpair))
+    monkeypatch.setattr(nash, "best_response_eigenpair",
+                        counting("best_response",
+                                 nash.best_response_eigenpair))
+    return counts
+
+
+def _solve_cases(tmp_path):
+    """``(model, trunc n, model flags)``: the shop and a small random game
+    whose best responses ignore the opponent (one round suffices)."""
+    game = decoupled_game(np.random.default_rng(72), n_states=6, m=3)
+    path = tmp_path / "game.json"
+    save_model(game, path)
+    return [(shop_model(), 40, ["--builtin", "shop"]),
+            (game, 6, ["--model", str(path)])]
+
+
+class TestSolveReuse:
+    def test_each_eigenpair_solved_once(self, tmp_path, monkeypatch):
+        for _, n, flags in _solve_cases(tmp_path):
+            counts = _count_solves(monkeypatch)
+            out = tmp_path / "cert.json"
+            assert main(["solve", *flags, "--trunc", str(n),
+                         "--out", str(out)]) == 0
+            assert counts == {"linear": 2, "best_response": 3}
+            assert json.loads(out.read_text())["certificate"]["rounds"] == 1
+            monkeypatch.undo()
+
+    def test_blocks_match_fresh_certify_and_converse_check(self, tmp_path):
+        for model, n, flags in _solve_cases(tmp_path):
+            out = tmp_path / "cert.json"
+            assert main(["solve", *flags, "--trunc", str(n),
+                         "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            trunc, _ = truncate(model, n)
+            v1, v2 = (tabular_strategy(model, k, dict(zip(
+                trunc.states, doc["certificate"]["strategies"][str(k)])))
+                for k in (1, 2))
+            res = nash.certify(model, trunc, v1, v2, eps=doc["eps"],
+                               tol=doc["tol"])
+            conv = nash.converse_check(model, trunc, v1, v2, tol=doc["tol"])
+            assert doc["certify"] == {"delta": [res.delta1, res.delta2],
+                                      "passed": res.passed}
+            assert doc["converse"] == {
+                "passed": conv.passed, "worst_defect": conv.worst(),
+                "per_player": [
+                    {"player": p.player, "rho": p.rho,
+                     "worst_defect": p.worst_defect,
+                     "worst_state": p.worst_state,
+                     "threshold": p.threshold, "passed": p.passed}
+                    for p in conv.players]}
 
 
 class TestLadder:
@@ -133,6 +207,29 @@ class TestVerify:
         code = main(["verify", "--model", decoupled_path, "--range", "3",
                      "--trunc", "3", "--out", str(out)])
         assert code == 0
+
+
+    def test_default_range_clamped_to_finite_model(self, tmp_path):
+        # every row reaches every state, so the anchor-row check holds
+        model = random_game(np.random.default_rng(73), n_states=30,
+                            extra_edge_prob=1.0)
+        path = tmp_path / "game30.json"
+        save_model(model, path)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--model", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["checked_range"] == [1, 30]
+
+    def test_shop_weight_overflow_fails_with_message(self, tmp_path, capsys):
+        # W(i) = exp(theta i) itself overflows from state 2840 on
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--builtin", "shop", "--range", "2841",
+                     "--out", str(out)])
+        assert code == 1
+        assert "not finite in double precision, first at state 2803" in (
+            capsys.readouterr().out)
+        doc = json.loads(out.read_text())
+        assert doc["growth_drift"]["status"] == "violated-at"
+        assert doc["killed_drift"]["status"] == "violated-at"
 
 
 class TestConfigHandling:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from rsgame import nash
+from rsgame.eigensolver import ConvergenceError
 from rsgame.model import (
     mix_strategies,
     pure_strategy,
+    shop_model,
     tabular_model,
     truncate,
     uniform_strategy,
@@ -13,6 +16,7 @@ from rsgame.nash import (
     best_response,
     certify,
     converse_check,
+    converse_report,
     find_nash,
     nash_iterate,
     profile_count,
@@ -200,13 +204,18 @@ class TestNashIterate:
         b = nash_iterate(model, trunc, eps=1e-9, first_player=2)
         assert a.to_json_dict(trunc) == b.to_json_dict(trunc)
 
-    def test_simultaneous_mode_parallel_matches_serial(self):
+    def test_simultaneous_mode_matches_alternating_on_decoupled_game(self):
+        # best responses ignore the opponent, so both modes stop at the
+        # same pair after one round
         rng = np.random.default_rng(39)
         model = decoupled_game(rng, n_states=3, m=2)
         trunc, _ = truncate(model, 3)
-        serial = nash_iterate(model, trunc, mode="simultaneous", workers=1)
-        parallel = nash_iterate(model, trunc, mode="simultaneous", workers=2)
-        assert serial.to_json_dict(trunc) == parallel.to_json_dict(trunc)
+        simultaneous = nash_iterate(model, trunc, eps=1e-9,
+                                    mode="simultaneous")
+        alternating = nash_iterate(model, trunc, eps=1e-9)
+        assert simultaneous.converged
+        assert (simultaneous.to_json_dict(trunc)
+                == alternating.to_json_dict(trunc))
 
     def test_pure_cycle_is_detected_honestly(self):
         model = matching_pennies()
@@ -238,6 +247,51 @@ class TestNashIterate:
             nash_iterate(model, trunc, eps=0.0)
         with pytest.raises(ValueError, match="mode"):
             nash_iterate(model, trunc, mode="chaotic")
+        with pytest.raises(ValueError, match="max_rounds"):
+            nash_iterate(model, trunc, max_rounds=0)
+
+
+def _fail_nth_solve(monkeypatch, player, n):
+    """Make the ``n``-th best-response solve of ``player`` in ``nash``
+    raise :class:`ConvergenceError`; the others run unchanged."""
+    real = nash.best_response_eigenpair
+    calls = {"n": 0}
+
+    def patched(model, truncation, opponent_strategy, p, *args, **kwargs):
+        if p == player:
+            calls["n"] += 1
+            if calls["n"] == n:
+                raise ConvergenceError("forced failure", bracket=(0.0, 1.0),
+                                       iterations=1)
+        return real(model, truncation, opponent_strategy, p, *args, **kwargs)
+
+    monkeypatch.setattr(nash, "best_response_eigenpair", patched)
+
+
+class TestSolverFailure:
+    def test_mid_run_failure_certifies_its_own_pair(self, monkeypatch):
+        # player 2 solves once in round one (round one's certification
+        # reuses it) and fails in round two, after player 1 has moved
+        model = shop_model()
+        trunc, _ = truncate(model, 20)
+        _fail_nth_solve(monkeypatch, player=2, n=2)
+        cert = nash_iterate(model, trunc, damping=0.5, eps=1e-300)
+        monkeypatch.undo()
+        assert cert.status == "max_iter"
+        assert cert.rounds == 2
+        assert cert.trace[-1] == {"round": 2, "error": "forced failure"}
+        fresh = certify(model, trunc, cert.v1, cert.v2, eps=1e-300)
+        assert (cert.rho1, cert.rho2) == fresh.rho_pair
+        assert (cert.delta1, cert.delta2) == (fresh.delta1, fresh.delta2)
+        assert cert.eigen1.rho == fresh.br_eigen[0].rho
+        assert cert.eigen2.rho == fresh.br_eigen[1].rho
+
+    def test_first_round_failure_propagates(self, monkeypatch):
+        model = shop_model()
+        trunc, _ = truncate(model, 20)
+        _fail_nth_solve(monkeypatch, player=2, n=1)
+        with pytest.raises(ConvergenceError, match="forced failure"):
+            nash_iterate(model, trunc)
 
 
 class TestFindNash:
@@ -298,6 +352,17 @@ class TestConverseCheck:
         p2 = pure_strategy(model, 2, lambda i: s2[i - 1])
         report = converse_check(model, trunc, p1, p2, tol=1e-9)
         assert report.worst() <= 1e-9
+
+    def test_report_on_given_eigenpairs_matches_check(self):
+        rng = np.random.default_rng(46)
+        model = random_game(rng, n_states=3, m1=2, m2=2)
+        trunc, _ = truncate(model, 3)
+        cert = nash_iterate(model, trunc, damping=0.5, max_rounds=2,
+                            eps=1e-12)
+        report = converse_report(model, trunc, cert.v1, cert.v2,
+                                 (cert.eigen1, cert.eigen2), tol=1e-10)
+        assert report == converse_check(model, trunc, cert.v1, cert.v2,
+                                        tol=1e-10)
 
     def test_fixed_point_consistency(self):
         rng = np.random.default_rng(45)

@@ -20,6 +20,7 @@ from rsgame.model import (
 from rsgame.verify import (
     HOLDS,
     NEEDS_TAIL,
+    NOT_FINITE,
     VIOLATED,
     check_anchor_row,
     check_growth_drift,
@@ -298,3 +299,41 @@ class TestWeightFloor:
         spec = LyapunovSpec(W=lambda i: 0.5, C1=1.0, C2=10.0, C3=10.0)
         report = check_growth_drift(model, spec, range(1, 3))
         assert any("below one" in w.note for w in report.witnesses)
+
+
+class TestWeightOverflow:
+    """The shop's weight exp(theta i) leaves double precision near i = 2800:
+    weighted sums overflow from state 2803 on, the weight itself from 2840."""
+
+    states = range(2800, 2841)
+
+    def test_drift_checks_fail_at_first_overflow(self):
+        params = ShopParams()
+        model, spec = shop_model(params), shop_lyapunov_spec(params)
+        for report in (check_growth_drift(model, spec, self.states),
+                       check_killed_drift(model, spec, "unbounded",
+                                          self.states)):
+            assert report.status == VIOLATED
+            assert report.max_defect == math.inf
+            bad = [w for w in report.witnesses if w.note == NOT_FINITE]
+            assert bad[0].state == 2803
+            assert {w.state for w in bad} == set(range(2803, 2841))
+
+    def test_condition_displays_fail_without_raising(self):
+        report = shop_condition_report(ShopParams(), self.states)
+        assert not report.all_pass
+        for key in ("weighted-drift-identity", "killed-drift-bound",
+                    "growth-drift-constants", "exit-rate-bound"):
+            display = report.display(key)
+            assert not display.passed
+            assert display.worst.note == NOT_FINITE
+        assert report.display("weighted-drift-identity").worst.state == 2803
+        # the bound C3 W(i) overflows before W(i) does
+        assert report.display("exit-rate-bound").worst.state == 2828
+
+    def test_range_below_overflow_still_holds(self):
+        params = ShopParams()
+        model, spec = shop_model(params), shop_lyapunov_spec(params)
+        states = range(2780, 2803)
+        assert check_growth_drift(model, spec, states).status == HOLDS
+        assert shop_condition_report(params, states).all_pass
