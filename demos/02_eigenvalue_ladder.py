@@ -4,9 +4,11 @@
 The long-run growth rate of E[exp(integral of cost)] under a strategy
 pair is the principal eigenvalue of Q + diag(c) on a truncation.  The
 minimizing player's optimal value solves the nonlinear variant with a
-per-state minimum inside.  Both are computed by power iteration with
-Collatz-Wielandt brackets; a ladder of nested truncations shows the
-eigenvalues stabilizing as the boundary recedes.
+per-state minimum inside.  The linear eigenpair comes from power steps
+followed by Noda's shift-invert steps, the best response from policy
+iteration on that kernel; both stop on a Collatz-Wielandt bracket.  A
+ladder of nested truncations shows the eigenvalues stabilizing as the
+boundary recedes.
 """
 
 from rsgame import (
@@ -28,7 +30,7 @@ trunc, _ = truncate(model, 30)
 A = assemble(model, trunc, v1, v2, player=1)
 ep = principal_eigenpair(A, i0=model.anchor)
 print(f"rho = {ep.rho:.10f}  (bracket width {ep.bracket[1] - ep.bracket[0]:.1e}, "
-      f"{ep.iterations} iterations, residual {ep.residual:.1e})")
+      f"{ep.iterations} power steps and solves, residual {ep.residual:.1e})")
 print("eigenfunction at states 1..6:",
       [round(ep.psi_at(i), 5) for i in range(1, 7)])
 

@@ -1,15 +1,19 @@
 """Principal eigenpairs of tilted generators, linear and nonlinear.
 
-The linear solver handles a fixed strategy pair: power iteration on the
-shifted nonnegative matrix ``A + alpha I``, bracketing the eigenvalue with
-the Collatz-Wielandt bounds ``min_i (M psi)_i / psi_i`` and
-``max_i (M psi)_i / psi_i`` and stopping when the bracket width drops
-below tolerance.  The nonlinear solver freezes one player and minimizes
-over the other player's pure actions inside the iteration (the objective
-is linear in the mixed action, so pure minimizers suffice); the same
-bracket applies because the min-operator is monotone and positively
-homogeneous.  A ladder of nested truncations tracks the eigenvalue as the
-state space grows.
+The linear solver handles a fixed strategy pair.  Its kernel works on the
+shifted nonnegative matrix ``M = A + alpha I``: a fixed number of plain
+power steps, then Noda's shift-invert steps (Noda 1971; Elsner 1976),
+which solve ``(sigma I - M) x = psi`` by sparse LU with ``sigma`` the
+Collatz-Wielandt upper bound ``max_i (M psi)_i / psi_i``.  Both phases
+keep ``psi`` positive, and both stop only when the Collatz-Wielandt
+bracket ``[min_i (M psi)_i / psi_i, max_i (M psi)_i / psi_i]`` is
+narrower than the tolerance.  The nonlinear solver freezes one player and
+minimizes over the other player's pure actions (the objective is linear
+in the mixed action, so pure minimizers suffice) by policy iteration on
+the linear kernel; the same bracket, taken for the min-operator, is its
+exit certificate, valid because the min-operator is monotone and
+positively homogeneous.  A ladder of nested truncations tracks the
+eigenvalue as the state space grows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
+from scipy.sparse import csgraph, csr_matrix, identity
+from scipy.sparse.linalg import splu
 
 from . import generator
 from .model import GameModel, StationaryStrategy, pure_strategy, truncate
@@ -79,33 +84,67 @@ def default_max_iter(n: int) -> int:
     return 100 * n + 10_000
 
 
+# Plain power steps before the kernel switches to Noda steps.  Operators
+# that mix fast (random dense-ish rows) close their bracket within this
+# many cheap matvecs, where a sparse LU with fill-in would cost more.
+POWER_STEPS = 100
+
+
 def _strong_components(pattern: csr_matrix):
     ncomp, labels = csgraph.connected_components(pattern, directed=True,
                                                  connection="strong")
     return ncomp, labels
 
 
-def _power_iterate(apply_shifted, n, anchor_idx, tol, max_iter, psi0=None):
-    """Shared power iteration with Collatz-Wielandt stopping.
+def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
+    """Principal eigenvector of a shifted operator, bracket-certified.
 
-    ``apply_shifted`` maps a positive vector through the shifted
-    (entrywise nonnegative, positive diagonal) operator.  Returns
-    ``(lam_lo, lam_hi, psi, iterations)`` for the shifted operator.
+    ``M`` is a sparse, entrywise nonnegative matrix with a positive
+    diagonal.  The first ``POWER_STEPS`` steps are power steps
+    ``psi <- M psi``; after that each step is a Noda step: with ``sigma``
+    the Collatz-Wielandt upper bound ``max_i (M psi)_i / psi_i``, solve
+    ``(sigma I - M) x = psi`` by sparse LU and take ``psi <- x``.  A Noda
+    step whose factorization fails or whose solution is not finite and
+    positive is replaced by a power step.  Every step keeps ``psi``
+    positive and normalized to one at ``anchor_idx``.
+
+    Returns ``(lo, hi, psi, steps)``: the Collatz-Wielandt bounds of the
+    returned ``psi`` on the shifted operator and the number of power steps
+    plus solves taken.  The loop stops once ``hi - lo <= tol``, or after
+    ``max_iter`` steps with the bracket still open.
     """
-    psi = np.ones(n) if psi0 is None else psi0.copy()
-    psi /= psi[anchor_idx]
-    lo = hi = np.nan
-    for it in range(1, max_iter + 1):
-        y = apply_shifted(psi)
+    psi = np.ones(M.shape[0]) if psi0 is None else psi0 / psi0[anchor_idx]
+    steps = 0
+    while True:
+        y = M @ psi
         ratios = y / psi
         lo = float(ratios.min())
         hi = float(ratios.max())
-        psi = y / y[anchor_idx]
-        if hi - lo <= tol:
-            return lo, hi, psi, it
-    raise ConvergenceError(
-        f"power iteration did not reach bracket width {tol:g} within "
-        f"{max_iter} iterations (last width {hi - lo:.3e})",
+        if hi - lo <= tol or steps >= max_iter:
+            return lo, hi, psi, steps
+        steps += 1
+        x = _noda_step(M, hi, psi, anchor_idx) if steps > POWER_STEPS else None
+        psi = y / y[anchor_idx] if x is None else x
+
+
+def _noda_step(M, sigma, psi, anchor_idx):
+    """Normalized solution of ``(sigma I - M) x = psi``, or None."""
+    shifted = (sigma * identity(M.shape[0], format="csc") - M).tocsc()
+    try:
+        x = splu(shifted).solve(psi)
+    except RuntimeError:  # exactly singular factor
+        return None
+    with np.errstate(all="ignore"):
+        x = x / x[anchor_idx]
+    if np.all(np.isfinite(x)) and x.min() > 0.0:
+        return x
+    return None
+
+
+def _exhausted(what, tol, max_iter, lo, hi):
+    return ConvergenceError(
+        f"{what} did not reach bracket width {tol:g} within {max_iter} "
+        f"iterations (last width {hi - lo:.3e})",
         bracket=(lo, hi), iterations=max_iter)
 
 
@@ -114,11 +153,12 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
                         max_iter: int | None = None) -> EigenPair:
     """Principal eigenpair of the tilted operator under fixed strategies.
 
-    Power iteration on ``A + alpha I``; the reported eigenvalue is the
-    bracket midpoint minus the shift.  A reducible operator triggers a
-    warning and a component-wise fallback whose eigenvector may vanish off
-    the dominant component (and at the anchor, in which case the
-    normalization falls back to the maximum entry).
+    Runs ``_power_iterate`` on ``A + alpha I``; the reported eigenvalue is
+    the bracket midpoint minus the shift, and ``iterations`` counts power
+    steps plus Noda solves.  A reducible operator triggers a warning and a
+    component-wise fallback whose eigenvector may vanish off the dominant
+    component (and at the anchor, in which case the normalization falls
+    back to the maximum entry).
     """
     n = A.n
     if max_iter is None:
@@ -136,11 +176,13 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
         notes.append(msg)
         return _reducible_fallback(A, i0, tol, max_iter, labels, ncomp, notes)
 
-    lo, hi, psi, its = _power_iterate(A.shifted_apply, n, anchor_idx, tol,
-                                      max_iter)
+    M = (A.A + A.alpha * identity(n, format="csr")).tocsr()
+    lo, hi, psi, its = _power_iterate(M, anchor_idx, tol, max_iter)
+    if not hi - lo <= tol:
+        raise _exhausted("linear eigensolve", tol, max_iter,
+                         lo - A.alpha, hi - A.alpha)
     mid = 0.5 * (lo + hi)
-    resid = float(np.max(np.abs(A.shifted_apply(psi) - mid * psi))
-                  / np.max(np.abs(psi)))
+    resid = float(np.max(np.abs(M @ psi - mid * psi)) / np.max(np.abs(psi)))
     return EigenPair(rho=mid - A.alpha, psi=psi, residual=resid,
                      iterations=its, states=A.states, anchor=i0,
                      bracket=(lo - A.alpha, hi - A.alpha),
@@ -153,13 +195,11 @@ def _reducible_fallback(A, i0, tol, max_iter, labels, ncomp, notes):
     best = None
     for comp in range(ncomp):
         idx = np.flatnonzero(labels == comp)
-        sub = dense[np.ix_(idx, idx)]
-
-        def apply_shifted(v, sub=sub):
-            return sub @ v + A.alpha * v
-
-        lo, hi, psi_sub, its = _power_iterate(apply_shifted, len(idx), 0,
-                                              tol, max_iter)
+        sub = csr_matrix(dense[np.ix_(idx, idx)] + A.alpha * np.eye(len(idx)))
+        lo, hi, psi_sub, its = _power_iterate(sub, 0, tol, max_iter)
+        if not hi - lo <= tol:
+            raise _exhausted("linear eigensolve", tol, max_iter,
+                             lo - A.alpha, hi - A.alpha)
         mid = 0.5 * (lo + hi)
         if best is None or mid > best[0]:
             best = (mid, idx, psi_sub, (lo, hi), its)
@@ -220,18 +260,11 @@ class _ResponseOperator:
         self.alpha = float(alpha)
         self.n = n
 
-    def apply_min(self, psi):
-        z = self.S @ psi
-        return np.minimum.reduceat(z, self.starts), z
-
-    def argmin_indices(self, psi):
-        z = self.S @ psi
+    def segment_argmin(self, z):
+        """Per-state own action minimizing ``z = S psi`` (lowest index on ties)."""
         y = np.minimum.reduceat(z, self.starts)
-        sel = np.empty(self.n, dtype=np.int64)
-        for i in range(self.n):
-            seg = z[self.starts[i]:self.starts[i] + self.counts[i]]
-            sel[i] = int(np.argmin(seg))  # ties: lowest action index
-        return sel, y
+        rows = np.where(z == y[self.owner], np.arange(z.size), z.size)
+        return np.minimum.reduceat(rows, self.starts) - self.starts
 
     def intersection_pattern(self):
         """Edges present under every own action (sufficient irreducibility)."""
@@ -254,20 +287,23 @@ class _ResponseOperator:
 
 def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                             player: int, tol: float = 1e-10,
-                            max_iter: int | None = None,
-                            accelerate: bool = False):
+                            max_iter: int | None = None):
     """Minimal eigenpair of the frozen-opponent minimization equation.
 
-    Monotone nonlinear power iteration: each sweep applies every own pure
-    action's shifted operator and keeps the pointwise minimum, with the
-    Collatz-Wielandt bracket as exit test.  Returns ``(EigenPair,
-    StationaryStrategy)`` where the strategy is the minimizing pure
-    selector (ties broken toward the lowest action index).
+    Risk-sensitive policy iteration (Howard and Matheson 1972): solve the
+    linear eigenpair of the current pure selector with ``_power_iterate``,
+    warm-started from the previous eigenvector, then switch each state's
+    action only where another action is strictly better, until the
+    selector is stable.  The Collatz-Wielandt bracket of the min-operator
+    is the exit certificate; while it is open, monotone nonlinear power
+    iteration (pointwise minimum over own pure actions; the objective is
+    linear in the mixed action, so pure minimizers suffice) continues from
+    the last eigenvector.  ``iterations`` counts power steps, Noda solves
+    and nonlinear steps together against ``max_iter``.
 
-    With ``accelerate=True`` the iteration periodically solves the linear
-    eigenpair of the current selector and restarts from its eigenvector;
-    the nonlinear bracket still decides convergence, so acceleration can
-    never loosen the result.
+    Returns ``(EigenPair, StationaryStrategy)`` where the strategy is the
+    minimizing pure selector at the final eigenvector (ties broken toward
+    the lowest action index).
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
@@ -286,34 +322,39 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
         notes.append(msg)
 
     psi = np.ones(n)
-    lo = hi = np.nan
-    accel_every = 40
-    it = 0
-    while it < max_iter:
-        it += 1
-        y, _ = op.apply_min(psi)
+    z = op.S @ psi
+    sel = op.segment_argmin(z)
+    its = 0
+    while True:
+        lo, hi, psi, steps = _power_iterate(op.S[op.starts + sel], anchor_idx,
+                                            tol, max_iter - its, psi)
+        its += steps
+        z = op.S @ psi
+        best = op.segment_argmin(z)
+        switch = z[op.starts + best] < z[op.starts + sel]
+        if not hi - lo <= tol or not switch.any():
+            break
+        sel = np.where(switch, best, sel)
+
+    while True:
+        y = np.minimum.reduceat(z, op.starts)
         ratios = y / psi
         lo = float(ratios.min())
         hi = float(ratios.max())
-        psi_next = y / y[anchor_idx]
         if hi - lo <= tol:
-            psi = psi_next
             break
-        psi = psi_next
-        if accelerate and it % accel_every == 0:
-            psi = _accelerate_once(model, truncation, opponent_strategy,
-                                   player, op, psi, tol, max_iter)
-    else:
-        raise ConvergenceError(
-            f"nonlinear power iteration did not reach bracket width {tol:g} "
-            f"within {max_iter} iterations (last width {hi - lo:.3e})",
-            bracket=(lo - op.alpha, hi - op.alpha), iterations=max_iter)
+        if its >= max_iter:
+            raise _exhausted("best-response iteration", tol, max_iter,
+                             lo - op.alpha, hi - op.alpha)
+        its += 1
+        psi = y / y[anchor_idx]
+        z = op.S @ psi
 
-    sel, y = op.argmin_indices(psi)
+    sel = op.segment_argmin(z)
     mid = 0.5 * (lo + hi)
     resid = float(np.max(np.abs(y - mid * psi)) / np.max(np.abs(psi)))
     pair = EigenPair(rho=mid - op.alpha, psi=psi, residual=resid,
-                     iterations=it, states=truncation.states,
+                     iterations=its, states=truncation.states,
                      anchor=model.anchor, bracket=(lo - op.alpha, hi - op.alpha),
                      warnings=tuple(notes))
     selector = pure_strategy(model, player, _table_choice(truncation, sel))
@@ -331,24 +372,6 @@ def _table_choice(truncation, sel):
                              f"(state {i})") from None
 
     return choice
-
-
-def _accelerate_once(model, truncation, opponent, player, op, psi, tol,
-                     max_iter):
-    """One policy-improvement jump: eigenvector of the current selector."""
-    sel, _ = op.argmin_indices(psi)
-    own = pure_strategy(model, player, _table_choice(truncation, sel))
-    if player == 1:
-        A = generator.assemble(model, truncation, own, opponent, 1)
-    else:
-        A = generator.assemble(model, truncation, opponent, own, 2)
-    try:
-        ep = principal_eigenpair(A, model.anchor, tol, max_iter)
-    except ConvergenceError:
-        return psi
-    if np.all(ep.psi > 0):
-        return ep.psi
-    return psi
 
 
 @dataclass(frozen=True)

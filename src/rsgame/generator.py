@@ -68,9 +68,6 @@ class TwistedMatrix:
     def index(self, state: int) -> int:
         return state - 1
 
-    def shifted_apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.A @ psi + self.alpha * psi
-
 
 def _check_weights(model, i, player, w):
     m = model.n_actions(player, i)

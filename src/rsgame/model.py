@@ -855,6 +855,29 @@ def _shop_params_to_dict(p: ShopParams) -> dict:
     return d
 
 
+def _entry_error(kind, entry, n, grids) -> ValueError:
+    """Name the index by which a rate or cost entry leaves the model."""
+    if kind == "rate":
+        i, ia, ib, j = (int(x) for x in entry[:4])
+        k = 1
+    else:
+        k, i, ia, ib = (int(x) for x in entry[:4])
+        j = 1
+    if k not in (1, 2):
+        problem = f"cost player {k} is not 1 or 2"
+    elif not 1 <= i <= n:
+        problem = f"state {i} is outside states 1..{n}"
+    elif not 1 <= j <= n:
+        problem = f"target state {j} is outside states 1..{n}"
+    elif not 0 <= ia < len(grids[(1, i)]):
+        problem = (f"player 1 action {ia} is outside the "
+                   f"{len(grids[(1, i)])}-action grid at state {i}")
+    else:
+        problem = (f"player 2 action {ib} is outside the "
+                   f"{len(grids[(2, i)])}-action grid at state {i}")
+    return ValueError(f"{kind} entry {list(entry)}: {problem}")
+
+
 def model_from_dict(doc: Mapping) -> GameModel:
     _reject_unknown(doc, _TOP_KEYS, "model document")
     if "lazy" in doc:
@@ -881,15 +904,23 @@ def model_from_dict(doc: Mapping) -> GameModel:
                     f"no action grid for player {player} at state {i}")
             grids[(player, i)] = g
 
+    pairs = {(i, ia, ib) for i in range(1, n + 1)
+             for ia in range(len(grids[(1, i)]))
+             for ib in range(len(grids[(2, i)]))}
     rates: dict = {}
     for entry in doc.get("rates", []):
         i, ia, ib, j, value = entry
-        rates.setdefault((int(i), int(ia), int(ib)), {})[int(j)] = float(value)
+        key, j = (int(i), int(ia), int(ib)), int(j)
+        if key not in pairs or not 1 <= j <= n:
+            raise _entry_error("rate", entry, n, grids)
+        rates.setdefault(key, {})[j] = float(value)
     costs: dict = {}
     for entry in doc.get("costs", []):
         k, i, ia, ib, value = entry
-        c = costs.setdefault((int(i), int(ia), int(ib)), [0.0, 0.0])
-        c[int(k) - 1] = float(value)
+        key, k = (int(i), int(ia), int(ib)), int(k)
+        if key not in pairs or k not in (1, 2):
+            raise _entry_error("cost", entry, n, grids)
+        costs.setdefault(key, [0.0, 0.0])[k - 1] = float(value)
     costs = {key: tuple(v) for key, v in costs.items()}
     return tabular_model(rates, costs, grids, n_states=n, anchor=anchor)
 

@@ -83,6 +83,89 @@ def dense_principal(A, anchor_idx=0):
     return float(rho.real), psi
 
 
+def reference_power_eigenpair(A, anchor_idx=0, tol=1e-10, max_iter=None):
+    """Reference linear solver: shifted power iteration, no Noda steps.
+
+    Power iteration on ``A + alpha I`` with ``alpha = max_i(-A_ii) + 1``
+    (dense or sparse ``A``), stopping when the Collatz-Wielandt bracket is
+    narrower than ``tol``.  This is the algorithm the library used before
+    its shift-invert kernel; it needs tens of thousands of steps at a few
+    hundred states, so keep ``n`` small.  Returns ``(rho, psi)`` with
+    ``psi`` scaled to one at ``anchor_idx``.
+    """
+    A = np.asarray(A.toarray() if hasattr(A, "toarray") else A, dtype=float)
+    n = A.shape[0]
+    alpha = max(0.0, float((-np.diag(A)).max())) + 1.0
+    M = A + alpha * np.eye(n)
+    if max_iter is None:
+        max_iter = 100 * n + 10_000
+    psi = np.ones(n)
+    for _ in range(max_iter):
+        y = M @ psi
+        ratios = y / psi
+        lo, hi = ratios.min(), ratios.max()
+        psi = y / y[anchor_idx]
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi) - alpha, psi
+    raise AssertionError("reference power iteration did not converge")
+
+
+def dense_response_rows(model: GameModel, n, opponent, player):
+    """Opponent-averaged tilted rows per own action on states 1..n.
+
+    Independent of rsgame.generator: entry ``[i - 1][a]`` is the dense row
+    ``sum_b w(b) (q^{a,b}_i. + c^{a,b}(i) e_i)`` with off-truncation
+    columns dropped and the full-space diagonal kept.
+    """
+    rows = []
+    for i in range(1, n + 1):
+        w = opponent.weights(i)
+        per_action = []
+        for a in range(model.n_actions(player, i)):
+            r = np.zeros(n)
+            for b, wb in enumerate(w):
+                if wb == 0.0:
+                    continue
+                ia, ib = (a, b) if player == 1 else (b, a)
+                row = model.row(i, ia, ib)
+                for j, rate in zip(row.cols, row.rates):
+                    if j <= n:
+                        r[j - 1] += wb * rate
+                r[i - 1] += wb * (row.diag + model.cost(player, i, ia, ib))
+            per_action.append(r)
+        rows.append(per_action)
+    return rows
+
+
+def reference_best_response(model: GameModel, n, opponent, player,
+                            tol=1e-10, max_iter=None):
+    """Reference best response: monotone nonlinear power iteration.
+
+    Each sweep applies every own action's shifted row and keeps the
+    pointwise minimum, stopping on the Collatz-Wielandt bracket of the
+    min-operator; no policy iteration and no linear solves.  This is the
+    algorithm the library used before policy iteration.  Returns
+    ``(rho, psi, selector)`` with ``selector[i - 1]`` the lowest-index
+    minimizing action at state ``i``.
+    """
+    rows = dense_response_rows(model, n, opponent, player)
+    alpha = max(0.0, max(-r[i] for i, per in enumerate(rows) for r in per)) + 1.0
+    shifted = [np.array(per) + alpha * np.eye(n)[i] for i, per in enumerate(rows)]
+    if max_iter is None:
+        max_iter = 100 * n + 10_000
+    anchor_idx = model.anchor - 1
+    psi = np.ones(n)
+    for _ in range(max_iter):
+        y = np.array([(per @ psi).min() for per in shifted])
+        ratios = y / psi
+        lo, hi = ratios.min(), ratios.max()
+        psi = y / y[anchor_idx]
+        if hi - lo <= tol:
+            selector = [int(np.argmin(per @ psi)) for per in shifted]
+            return 0.5 * (lo + hi) - alpha, psi, selector
+    raise AssertionError("reference best-response iteration did not converge")
+
+
 def enumerate_selectors(sizes):
     """All pure selectors as index tuples over per-state grid sizes."""
     if not sizes:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from rsgame import nash
-from rsgame.cli import main
+from rsgame import cli, nash
+from rsgame.cli import _hitting_z_bound, main
+from rsgame.eigensolver import principal_eigenpair
 from rsgame.generator import assemble
 from rsgame.model import (
     load_model,
@@ -191,6 +193,37 @@ class TestSimulate:
         assert len(lines) == 3
 
 
+    HIT_ARGS = ["simulate", "--builtin", "shop", "--horizon", "10",
+                "--paths", "400", "--trunc", "40", "--hitting",
+                "--hit-targets", "1,2,3,4,5", "--hit-starts", "6,7,8,9,10"]
+
+    def test_hitting_bound_is_family_wise_student_t(self):
+        assert _hitting_z_bound(20, 5) == pytest.approx(4.5899, abs=1e-3)
+        assert _hitting_z_bound(20, 1) < _hitting_z_bound(20, 5)
+
+    @pytest.mark.parametrize("seed", [5, 21, 29, 32])
+    def test_hitting_check_passes_seeds_beyond_three_se(self, seed, tmp_path,
+                                                        capsys):
+        # each of these seeds has one start with 3 < z < 3.7 on correct output
+        out = str(tmp_path / "sim.csv")
+        code = main(self.HIT_ARGS + ["--seed", str(seed), "--out", out])
+        stdout = capsys.readouterr().out
+        assert "within 3 SE = False" in stdout
+        assert "every z <= 4.590" in stdout
+        assert code == 0
+
+    def test_hitting_check_rejects_wrong_rho(self, tmp_path, monkeypatch,
+                                             capsys):
+        def off_by(A, i0, tol):
+            ep = principal_eigenpair(A, i0, tol)
+            return dataclasses.replace(ep, rho=ep.rho + 0.05)
+
+        monkeypatch.setattr(cli, "principal_eigenpair", off_by)
+        out = str(tmp_path / "sim.csv")
+        code = main(self.HIT_ARGS + ["--seed", "5", "--out", out])
+        assert code == 1
+        assert "over 5 starts) = False" in capsys.readouterr().out
+
 class TestVerify:
     def test_shop_defaults_pass(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -255,6 +288,28 @@ class TestConfigHandling:
         assert main(["solve", "--model", decoupled_path, "--eps", "-1"]) == 2
         assert main(["solve", "--model", decoupled_path, "--player", "3"]) == 2
         assert main(["ladder", "--builtin", "shop", "--trunc", "0"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--trunc", "2"],
+        ["ladder", "--trunc", "1,2"],
+        ["simulate", "--horizon", "1", "--paths", "20"],
+        ["verify"],
+    ])
+    def test_rate_into_missing_state_rejected(self, command, tmp_path, capsys):
+        doc = {
+            "states": 2,
+            "actions": {"1": {"default": [0.0]}, "2": {"default": [0.0]}},
+            "rates": [[1, 0, 0, 2, 1.0], [2, 0, 0, 1, 1.0],
+                      [2, 0, 0, 3, 0.5]],
+            "costs": [[1, 1, 0, 0, 0.2]],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert main(command + ["--model", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "rate entry [2, 0, 0, 3, 0.5]" in err
+        assert "target state 3" in err
 
     def test_round_trip_assembles_identically(self, decoupled_path, tmp_path):
         model = load_model(decoupled_path)

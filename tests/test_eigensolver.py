@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from rsgame.model import (
     with_cost_shift,
 )
 
-from tests.helpers import dense_principal, dense_tilted, enumerate_selectors, random_game
+from tests.helpers import (
+    dense_principal,
+    dense_tilted,
+    enumerate_selectors,
+    random_game,
+    reference_best_response,
+    reference_power_eigenpair,
+)
 
 
 def fixed_pair(model):
@@ -162,14 +171,17 @@ class TestBestResponseEigenpair:
         assert np.all(ep.psi > 0)
         assert ep.psi[0] == 1.0
 
-    def test_acceleration_agrees_with_plain_iteration(self):
+    def test_agrees_with_reference_power_iteration(self):
         model = shop_model()
-        trunc, _ = truncate(model, 10)
-        opp = uniform_strategy(model, 1)
-        plain, _ = best_response_eigenpair(model, trunc, opp, player=2)
-        accel, _ = best_response_eigenpair(model, trunc, opp, player=2,
-                                           accelerate=True)
-        assert accel.rho == pytest.approx(plain.rho, abs=1e-9)
+        tol = 1e-10
+        trunc, _ = truncate(model, 40)
+        for player, opp in ((1, uniform_strategy(model, 2)),
+                            (2, uniform_strategy(model, 1))):
+            ep, sel = best_response_eigenpair(model, trunc, opp, player, tol)
+            rho_ref, _, sel_ref = reference_best_response(model, 40, opp,
+                                                          player, tol)
+            assert abs(ep.rho - rho_ref) <= 2 * tol
+            assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
 
     def test_constant_cost_shift_moves_rho_only(self):
         rng = np.random.default_rng(26)
@@ -183,6 +195,100 @@ class TestBestResponseEigenpair:
         assert np.max(np.abs(ep1.psi - ep0.psi)) <= 1e-10
         for i in trunc.states:
             assert sel0.weights(i).tolist() == sel1.weights(i).tolist()
+
+
+def _pair(player, own, opp):
+    return (own, opp) if player == 1 else (opp, own)
+
+
+class TestReferenceSolvers:
+    """The shift-invert kernel and policy iteration against independent
+    references: plain power iterations and scipy's dense eigensolver."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_shop_linear_matches_reference_and_dense(self, n, player):
+        model = shop_model()
+        trunc, _ = truncate(model, n)
+        v1, v2 = fixed_pair(model)
+        A = assemble(model, trunc, v1, v2, player)
+        ep = principal_eigenpair(A, i0=1, tol=self.TOL)
+        rho_ref, _ = reference_power_eigenpair(A.A, 0, self.TOL)
+        rho_dense, _ = dense_principal(dense_tilted(model, n, v1, v2, player))
+        assert abs(ep.rho - rho_ref) <= 2 * self.TOL
+        assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_shop_best_response_matches_dense_at_60(self, player):
+        model = shop_model()
+        trunc, _ = truncate(model, 60)
+        opp = uniform_strategy(model, 3 - player)
+        ep, sel = best_response_eigenpair(model, trunc, opp, player, self.TOL)
+        rho_ref, _, sel_ref = reference_best_response(model, 60, opp, player,
+                                                      self.TOL)
+        rho_dense, _ = dense_principal(
+            dense_tilted(model, 60, *_pair(player, sel, opp), player))
+        assert abs(ep.rho - rho_ref) <= 2 * self.TOL
+        assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+        assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
+
+    @pytest.mark.parametrize("seed", range(30, 36))
+    def test_random_games_match_references(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 13))
+        model = random_game(rng, n_states=n, m1=3, m2=2)
+        trunc, _ = truncate(model, n)
+        v1, v2 = fixed_pair(model)
+        for player, opp in ((1, v2), (2, v1)):
+            A = assemble(model, trunc, v1, v2, player)
+            ep = principal_eigenpair(A, i0=1, tol=self.TOL)
+            rho_ref, _ = reference_power_eigenpair(A.A, 0, self.TOL)
+            rho_dense, _ = dense_principal(dense_tilted(model, n, v1, v2, player))
+            assert abs(ep.rho - rho_ref) <= 2 * self.TOL
+            assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+
+            br, sel = best_response_eigenpair(model, trunc, opp, player,
+                                              self.TOL)
+            rho_ref, _, sel_ref = reference_best_response(model, n, opp,
+                                                          player, self.TOL)
+            rho_dense, _ = dense_principal(
+                dense_tilted(model, n, *_pair(player, sel, opp), player))
+            assert abs(br.rho - rho_ref) <= 2 * self.TOL
+            assert abs(br.rho - rho_dense) <= 2 * self.TOL
+            assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
+
+
+class TestLargeTruncations:
+    def test_shop_linear_solve_closes_at_1500(self):
+        # plain shifted power iteration needs about 76,000 steps here
+        model = shop_model()
+        trunc, _ = truncate(model, 1500)
+        v1, v2 = fixed_pair(model)
+        ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
+        lo, hi = ep.bracket
+        assert hi - lo <= 1e-10
+        assert ep.iterations < 1_000
+        assert np.all(np.isfinite(ep.psi)) and np.all(ep.psi > 0)
+
+    def test_rung_at_5000_is_solved_or_fails_honestly(self):
+        # psi spans about 115 decades here; no step may overflow
+        model = shop_model()
+        v1, v2 = fixed_pair(model)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error")
+            res = truncation_ladder(model, v2, 1, [5000], own_strategy=v1)
+        (rung,) = res.rungs
+        if rung.error is None:
+            assert np.isfinite(rung.rho)
+            assert np.all(np.isfinite(rung.eigenpair.psi))
+            assert np.all(rung.eigenpair.psi > 0)
+            lo, hi = rung.eigenpair.bracket
+            assert hi - lo <= 1e-10
+        else:
+            assert "did not reach bracket width" in rung.error
 
 
 class TestLadder:

@@ -272,6 +272,29 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="unknown field"):
             model_from_dict({"lazy": "shop", "shop_params": {"nope": 3}})
 
+    @pytest.mark.parametrize("rates, costs, problem", [
+        ([[1, 0, 0, 3, 1.0]], [], "target state 3"),
+        ([[3, 0, 0, 1, 1.0]], [], "state 3"),
+        ([[1, 0, 0, 0, 1.0]], [], "target state 0"),
+        ([[1, 2, 0, 2, 1.0]], [], "player 1 action 2"),
+        ([], [[1, 1, 0, 1, 0.5]], "player 2 action 1"),
+        ([], [[3, 1, 0, 0, 0.5]], "cost player 3"),
+        ([], [[1, 0, 0, 0, 0.5]], "state 0"),
+    ])
+    def test_out_of_range_indices_rejected_naming_entry(self, rates, costs,
+                                                        problem):
+        doc = {
+            "states": 2,
+            "actions": {"1": {"default": [0.0, 1.0]}, "2": {"default": [0.0]}},
+            "rates": [[1, 0, 0, 2, 1.0], [2, 0, 0, 1, 1.0]] + rates,
+            "costs": costs,
+        }
+        entry = (rates + costs)[0]
+        with pytest.raises(ValueError) as err:
+            model_from_dict(doc)
+        assert str(entry) in str(err.value)
+        assert problem in str(err.value)
+
     def test_custom_payoff_not_serializable(self):
         model = shop_model(ShopParams(payoff1=lambda i, u: 0.0))
         with pytest.raises(ValueError, match="payoff"):
