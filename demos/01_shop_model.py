@@ -8,7 +8,7 @@ linearly in the stock, so both rates and costs are unbounded: exactly the
 regime the truncation machinery is built for.
 """
 
-from rsgame import ShopParams, shop_model, truncate, validate_model
+from rsgame import ShopParams, pair_table, shop_model, truncate, validate_model
 from rsgame.model import shop_boundary_cut, shop_drift_margin
 
 params = ShopParams()
@@ -45,7 +45,12 @@ report = validate_model(model, states=range(1, 51))
 print(report.summary())
 
 print("\n-- truncation --")
-trunc, view = truncate(model, 5)
-cols, rates, diag, dropped = view.restricted_row(5, 0, 0)
-print(f"states {trunc.states}; at the boundary state 5 the outward rate "
-      f"{dropped:.1f} is dropped (killing) while the diagonal stays {diag:.1f}")
+trunc = truncate(model, 5)
+table = pair_table(model, [5])                # every action pair's row at state 5
+pure = ((table.a1 == 0) & (table.a2 == 0)).astype(float)
+inside, diag, _ = table.contract(pure, table.state, 1, n=trunc.n)
+full, _, _ = table.contract(pure, table.state, 1)
+print(f"states {trunc.states}; at the boundary state 5 under actions (0,0) "
+      f"the rate {inside.data[0]:.1f} to state {inside.indices[0] + 1} stays, "
+      f"the outward rate {full.sum() - inside.sum():.1f} is dropped (killing) "
+      f"and the diagonal stays {diag[0]:.1f}")

@@ -26,7 +26,7 @@ v1 = uniform_strategy(model, 1)
 v2 = uniform_strategy(model, 2)
 
 print("-- fixed uniform pair on 30 states --")
-trunc, _ = truncate(model, 30)
+trunc = truncate(model, 30)
 A = assemble(model, trunc, v1, v2, player=1)
 ep = principal_eigenpair(A, i0=model.anchor)
 print(f"rho = {ep.rho:.10f}  (bracket width {ep.bracket[1] - ep.bracket[0]:.1e}, "

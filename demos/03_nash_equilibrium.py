@@ -19,7 +19,7 @@ from rsgame import (
 )
 
 model = shop_model()
-trunc, _ = truncate(model, 25)
+trunc = truncate(model, 25)
 
 print("-- best-response iteration on the shop, 25 states --")
 cert = nash_iterate(model, trunc, eps=1e-8)

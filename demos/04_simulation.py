@@ -32,7 +32,7 @@ print(f"{path.n_jumps} jumps in 30 time units; visited states "
 print(f"cost integrals: player 1 = {path.cost1:.4f}, player 2 = {path.cost2:.4f}")
 
 print("\n-- growth-rate estimate vs eigenvalue --")
-trunc, _ = truncate(model, 40)
+trunc = truncate(model, 40)
 ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), model.anchor)
 est = estimate_risk_cost(model, v1, v2, player=1, start=1, horizon=150.0,
                          paths=20_000, batches=20, seed=2024)

@@ -35,7 +35,7 @@ killed = check_killed_drift(model, spec, "unbounded", states)
 print(f"killed drift:  {killed.status} on {killed.checked_range}")
 
 print("\n-- irreducibility and the anchor row --")
-trunc, _ = truncate(model, 30)
+trunc = truncate(model, 30)
 irr = check_irreducibility(model, trunc)  # all-pure intersection mode
 print(f"irreducible on 30 states under every pure pair: {irr.irreducible}")
 anchor = check_anchor_row(model, 1, range(2, shop_boundary_cut(params) + 1))

@@ -15,7 +15,8 @@ model
     Game models, stationary strategies, truncations, the shop example,
     JSON (de)serialization.
 generator
-    Strategy-averaged generators and the tilted operator.
+    The action-pair table, its weighted contraction, and the tilted
+    operator.
 eigensolver
     Linear and nonlinear principal eigenpairs; truncation ladders.
 nash
@@ -50,7 +51,7 @@ from .model import (
     validate_model,
     with_cost_shift,
 )
-from .generator import RateMatrix, TwistedMatrix, assemble, average_row, averaged_rate_matrix
+from .generator import PairTable, TwistedMatrix, assemble, pair_table
 from .eigensolver import (
     ConvergenceError,
     EigenPair,

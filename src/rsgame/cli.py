@@ -127,6 +127,15 @@ def _load(config: RunConfig):
     return load_model(config.model)
 
 
+def _check_model(model, top):
+    """Reject a model whose invariants fail on states ``1..top`` (every
+    state of a finite model when ``top`` is None), naming the first
+    violation."""
+    report = validate_model(model, states=model.states(top))
+    if not report.ok:
+        raise ValueError(f"invalid model: {report.violations[0]}")
+
+
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -139,7 +148,8 @@ def _fmt(x) -> str:
 
 def _run_solve(config: RunConfig) -> int:
     model = _load(config)
-    trunc, _ = truncate(model, config.trunc[0])
+    _check_model(model, config.trunc[0])
+    trunc = truncate(model, config.trunc[0])
     status = 1
     payload = {"command": "solve", "trunc": trunc.n, "eps": config.eps,
                "tol": config.tol}
@@ -177,6 +187,7 @@ def _run_solve(config: RunConfig) -> int:
 
 def _run_ladder(config: RunConfig) -> int:
     model = _load(config)
+    _check_model(model, max(config.trunc))
     opponent = uniform_strategy(model, 3 - config.player)
     own = uniform_strategy(model, config.player) if config.fixed_uniform else None
     result = truncation_ladder(model, opponent, config.player,
@@ -200,6 +211,7 @@ def _run_ladder(config: RunConfig) -> int:
 
 def _run_simulate(config: RunConfig) -> int:
     model = _load(config)
+    _check_model(model, None if model.is_finite else config.trunc[0])
     v1 = uniform_strategy(model, 1)
     v2 = uniform_strategy(model, 2)
     start = config.start if config.start is not None else model.anchor
@@ -216,7 +228,7 @@ def _run_simulate(config: RunConfig) -> int:
     ok = est.valid
     if config.hitting:
         n = config.trunc[0]
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         ep = principal_eigenpair(
             assemble(model, trunc, v1, v2, config.player), model.anchor,
             config.tol)
@@ -278,8 +290,8 @@ def _run_verify(config: RunConfig) -> int:
     print(f"model invariants: {'ok' if report.ok else 'VIOLATED'} on "
           f"1..{top}")
 
-    trunc, _ = truncate(model, min(config.trunc[0],
-                                   model.n_states or config.trunc[0]))
+    trunc = truncate(model, min(config.trunc[0],
+                                model.n_states or config.trunc[0]))
     irr = verify.check_irreducibility(model, trunc)
     payload["irreducibility"] = irr.to_json_dict()
     ok &= irr.irreducible

@@ -229,31 +229,23 @@ class _ResponseOperator:
     """
 
     def __init__(self, model, truncation, opponent, player, alpha=None):
-        rows = generator.response_rows(model, truncation, opponent, player)
+        if opponent.player == player:
+            raise ValueError("opponent strategy belongs to the responding player")
         n = truncation.n
-        counts = np.array([len(per) for per in rows], dtype=np.int64)
+        table = generator.pair_table(model, truncation.states)
+        counts = table.m1 if player == 1 else table.m2
+        starts = np.cumsum(counts) - counts
         owner = np.repeat(np.arange(n), counts)
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        diag_cost = np.empty(owner.size)
-        ri, cj, vals = [], [], []
-        k = 0
-        max_exit = 0.0
-        for i_idx, per_action in enumerate(rows):
-            for cols, rates, diag, cost in per_action:
-                ri.extend([k] * len(cols))
-                cj.extend(cols.tolist())
-                vals.extend(rates.tolist())
-                diag_cost[k] = diag + cost
-                max_exit = max(max_exit, -diag)
-                k += 1
+        own = table.a1 if player == 1 else table.a2
+        R, diag, cost = table.contract(table.strategy_weights(opponent),
+                                       starts[table.state] + own, owner.size, n)
         if alpha is None:
-            alpha = max_exit + 1.0
+            alpha = max(0.0, (-diag).max()) + 1.0
         # fold diagonal + cost + shift into the stacked matrix
-        ri.extend(range(k))
-        cj.extend(owner.tolist())
-        vals.extend((diag_cost + alpha).tolist())
-        self.S = csr_matrix((vals, (ri, cj)), shape=(k, n))
+        fold = csr_matrix((diag + cost[:, player - 1] + alpha,
+                           (np.arange(owner.size), owner)), shape=R.shape)
+        self.S = (R + fold).tocsr()
+        self._rates = R
         self.owner = owner
         self.starts = starts
         self.counts = counts
@@ -268,21 +260,7 @@ class _ResponseOperator:
 
     def intersection_pattern(self):
         """Edges present under every own action (sufficient irreducibility)."""
-        S = self.S
-        ri: list = []
-        ci: list = []
-        for i in range(self.n):
-            common = None
-            for k in range(self.starts[i], self.starts[i] + self.counts[i]):
-                cols = S.indices[S.indptr[k]:S.indptr[k + 1]]
-                vals = S.data[S.indptr[k]:S.indptr[k + 1]]
-                edges = {int(c) for c, v in zip(cols, vals) if v > 0 and c != i}
-                common = edges if common is None else common & edges
-            for j in sorted(common or ()):
-                ri.append(i)
-                ci.append(j)
-        return csr_matrix((np.ones(len(ri), dtype=np.int8), (ri, ci)),
-                          shape=(self.n, self.n))
+        return generator.common_edges(self._rates, self.owner, self.n)
 
 
 def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
@@ -435,7 +413,7 @@ def truncation_ladder(model: GameModel, opponent_strategy, player: int,
         raise ValueError("truncation sizes must be strictly increasing")
 
     def solve(n):
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         if own_strategy is None:
             ep, _ = best_response_eigenpair(model, trunc, opponent_strategy,
                                             player, tol, max_iter)

@@ -1,11 +1,15 @@
-"""Strategy-averaged generators and the cost-tilted operator.
+"""The action-pair table, its contraction, and the cost-tilted operator.
 
-Mixing the players' stationary strategies turns the controlled rate and
-cost tables into a plain Markov generator ``Q`` and cost vector ``c`` on a
-truncation; the tilted operator ``A = Q + diag(c)`` is the linear operator
-whose principal eigenvalue is the long-run growth rate of the expected
-exponentiated cost.  Everything here is a pure function of the model,
-truncation and strategies, so assemblies can run in parallel.
+Every object built from a model is a weighted sum over the same pure-action
+rate rows ``q(i, a, b)`` and costs ``c_k(i, a, b)``: the strategy-averaged
+generator ``Q`` and cost vector ``c`` on a truncation, whose tilted
+operator ``A = Q + diag(c)`` has the long-run growth rate of the expected
+exponentiated cost as its principal eigenvalue; each player's
+frozen-opponent rows; the drift sums of the stability checks; the jump
+tables of the simulator.  :func:`pair_table` stacks those rows once for a
+list of states and :meth:`PairTable.contract` sums weighted rows into
+groups.  Everything here is a pure function of the model, truncation and
+strategies, so assemblies can run in parallel.
 """
 
 from __future__ import annotations
@@ -18,31 +22,12 @@ from scipy import sparse
 from .model import GameModel, StationaryStrategy, Truncation, ROW_SUM_TOL
 
 __all__ = [
-    "RateMatrix",
+    "PairTable",
     "TwistedMatrix",
-    "average_row",
-    "response_rows",
-    "averaged_rate_matrix",
+    "pair_table",
+    "common_edges",
     "assemble",
 ]
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Averaged generator restricted to a truncation (CSR storage).
-
-    Diagonals keep their full-space values while off-diagonal mass leaving
-    the truncation is dropped, so boundary rows may carry a strict deficit;
-    ``conservative`` is True when no row does.
-    """
-
-    Q: sparse.csr_matrix
-    states: tuple
-    conservative: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -52,7 +37,10 @@ class TwistedMatrix:
     ``alpha`` is chosen so that ``A + alpha * I`` is entrywise nonnegative
     with a strictly positive diagonal (``alpha = max_i(-q_ii) + 1``), which
     makes power iteration on the shifted matrix aperiodic.  ``alpha`` never
-    enters reported eigenvalues.
+    enters reported eigenvalues.  Diagonals keep their full-space values
+    while off-diagonal mass leaving the truncation is dropped, so boundary
+    rows may carry a strict deficit; ``conservative`` is True when no row
+    of ``Q`` does.
     """
 
     A: sparse.csr_matrix
@@ -69,116 +57,117 @@ class TwistedMatrix:
         return state - 1
 
 
-def _check_weights(model, i, player, w):
-    m = model.n_actions(player, i)
-    if len(w) != m:
-        raise ValueError(
-            f"strategy vector for player {player} at state {i} has {len(w)} "
-            f"entries but the action grid has {m}")
+def _grouping(weights, groups, n_groups):
+    """Sparse ``n_groups x len(weights)`` matrix holding ``weights[p]`` at
+    ``(groups[p], p)``; zero weights leave no entry.  Its product with a
+    stack of rows sums each group's weighted rows in row order."""
+    weights = np.asarray(weights, dtype=float)
+    live = np.flatnonzero(weights)
+    return sparse.csr_matrix((weights[live], (np.asarray(groups)[live], live)),
+                             shape=(n_groups, weights.size))
 
 
-def average_row(model: GameModel, i: int, w1, w2):
-    """Bilinear average of rates and costs at one state.
+@dataclass(frozen=True)
+class PairTable:
+    """Stacked pure-action rows of a list of states.
 
-    Returns ``(row, c1, c2)`` where ``row`` maps states (diagonal included)
-    to ``sum_ab w1[a] w2[b] rate(i,a,b)[j]``.  Zero-weight actions are
-    skipped, so Dirac strategies reproduce the pure row verbatim.
+    Row ``p`` belongs to the pair ``(states[state[p]], a1[p], a2[p])``;
+    pairs run over ``(state, ia, ib)`` in lexicographic order and
+    ``starts[s]`` is the first pair of ``states[s]``.  ``rows`` holds the
+    off-diagonal rates with full-space target columns (column ``j - 1``
+    for state ``j``), ``diag`` the diagonal rates and ``cost[p]`` both
+    players' cost rates.
     """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    _check_weights(model, i, 1, w1)
-    _check_weights(model, i, 2, w2)
-    acc: dict = {}
-    c1 = 0.0
-    c2 = 0.0
-    for ia, wa in enumerate(w1):
-        if wa == 0.0:
-            continue
-        for ib, wb in enumerate(w2):
-            if wb == 0.0:
-                continue
-            w = wa * wb
-            row = model.row(i, ia, ib)
-            for j, r in zip(row.cols, row.rates):
-                acc[int(j)] = acc.get(int(j), 0.0) + w * r
-            acc[i] = acc.get(i, 0.0) + w * row.diag
-            k1, k2 = model.costs(i, ia, ib)
-            c1 += w * k1
-            c2 += w * k2
-    acc.setdefault(i, 0.0)
-    return acc, c1, c2
+
+    states: tuple
+    m1: np.ndarray
+    m2: np.ndarray
+    state: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    starts: np.ndarray
+    rows: sparse.csr_matrix
+    diag: np.ndarray
+    cost: np.ndarray
+
+    def strategy_weights(self, strategy: StationaryStrategy) -> np.ndarray:
+        """Weight that ``strategy`` puts on its player's action of each pair."""
+        k = strategy.player
+        sizes = self.m1 if k == 1 else self.m2
+        flat = []
+        for i, m in zip(self.states, sizes):
+            w = strategy.weights(i)
+            if len(w) != m:
+                raise ValueError(
+                    f"strategy vector for player {k} at state {i} has "
+                    f"{len(w)} entries but the action grid has {m}")
+            flat.append(w)
+        action = self.a1 if k == 1 else self.a2
+        return np.concatenate(flat)[(np.cumsum(sizes) - sizes)[self.state] + action]
+
+    def contract(self, weights, groups, n_groups: int, n: int | None = None):
+        """Weighted sums of the pair rows, one per group.
+
+        Pair ``p`` adds ``weights[p]`` times its rates, diagonal and costs
+        to group ``groups[p]``; pairs of weight zero drop out, and every
+        sum runs in pair order.  Returns ``(R, diag, cost)``: the
+        ``n_groups``-row CSR of off-diagonal sums (targets ``<= n`` only
+        when ``n`` is given), and the diagonal and ``(n_groups, 2)`` cost
+        sums.
+        """
+        G = _grouping(weights, groups, n_groups)
+        R = G @ (self.rows if n is None else self.rows[:, :n])
+        R.sort_indices()
+        return R, G @ self.diag, G @ self.cost
 
 
-def response_rows(model: GameModel, truncation: Truncation,
-                  opponent: StationaryStrategy, player: int):
-    """Opponent-averaged rows per own action, restricted to the truncation.
+def pair_table(model: GameModel, states) -> PairTable:
+    """Table of every pure action pair's row and costs at ``states``."""
+    states = tuple(states)
+    m1 = np.array([model.n_actions(1, i) for i in states], dtype=np.int64)
+    m2 = np.array([model.n_actions(2, i) for i in states], dtype=np.int64)
+    rows, costs = [], []
+    for i, k1, k2 in zip(states, m1.tolist(), m2.tolist()):
+        for ia in range(k1):
+            for ib in range(k2):
+                rows.append(model.row(i, ia, ib))
+                costs.append(model.costs(i, ia, ib))
+    per = m1 * m2
+    starts = np.cumsum(per) - per
+    state = np.repeat(np.arange(len(states)), per)
+    a1, a2 = np.divmod(np.arange(state.size) - starts[state], m2[state])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((r.cols.size for r in rows), np.int64, len(rows)),
+              out=indptr[1:])
+    cols = np.concatenate([r.cols for r in rows])
+    cols -= 1
+    width = max(int(cols.max(initial=0)) + 1, max(states))
+    return PairTable(
+        states=states, m1=m1, m2=m2, state=state, a1=a1, a2=a2, starts=starts,
+        rows=sparse.csr_matrix(
+            (np.concatenate([r.rates for r in rows]), cols, indptr),
+            shape=(len(rows), width)),
+        diag=np.fromiter((r.diag for r in rows), float, len(rows)),
+        cost=np.array(costs).reshape(-1, 2))
 
-    For each state ``i`` in the truncation returns a list over the
-    responding player's actions of ``(dense_cols, rates, diag, cost)``,
-    with off-truncation mass dropped and the full-space diagonal kept.
-    Feeds the per-action minimization in the nonlinear eigensolver.
+
+def common_edges(rows: sparse.csr_matrix, groups, n_groups: int,
+                 n: int | None = None) -> sparse.csr_matrix:
+    """Pattern of the entries positive in every row of their group.
+
+    Row ``g`` of the result marks the columns (below ``n`` when given)
+    whose entry is positive in each row ``p`` with ``groups[p] == g``.
     """
-    if opponent.player == player:
-        raise ValueError("opponent strategy belongs to the responding player")
-    n = truncation.n
-    out = []
-    for i in truncation.states:
-        wopp = opponent.weights(i)
-        _check_weights(model, i, opponent.player, wopp)
-        per_action = []
-        for a in range(model.n_actions(player, i)):
-            acc: dict = {}
-            diag = 0.0
-            cost = 0.0
-            for ib, wb in enumerate(wopp):
-                if wb == 0.0:
-                    continue
-                ia, ib_ = (a, ib) if player == 1 else (ib, a)
-                row = model.row(i, ia, ib_)
-                for j, r in zip(row.cols, row.rates):
-                    if j <= n:
-                        acc[int(j)] = acc.get(int(j), 0.0) + wb * r
-                diag += wb * row.diag
-                cost += wb * model.costs(i, ia, ib_)[player - 1]
-            cols = np.array(sorted(acc), dtype=np.int64) - 1
-            rates = np.array([acc[j + 1] for j in cols], dtype=float)
-            per_action.append((cols, rates, diag, cost))
-        out.append(per_action)
-    return out
-
-
-def _averaged_parts(model, truncation, v1, v2):
-    n = truncation.n
-    rows_i: list = []
-    cols_j: list = []
-    vals: list = []
-    c1vec = np.zeros(n)
-    c2vec = np.zeros(n)
-    conservative = True
-    for i in truncation.states:
-        acc, c1, c2 = average_row(model, i, v1.weights(i), v2.weights(i))
-        c1vec[i - 1] = c1
-        c2vec[i - 1] = c2
-        for j in sorted(acc):
-            val = acc[j]
-            if j > n:
-                continue
-            if val != 0.0 or j == i:
-                rows_i.append(i - 1)
-                cols_j.append(j - 1)
-                vals.append(val)
-        restricted = sum(acc[j] for j in sorted(acc) if j <= n)
-        if abs(restricted) > ROW_SUM_TOL:
-            conservative = False
-    Q = sparse.csr_matrix((vals, (rows_i, cols_j)), shape=(n, n))
-    return Q, c1vec, c2vec, conservative
-
-
-def averaged_rate_matrix(model: GameModel, truncation: Truncation,
-                         v1: StationaryStrategy,
-                         v2: StationaryStrategy) -> RateMatrix:
-    Q, _, _, conservative = _averaged_parts(model, truncation, v1, v2)
-    return RateMatrix(Q=Q, states=truncation.states, conservative=conservative)
+    positive = sparse.csr_matrix(((rows.data > 0).astype(float), rows.indices,
+                                  rows.indptr), shape=rows.shape)
+    hits = _grouping(np.ones(rows.shape[0]), groups, n_groups) @ (
+        positive if n is None else positive[:, :n])
+    size = np.bincount(groups, minlength=n_groups)
+    every = hits.data == np.repeat(size, np.diff(hits.indptr))
+    graph = sparse.csr_matrix((every.astype(np.int8), hits.indices, hits.indptr),
+                              shape=hits.shape)
+    graph.eliminate_zeros()
+    return graph
 
 
 def assemble(model: GameModel, truncation: Truncation,
@@ -187,10 +176,13 @@ def assemble(model: GameModel, truncation: Truncation,
     """Tilted operator for one player under a fixed strategy pair."""
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
-    Q, c1vec, c2vec, conservative = _averaged_parts(model, truncation, v1, v2)
-    cvec = c1vec if player == 1 else c2vec
-    qdiag = Q.diagonal()
-    alpha = float(max(0.0, (-qdiag).max()) + 1.0)
-    A = (Q + sparse.diags(cvec)).tocsr()
+    n = truncation.n
+    table = pair_table(model, truncation.states)
+    weights = table.strategy_weights(v1) * table.strategy_weights(v2)
+    R, diag, cost = table.contract(weights, table.state, n, n)
+    row_sums = np.asarray(R.sum(axis=1)).ravel() + diag
+    alpha = float(max(0.0, (-diag).max()) + 1.0)
+    A = (R + sparse.diags(diag + cost[:, player - 1])).tocsr()
     return TwistedMatrix(A=A, alpha=alpha, states=truncation.states,
-                         player=player, conservative=conservative)
+                         player=player,
+                         conservative=bool(np.all(np.abs(row_sums) <= ROW_SUM_TOL)))

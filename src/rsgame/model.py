@@ -28,7 +28,6 @@ __all__ = [
     "GameModel",
     "StationaryStrategy",
     "Truncation",
-    "TruncatedView",
     "LyapunovSpec",
     "ShopParams",
     "Violation",
@@ -241,11 +240,11 @@ class ValidationReport:
 def validate_model(model: GameModel, states=None) -> ValidationReport:
     """Check the model invariants and report every violation found.
 
-    Checks, per state and pure action pair: nonnegative off-diagonal
-    rates, row sums within ``1e-12`` of zero, finite exit rates, and
-    nonnegative costs.  Never raises; an empty report means the
-    invariants hold on all checked states (a caller-supplied prefix for
-    countable models, 1..50 by default).
+    Checks, per state and pure action pair: finite nonnegative
+    off-diagonal rates, row sums within ``1e-12`` of zero, finite exit
+    rates, and finite nonnegative costs.  Never raises; an empty report
+    means the invariants hold on all checked states (a caller-supplied
+    prefix for countable models, 1..50 by default).
     """
     if states is None:
         states = model.states() if model.is_finite else model.states(50)
@@ -267,22 +266,25 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
                     bad.append(Violation(f"row construction failed ({exc})",
                                          i, ia, ib))
                     continue
-                for j, r in zip(row.cols, row.rates):
-                    if r < 0:
-                        bad.append(Violation("negative off-diagonal rate", i, ia, ib,
-                                             int(j), float(r)))
-                defect = row.total()
+                defect = row.total()  # not finite when a rate is not
+                rates = row.rates
+                if not math.isfinite(defect) or (rates.size and rates.min() < 0):
+                    wrong = ~(np.isfinite(rates) & (rates >= 0))
+                    for j, r in zip(row.cols[wrong].tolist(), rates[wrong].tolist()):
+                        kind = "negative" if r < 0 else "non-finite"
+                        bad.append(Violation(f"{kind} off-diagonal rate", i,
+                                             ia, ib, j, r))
                 if abs(defect) > ROW_SUM_TOL:
                     bad.append(Violation("non-conservative row", i, ia, ib,
                                          None, defect))
                 if not math.isfinite(row.exit_rate):
                     bad.append(Violation("unbounded exit rate", i, ia, ib,
                                          None, row.exit_rate))
-                c1, c2 = model.costs(i, ia, ib)
-                if c1 < 0:
-                    bad.append(Violation("negative cost (player 1)", i, ia, ib, None, c1))
-                if c2 < 0:
-                    bad.append(Violation("negative cost (player 2)", i, ia, ib, None, c2))
+                for player, c in zip((1, 2), model.costs(i, ia, ib)):
+                    if not (math.isfinite(c) and c >= 0):
+                        kind = "negative" if c < 0 else "non-finite"
+                        bad.append(Violation(f"{kind} cost (player {player})",
+                                             i, ia, ib, None, c))
     return ValidationReport(violations=tuple(bad), checked_states=states)
 
 
@@ -424,30 +426,13 @@ class Truncation:
         return self.n
 
 
-class TruncatedView:
-    """Rows of a model restricted to a truncation.
+def truncate(model: GameModel, n: int) -> Truncation:
+    """Truncation to the first ``n`` states of the model.
 
-    The diagonal keeps its full-space value while off-diagonal mass
-    leaving the truncation is dropped, so the restricted generator is
-    subconservative at boundary states (killing).
+    Operators built on it keep each row's full-space diagonal and drop the
+    off-diagonal mass leaving the truncation, so the restricted generator
+    is subconservative at boundary states (killing).
     """
-
-    def __init__(self, model: GameModel, truncation: Truncation):
-        self.model = model
-        self.truncation = truncation
-
-    def restricted_row(self, i, ia, ib):
-        """Return ``(dense_cols, rates, diag, dropped)`` for state ``i``."""
-        row = self.model.row(i, ia, ib)
-        inside = row.cols <= self.truncation.n
-        cols = row.cols[inside] - 1
-        rates = row.rates[inside]
-        dropped = float(row.rates[~inside].sum())
-        return cols, rates, row.diag, dropped
-
-
-def truncate(model: GameModel, n: int):
-    """Truncation to the first ``n`` states plus the matching row view."""
     if n < 1:
         raise ValueError("truncation size must be at least 1")
     if model.anchor > n:
@@ -456,8 +441,7 @@ def truncate(model: GameModel, n: int):
             f"{model.anchor}")
     if model.is_finite and n > model.n_states:
         raise ValueError(f"truncation size {n} exceeds the {model.n_states}-state model")
-    trunc = Truncation(n=n)
-    return trunc, TruncatedView(model, trunc)
+    return Truncation(n=n)
 
 
 # ---------------------------------------------------------------------------

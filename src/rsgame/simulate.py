@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .generator import average_row
+from .generator import pair_table
 from .model import GameModel, StationaryStrategy
 
 __all__ = [
@@ -90,22 +90,21 @@ class _AveragedChain:
     def at(self, i: int):
         entry = self._cache.get(i)
         if entry is None:
-            acc, c1, c2 = average_row(self.model, i, self.v1.weights(i),
-                                      self.v2.weights(i))
-            exit_rate = -acc.pop(i)
-            targets = sorted(j for j, r in acc.items() if r != 0.0)
-            rates = [acc[j] for j in targets]
+            table = pair_table(self.model, (i,))
+            weights = (table.strategy_weights(self.v1)
+                       * table.strategy_weights(self.v2))
+            R, diag, cost = table.contract(weights, table.state, 1)
+            live = R.data != 0.0
+            rates = R.data[live]
+            exit_rate = -float(diag[0])
             if (not math.isfinite(exit_rate) or exit_rate < 0.0
-                    or any(not math.isfinite(r) or r < 0.0 for r in rates)):
+                    or not np.all(np.isfinite(rates) & (rates >= 0.0))):
                 raise ValueError(
                     f"invalid averaged rate at state {i} under strategies "
                     f"({self.v1!r}, {self.v2!r})")
-            cum = []
-            total = 0.0
-            for r in rates:
-                total += r
-                cum.append(total)
-            entry = (exit_rate, targets, cum, total, c1, c2)
+            cum = np.cumsum(rates).tolist()
+            entry = (exit_rate, (R.indices[live] + 1).tolist(), cum,
+                     cum[-1] if cum else 0.0, *cost[0].tolist())
             self._cache[i] = entry
         return entry
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .generator import average_row
+from .generator import common_edges, pair_table
 from .model import (
     GameModel,
     LyapunovSpec,
@@ -31,6 +31,7 @@ from .model import (
     Truncation,
     shop_costs,
     shop_drift_margin,
+    shop_lyapunov_spec,
     shop_row,
     _shop_boundary_row,
 )
@@ -101,10 +102,21 @@ def _tolerance(*values):
     return REL_TOL * max([1.0, *(abs(v) for v in values if math.isfinite(v))])
 
 
+def _tolerances(*values):
+    """``_tolerance`` elementwise over arrays."""
+    finite = [np.where(np.isfinite(v), np.abs(v), 0.0) for v in values]
+    return REL_TOL * np.maximum.reduce([np.ones_like(finite[0]), *finite])
+
+
 def _defect(value):
     """A defect, or ``inf`` where an overflowed weight left it non-finite:
     such a state can never count as satisfying its bound."""
     return value if math.isfinite(value) else math.inf
+
+
+def _defects(values):
+    """``_defect`` elementwise over an array."""
+    return np.where(np.isfinite(values), values, np.inf)
 
 
 def _witness(state, a1, a2, defect, note):
@@ -128,51 +140,63 @@ def _status(model, spec, witnesses):
     return HOLDS
 
 
-def _weighted_row_sum(model, W, i, ia, ib):
-    row = model.row(i, ia, ib)
-    total = float(row.diag) * _weight(W, i)
-    for j, r in zip(row.cols.tolist(), row.rates.tolist()):
-        total += r * _weight(W, j)
-    return total
-
-
 def _action_pairs(model, i):
     for ia in range(model.n_actions(1, i)):
         for ib in range(model.n_actions(2, i)):
             yield ia, ib
 
 
+def _weighted_drifts(table, W):
+    """``W`` at each state of the table, and every pair's weighted row sum
+    ``q_ii W(i) + sum_j q_ij W(j)``, added in column order after the
+    diagonal term."""
+    weights = np.array([_weight(W, j) for j in range(1, table.rows.shape[1] + 1)])
+    rows = table.rows
+    at_state = weights[np.asarray(table.states) - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = table.diag * at_state[table.state]
+        np.add.at(drift, np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+                  rows.data * weights[rows.indices])
+    return at_state, drift
+
+
+def _drift_witnesses(table, w, checks):
+    """Witnesses in the order a loop over states, then pure action pairs,
+    finds them: a weight below one first, then each pair's failed checks.
+
+    ``checks`` holds one ``(defects, tolerances, note)`` triple of per-pair
+    arrays for each inequality, in the order they are tested at a pair.
+    """
+    found = [((s, -1, 0), Witness(table.states[s], None, None, 1.0 - float(w[s]),
+                                  "Lyapunov weight below one"))
+             for s in np.flatnonzero(w < 1.0 - REL_TOL)]
+    for k, (defects, tols, note) in enumerate(checks):
+        for p in np.flatnonzero(defects > tols):
+            s = int(table.state[p])
+            found.append(((s, p, k), _witness(
+                table.states[s], int(table.a1[p]), int(table.a2[p]),
+                float(defects[p]), note)))
+    return tuple(wit for _, wit in sorted(found, key=lambda e: e[0]))
+
+
 def check_growth_drift(model: GameModel, spec: LyapunovSpec,
                    states) -> AssumptionReport:
     """Growth bound: weighted drift at most ``C1 W + C2``, exit rate at
     most ``C3 W``, for every state in range and every pure action pair."""
-    states = tuple(states)
-    W = spec.growth_weight()
-    witnesses = []
-    worst = 0.0
-    for i in states:
-        w = _weight(W, i)
-        if w < 1.0 - REL_TOL:
-            witnesses.append(Witness(i, None, None, 1.0 - w,
-                                     "Lyapunov weight below one"))
-        bound = spec.C1 * w + spec.C2
-        exit_bound = spec.C3 * w
-        for ia, ib in _action_pairs(model, i):
-            drift = _weighted_row_sum(model, W, i, ia, ib)
-            defect = _defect(drift - bound)
-            worst = max(worst, defect)
-            if defect > _tolerance(drift, bound):
-                witnesses.append(_witness(i, ia, ib, defect,
-                                          "weighted drift above C1*W + C2"))
-            exit_defect = _defect(model.row(i, ia, ib).exit_rate - exit_bound)
-            worst = max(worst, exit_defect)
-            if exit_defect > _tolerance(exit_bound):
-                witnesses.append(_witness(i, ia, ib, exit_defect,
-                                          "exit rate above C3*W"))
+    table = pair_table(model, states)
+    w, drift = _weighted_drifts(table, spec.growth_weight())
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = spec.C1 * w[table.state] + spec.C2
+        exit_bound = spec.C3 * w[table.state]
+        defect = _defects(drift - bound)
+        exit_defect = _defects(-table.diag - exit_bound)
+    witnesses = _drift_witnesses(table, w, (
+        (defect, _tolerances(drift, bound), "weighted drift above C1*W + C2"),
+        (exit_defect, _tolerances(exit_bound), "exit rate above C3*W")))
     return AssumptionReport(
         name="growth-drift", status=_status(model, spec, witnesses),
-        witnesses=tuple(witnesses), checked_range=(states[0], states[-1]),
-        max_defect=float(worst))
+        witnesses=witnesses, checked_range=(table.states[0], table.states[-1]),
+        max_defect=float(max(0.0, defect.max(), exit_defect.max())))
 
 
 def check_killed_drift(model: GameModel, spec: LyapunovSpec, variant: str,
@@ -185,62 +209,53 @@ def check_killed_drift(model: GameModel, spec: LyapunovSpec, variant: str,
     ``ell - max cost`` trends upward over the tail of the range (its
     sublevel sets within the range are finite by finiteness of the range).
     """
-    states = tuple(states)
     if variant not in ("bounded", "unbounded"):
         raise ValueError("variant must be 'bounded' or 'unbounded'")
+    table = pair_table(model, states)
+    states = table.states
     witnesses = []
-    worst = 0.0
-    W = spec.W
-    in_kappa = spec.kappa_set.__contains__
 
     if variant == "bounded":
         if spec.gamma is None:
             raise ValueError("bounded variant needs gamma in the spec")
-        top_cost = max(max(model.costs(i, ia, ib))
-                       for i in states for ia, ib in _action_pairs(model, i))
+        top_cost = float(table.cost.max())
         if spec.gamma <= top_cost:
             witnesses.append(Witness(0, None, None, top_cost - spec.gamma,
                                      "gamma does not dominate the costs on "
                                      "the checked range"))
-        rate = lambda i: spec.gamma
+        rate = np.full(len(states), float(spec.gamma))
     else:
         if spec.ell is None:
             raise ValueError("unbounded variant needs ell in the spec")
-        rate = spec.ell
+        rate = np.array([float(spec.ell(i)) for i in states])
 
-    for i in states:
-        w = _weight(W, i)
-        if w < 1.0 - REL_TOL:
-            witnesses.append(Witness(i, None, None, 1.0 - w,
-                                     "Lyapunov weight below one"))
-        bound = (spec.C4 if in_kappa(i) else 0.0) - rate(i) * w
-        for ia, ib in _action_pairs(model, i):
-            drift = _weighted_row_sum(model, W, i, ia, ib)
-            defect = _defect(drift - bound)
-            worst = max(worst, defect)
-            if defect > _tolerance(drift, bound):
-                witnesses.append(_witness(i, ia, ib, defect,
-                                          "killed drift bound violated"))
+    w, drift = _weighted_drifts(table, spec.W)
+    kappa = np.array([i in spec.kappa_set for i in states])
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.where(kappa, spec.C4, 0.0) - rate * w)[table.state]
+        defect = _defects(drift - bound)
+    witnesses.extend(_drift_witnesses(table, w, (
+        (defect, _tolerances(drift, bound), "killed drift bound violated"),)))
 
     if variant == "unbounded":
         for player in (1, 2):
-            margins = [rate(i) - max(model.costs(i, ia, ib)[player - 1]
-                                     for ia, ib in _action_pairs(model, i))
-                       for i in states]
+            margins = rate - np.maximum.reduceat(table.cost[:, player - 1],
+                                                 table.starts)
             tail = max(3, len(states) // 4)
             for k in range(len(states) - tail, len(states) - 1):
                 if k < 0:
                     continue
                 if margins[k + 1] < margins[k] - _tolerance(margins[k]):
                     witnesses.append(Witness(
-                        states[k + 1], None, None, margins[k] - margins[k + 1],
+                        states[k + 1], None, None,
+                        float(margins[k] - margins[k + 1]),
                         f"ell - max cost of player {player} decreases at the "
                         "tail of the range (not norm-like)"))
                     break
     return AssumptionReport(
         name=f"killed-drift-{variant}", status=_status(model, spec, witnesses),
         witnesses=tuple(witnesses), checked_range=(states[0], states[-1]),
-        max_defect=float(worst))
+        max_defect=float(max(0.0, defect.max())))
 
 
 @dataclass(frozen=True)
@@ -267,24 +282,14 @@ def check_irreducibility(model: GameModel, truncation: Truncation,
     stationary strategies.
     """
     n = truncation.n
-    ri, ci = [], []
-    for i in truncation.states:
-        if pair is not None:
-            v1, v2 = pair
-            acc, _, _ = average_row(model, i, v1.weights(i), v2.weights(i))
-            edges = {j for j, r in acc.items() if j != i and j <= n and r > 0}
-        else:
-            edges = None
-            for ia, ib in _action_pairs(model, i):
-                row = model.row(i, ia, ib)
-                present = {int(j) for j, r in zip(row.cols, row.rates)
-                           if r > 0 and j <= n}
-                edges = present if edges is None else edges & present
-        for j in sorted(edges or ()):
-            ri.append(i - 1)
-            ci.append(j - 1)
-    graph = csr_matrix((np.ones(len(ri), dtype=np.int8), (ri, ci)),
-                       shape=(n, n))
+    table = pair_table(model, truncation.states)
+    if pair is None:
+        graph = common_edges(table.rows, table.state, n, n)
+    else:
+        v1, v2 = pair
+        weights = table.strategy_weights(v1) * table.strategy_weights(v2)
+        R, _, _ = table.contract(weights, table.state, n, n)
+        graph = common_edges(R, np.arange(n), n)
     ncomp, labels = connected_components(graph, directed=True,
                                          connection="strong")
     comps = [[] for _ in range(ncomp)]
@@ -408,12 +413,9 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
     """
     states = tuple(states)
     th = params.theta
-    W = lambda i: math.exp(th * i)
+    spec = shop_lyapunov_spec(params)
+    W, ell, c3, c4 = spec.W, spec.ell, spec.C3, spec.C4
     margin = shop_drift_margin(params)
-    ell = lambda i: margin * i
-    c4 = max(params.action_max * (math.exp(th) - 1.0),
-             math.exp(-2.0 * th) / (1.0 - math.exp(-th)))
-    c3 = (2.0 * params.action_max + params.buy_rate + params.sell_rate) / th
     bracket = (params.buy_rate * (math.exp(th) - 1.0)
                + params.sell_rate * (math.exp(-th) - 1.0))
     boundary = _shop_boundary_row(params)

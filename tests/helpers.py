@@ -230,7 +230,7 @@ def unbiased_mc_instance(rng, n_states=None, rate_scale=0.12, cost_scale=0.15,
 
     def log_bias_constant(cost_vec):
         model = build(cost_vec)
-        trunc, _ = truncate(model, n_states)
+        trunc = truncate(model, n_states)
         A = assemble(model, trunc, uniform_strategy(model, 1),
                      uniform_strategy(model, 2), 1).A.toarray()
         rho, psi, w = _principal_left_right(A)

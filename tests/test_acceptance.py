@@ -64,7 +64,7 @@ def test_criterion_1_eigen_oracle_equivalence():
         v1 = _random_mixed(model, 1, rng)
         v2 = _random_mixed(model, 2, rng)
         player = int(rng.integers(1, 3))
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, player),
                                  i0=1, tol=1e-10)
         rho_o, psi_o = dense_principal(dense_tilted(model, n, v1, v2, player))
@@ -91,7 +91,7 @@ def test_criterion_2_best_response_optimality():
         model = random_game(rng, n_states=n,
                             m1=m if player == 1 else 2,
                             m2=m if player == 2 else 2)
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         opp = _random_mixed(model, 3 - player, rng)
         ep, _ = best_response_eigenpair(model, trunc, opp, player, tol=1e-11)
         best = math.inf
@@ -133,7 +133,7 @@ def test_criterion_4_nash_certification_completeness():
     for game_idx in range(20):
         n, m = [(3, 2), (2, 2)][game_idx % 2]
         model = random_game(rng, n_states=n, m1=m, m2=m, cost_scale=0.6)
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         nash_set, _ = oracle_pure_nash_pairs(model, n, eps=1e-8)
         sizes = [m] * n
         for s1 in enumerate_selectors(sizes):
@@ -162,7 +162,7 @@ def test_criterion_5_converse_check_on_converged_certificates():
         else:
             n, m = [(3, 2), (2, 3)][game_idx % 2]
             model = random_game(rng, n_states=n, m1=m, m2=m, cost_scale=0.6)
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         cert = find_nash(model, trunc, eps=1e-8, tol=tol, max_rounds=60)
         if not cert.converged:
             continue
@@ -185,7 +185,7 @@ def test_criterion_6_monte_carlo_eigenvalue_consistency():
     for k in range(10):
         model, start, rho_dense = unbiased_mc_instance(rng)
         n = model.n_states
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         v1 = uniform_strategy(model, 1)
         v2 = uniform_strategy(model, 2)
         rho = principal_eigenpair(assemble(model, trunc, v1, v2, 1), 1,
@@ -210,7 +210,7 @@ def test_criterion_7_hitting_representation_self_consistency():
     model = shop_model(params)
     v1 = uniform_strategy(model, 1)
     v2 = uniform_strategy(model, 2)
-    trunc, _ = truncate(model, 40)
+    trunc = truncate(model, 40)
     ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), 1, tol=1e-10)
     targets = set(range(1, 6)) | set(params.coupled_states)
     report = hitting_representation_check(
@@ -262,7 +262,7 @@ def test_criterion_9_constant_shift_invariance():
     rng = np.random.default_rng(1009)
     model = random_game(rng, n_states=6, m1=3, m2=2)
     shifted = with_cost_shift(model, 1, 0.7)
-    trunc, _ = truncate(model, 6)
+    trunc = truncate(model, 6)
     opp = _random_mixed(model, 2, rng)
     base, sel0 = best_response_eigenpair(model, trunc, opp, 1, tol=1e-12)
     moved, sel1 = best_response_eigenpair(shifted, trunc, opp, 1, tol=1e-12)

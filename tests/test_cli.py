@@ -108,7 +108,7 @@ class TestSolveReuse:
             assert main(["solve", *flags, "--trunc", str(n),
                          "--out", str(out)]) == 0
             doc = json.loads(out.read_text())
-            trunc, _ = truncate(model, n)
+            trunc = truncate(model, n)
             v1, v2 = (tabular_strategy(model, k, dict(zip(
                 trunc.states, doc["certificate"]["strategies"][str(k)])))
                 for k in (1, 2))
@@ -311,11 +311,53 @@ class TestConfigHandling:
         assert "rate entry [2, 0, 0, 3, 0.5]" in err
         assert "target state 3" in err
 
+    BAD_ENTRIES = {
+        "negative rate": ("rates", [1, 0, 0, 2, -0.5],
+                          "negative off-diagonal rate"),
+        "nan rate": ("rates", [1, 0, 0, 2, float("nan")],
+                     "non-finite off-diagonal rate"),
+        "negative cost": ("costs", [1, 2, 0, 0, -1.0],
+                          "negative cost (player 1)"),
+        "nan cost": ("costs", [1, 2, 0, 0, float("nan")],
+                     "non-finite cost (player 1)"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+    @pytest.mark.parametrize("command", [
+        ["solve", "--trunc", "3"],
+        ["ladder", "--trunc", "2,3"],
+        ["simulate", "--horizon", "1", "--paths", "20"],
+        ["verify"],
+    ])
+    def test_invalid_rates_and_costs_rejected(self, bad, command, tmp_path,
+                                              capsys):
+        key, entry, kind = self.BAD_ENTRIES[bad]
+        doc = {
+            "states": 3,
+            "actions": {"1": {"default": [0.0]}, "2": {"default": [0.0]}},
+            "rates": [[1, 0, 0, 2, 1.0], [1, 0, 0, 3, 1.0],
+                      [2, 0, 0, 3, 1.0], [3, 0, 0, 1, 1.0]],
+            "costs": [[1, 1, 0, 0, 0.2], [1, 2, 0, 0, 0.4]],
+        }
+        doc[key][0 if key == "rates" else 1] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(command + ["--model", str(path), "--out", str(out)])
+        if command[0] == "verify":
+            assert code == 1
+            report = json.loads(out.read_text())["model_invariants"]
+            assert not report["ok"]
+            assert report["violations"][0].startswith(kind)
+        else:
+            assert code == 2
+            assert f"invalid model: {kind} at state" in capsys.readouterr().err
+
     def test_round_trip_assembles_identically(self, decoupled_path, tmp_path):
         model = load_model(decoupled_path)
         save_model(model, tmp_path / "again.json")
         back = load_model(tmp_path / "again.json")
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         A0 = assemble(model, trunc, uniform_strategy(model, 1),
                       uniform_strategy(model, 2), 1)
         A1 = assemble(back, trunc, uniform_strategy(back, 1),

@@ -40,7 +40,7 @@ class TestPrincipalEigenpair:
         model = random_game(rng, n_states=6, cost_scale=0.0)
         kappa = 0.7
         model = with_cost_shift(model, 1, kappa)
-        trunc, _ = truncate(model, 6)
+        trunc = truncate(model, 6)
         v1, v2 = fixed_pair(model)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
         assert ep.rho == pytest.approx(kappa, abs=1e-10)
@@ -50,7 +50,7 @@ class TestPrincipalEigenpair:
         grids = {(1, 1): [0.0], (2, 1): [0.0]}
         model = tabular_model({(1, 0, 0): {1: 0.0}}, {(1, 0, 0): (2.5, 1.0)},
                               grids, n_states=1)
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         v1, v2 = fixed_pair(model)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
         assert ep.rho == pytest.approx(2.5, abs=1e-12)
@@ -59,7 +59,7 @@ class TestPrincipalEigenpair:
     def test_random_metzler_matches_dense_oracle(self):
         rng = np.random.default_rng(21)
         model = random_game(rng, n_states=12, m1=2, m2=2)
-        trunc, _ = truncate(model, 12)
+        trunc = truncate(model, 12)
         v1, v2 = fixed_pair(model)
         A = assemble(model, trunc, v1, v2, 1)
         ep = principal_eigenpair(A, i0=1, tol=1e-11)
@@ -69,7 +69,7 @@ class TestPrincipalEigenpair:
 
     def test_psi_positive_and_anchored(self):
         model = shop_model()
-        trunc, _ = truncate(model, 15)
+        trunc = truncate(model, 15)
         v1, v2 = fixed_pair(model)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 2), i0=1)
         assert np.all(ep.psi > 0)
@@ -83,7 +83,7 @@ class TestPrincipalEigenpair:
         rates = {(1, 0, 0): {1: 0.0}, (2, 0, 0): {2: 0.0}}
         costs = {(1, 0, 0): (1.0, 0.0), (2, 0, 0): (3.0, 0.0)}
         model = tabular_model(rates, costs, grids, n_states=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         v1, v2 = fixed_pair(model)
         with pytest.warns(UserWarning, match="reducible"):
             ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
@@ -93,7 +93,7 @@ class TestPrincipalEigenpair:
     def test_max_iter_exhaustion_reports_bracket(self):
         rng = np.random.default_rng(22)
         model = random_game(rng, n_states=8)
-        trunc, _ = truncate(model, 8)
+        trunc = truncate(model, 8)
         v1, v2 = fixed_pair(model)
         A = assemble(model, trunc, v1, v2, 1)
         with pytest.raises(ConvergenceError) as err:
@@ -119,7 +119,7 @@ class TestBestResponseEigenpair:
                     rates[(i, ia, ib)] = row
                     costs[(i, ia, ib)] = cost
         model = tabular_model(rates, costs, grids, n_states=4)
-        trunc, _ = truncate(model, 4)
+        trunc = truncate(model, 4)
         opp = uniform_strategy(model, 2)
         ep, sel = best_response_eigenpair(model, trunc, opp, player=1)
         A = assemble(model, trunc, pure_strategy(model, 1, lambda i: 0), opp, 1)
@@ -140,7 +140,7 @@ class TestBestResponseEigenpair:
                 rates[(i, ia, 0)] = base_rows[i]
                 costs[(i, ia, 0)] = (base_costs[i] + (1.0 if ia == 1 else 0.0), 0.0)
         model = tabular_model(rates, costs, grids, n_states=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         ep, sel = best_response_eigenpair(model, trunc,
                                           uniform_strategy(model, 2), player=1)
         for i in (1, 2):
@@ -149,7 +149,7 @@ class TestBestResponseEigenpair:
     def test_matches_exhaustive_selector_enumeration(self):
         rng = np.random.default_rng(25)
         model = random_game(rng, n_states=3, m1=2, m2=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         opp = uniform_strategy(model, 2)
         ep, sel = best_response_eigenpair(model, trunc, opp, player=1,
                                           tol=1e-11)
@@ -162,7 +162,7 @@ class TestBestResponseEigenpair:
 
     def test_selector_solves_its_own_linear_problem(self):
         model = shop_model()
-        trunc, _ = truncate(model, 12)
+        trunc = truncate(model, 12)
         opp = uniform_strategy(model, 2)
         ep, sel = best_response_eigenpair(model, trunc, opp, player=1)
         A = assemble(model, trunc, sel, opp, 1)
@@ -174,7 +174,7 @@ class TestBestResponseEigenpair:
     def test_agrees_with_reference_power_iteration(self):
         model = shop_model()
         tol = 1e-10
-        trunc, _ = truncate(model, 40)
+        trunc = truncate(model, 40)
         for player, opp in ((1, uniform_strategy(model, 2)),
                             (2, uniform_strategy(model, 1))):
             ep, sel = best_response_eigenpair(model, trunc, opp, player, tol)
@@ -187,7 +187,7 @@ class TestBestResponseEigenpair:
         rng = np.random.default_rng(26)
         model = random_game(rng, n_states=5, m1=2, m2=2)
         shifted = with_cost_shift(model, 1, 0.7)
-        trunc, _ = truncate(model, 5)
+        trunc = truncate(model, 5)
         opp = uniform_strategy(model, 2)
         ep0, sel0 = best_response_eigenpair(model, trunc, opp, 1, tol=1e-12)
         ep1, sel1 = best_response_eigenpair(shifted, trunc, opp, 1, tol=1e-12)
@@ -211,7 +211,7 @@ class TestReferenceSolvers:
     @pytest.mark.parametrize("player", [1, 2])
     def test_shop_linear_matches_reference_and_dense(self, n, player):
         model = shop_model()
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         v1, v2 = fixed_pair(model)
         A = assemble(model, trunc, v1, v2, player)
         ep = principal_eigenpair(A, i0=1, tol=self.TOL)
@@ -223,7 +223,7 @@ class TestReferenceSolvers:
     @pytest.mark.parametrize("player", [1, 2])
     def test_shop_best_response_matches_dense_at_60(self, player):
         model = shop_model()
-        trunc, _ = truncate(model, 60)
+        trunc = truncate(model, 60)
         opp = uniform_strategy(model, 3 - player)
         ep, sel = best_response_eigenpair(model, trunc, opp, player, self.TOL)
         rho_ref, _, sel_ref = reference_best_response(model, 60, opp, player,
@@ -239,7 +239,7 @@ class TestReferenceSolvers:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 13))
         model = random_game(rng, n_states=n, m1=3, m2=2)
-        trunc, _ = truncate(model, n)
+        trunc = truncate(model, n)
         v1, v2 = fixed_pair(model)
         for player, opp in ((1, v2), (2, v1)):
             A = assemble(model, trunc, v1, v2, player)
@@ -264,7 +264,7 @@ class TestLargeTruncations:
     def test_shop_linear_solve_closes_at_1500(self):
         # plain shifted power iteration needs about 76,000 steps here
         model = shop_model()
-        trunc, _ = truncate(model, 1500)
+        trunc = truncate(model, 1500)
         v1, v2 = fixed_pair(model)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
         lo, hi = ep.bracket

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rsgame.generator import pair_table
 from rsgame.model import (
     GameModel,
     ShopParams,
@@ -172,24 +173,30 @@ class TestShopModel:
 class TestTruncation:
     def test_full_space_truncation_has_no_killing(self):
         model = two_state_birth_death()
-        trunc, view = truncate(model, 2)
-        for i in (1, 2):
-            _, _, _, dropped = view.restricted_row(i, 0, 0)
-            assert dropped == 0.0
+        trunc = truncate(model, 2)
+        table = pair_table(model, trunc.states)
+        ones = np.ones(table.diag.size)
+        inside, _, _ = table.contract(ones, table.state, 2, n=trunc.n)
+        full, _, _ = table.contract(ones, table.state, 2)
+        dropped = np.asarray(full.sum(axis=1) - inside.sum(axis=1)).ravel()
+        assert dropped.tolist() == [0.0, 0.0]
 
     def test_shop_truncation_drops_outward_edge_keeps_diagonal(self):
         model = shop_model()
-        trunc, view = truncate(model, 5)
-        cols, rates, diag, dropped = view.restricted_row(5, 0, 0)
-        assert cols.tolist() == [3]          # dense index of state 4
-        assert rates.tolist() == [10.0]
-        assert diag == -15.0
-        assert dropped == 5.0
+        trunc = truncate(model, 5)
+        table = pair_table(model, [5])
+        pure = ((table.a1 == 0) & (table.a2 == 0)).astype(float)
+        inside, diag, _ = table.contract(pure, table.state, 1, n=trunc.n)
+        full, _, _ = table.contract(pure, table.state, 1)
+        assert inside.indices.tolist() == [3]    # dense index of state 4
+        assert inside.data.tolist() == [10.0]
+        assert diag.tolist() == [-15.0]
+        assert full.sum() - inside.sum() == 5.0
 
     def test_nestedness_and_anchor_membership(self):
         model = shop_model()
-        t3, _ = truncate(model, 3)
-        t4, _ = truncate(model, 4)
+        t3 = truncate(model, 3)
+        t4 = truncate(model, 4)
         assert set(t3.states) < set(t4.states)
         assert model.anchor in t3
         with pytest.raises(ValueError):

@@ -85,7 +85,7 @@ class TestBestResponse:
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(30)
         model = random_game(rng, n_states=2, m1=2, m2=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         opp = uniform_strategy(model, 2)
         sel, ep = best_response(model, trunc, opp, player=1, tol=1e-11)
         best = np.inf
@@ -98,7 +98,7 @@ class TestBestResponse:
     def test_dominated_action_never_chosen(self):
         rng = np.random.default_rng(31)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         sel, _ = best_response(model, trunc, uniform_strategy(model, 2), 1)
         for i in trunc.states:
             want = int(np.argmin([model.cost(1, i, a, 0) for a in range(2)]))
@@ -117,7 +117,7 @@ class TestBestResponse:
                 rates[(i, ia, 0)] = row
                 costs[(i, ia, 0)] = (0.4 * i, 0.1)
         model = tabular_model(rates, costs, grids, n_states=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         sel, ep = best_response(model, trunc, uniform_strategy(model, 2), 1)
         sets = argmin_sets(model, trunc, uniform_strategy(model, 2), 1, ep)
         assert sets == {1: (0, 1), 2: (0, 1)}
@@ -128,7 +128,7 @@ class TestCertify:
     def test_decoupled_optimum_has_zero_gaps(self):
         rng = np.random.default_rng(33)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         v1 = pure_strategy(model, 1, lambda i: int(
             np.argmin([model.cost(1, i, a, 0) for a in range(2)])))
         v2 = pure_strategy(model, 2, lambda i: int(
@@ -141,7 +141,7 @@ class TestCertify:
     def test_perturbed_strategy_fails_below_its_gap(self):
         rng = np.random.default_rng(34)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         best1 = {i: int(np.argmin([model.cost(1, i, a, 0) for a in range(2)]))
                  for i in trunc.states}
         v1 = pure_strategy(model, 1, lambda i: best1[i])
@@ -165,7 +165,7 @@ class TestCertify:
         rng = np.random.default_rng(35)
         for _ in range(5):
             model = random_game(rng, n_states=3, m1=2, m2=2)
-            trunc, _ = truncate(model, 3)
+            trunc = truncate(model, 3)
             v1 = uniform_strategy(model, 1)
             v2 = uniform_strategy(model, 2)
             res = certify(model, trunc, v1, v2, eps=1e-6)
@@ -179,7 +179,7 @@ class TestNashIterate:
     def test_decoupled_game_converges_fast_with_zero_gaps(self):
         rng = np.random.default_rng(36)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         cert = nash_iterate(model, trunc, eps=1e-9)
         assert cert.status == "converged"
         assert cert.rounds <= 2
@@ -190,7 +190,7 @@ class TestNashIterate:
     def test_symmetric_game_symmetric_certificate(self):
         rng = np.random.default_rng(37)
         model = decoupled_game(rng, n_states=2, m=2, symmetric=True)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         cert = nash_iterate(model, trunc, eps=1e-9)
         assert cert.converged
         for i in trunc.states:
@@ -199,7 +199,7 @@ class TestNashIterate:
     def test_order_invariance_on_decoupled_game(self):
         rng = np.random.default_rng(38)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         a = nash_iterate(model, trunc, eps=1e-9, first_player=1)
         b = nash_iterate(model, trunc, eps=1e-9, first_player=2)
         assert a.to_json_dict(trunc) == b.to_json_dict(trunc)
@@ -209,7 +209,7 @@ class TestNashIterate:
         # same pair after one round
         rng = np.random.default_rng(39)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         simultaneous = nash_iterate(model, trunc, eps=1e-9,
                                     mode="simultaneous")
         alternating = nash_iterate(model, trunc, eps=1e-9)
@@ -219,7 +219,7 @@ class TestNashIterate:
 
     def test_pure_cycle_is_detected_honestly(self):
         model = matching_pennies()
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         cert = nash_iterate(model, trunc, eps=1e-9, max_rounds=50)
         assert cert.status == "cycle_detected"
         assert not cert.converged
@@ -227,7 +227,7 @@ class TestNashIterate:
     def test_tiny_game_nash_confirmed_by_exhaustive_deviation(self):
         rng = np.random.default_rng(40)
         model = random_game(rng, n_states=3, m1=2, m2=2, cost_scale=0.5)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         cert = find_nash(model, trunc, eps=1e-8, tol=1e-11)
         assert cert.converged
         nash_set, _ = oracle_pure_nash_pairs(model, 3)
@@ -240,7 +240,7 @@ class TestNashIterate:
 
     def test_bad_arguments_rejected(self):
         model = matching_pennies()
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         with pytest.raises(ValueError, match="damping"):
             nash_iterate(model, trunc, damping=0.0)
         with pytest.raises(ValueError, match="eps"):
@@ -273,7 +273,7 @@ class TestSolverFailure:
         # player 2 solves once in round one (round one's certification
         # reuses it) and fails in round two, after player 1 has moved
         model = shop_model()
-        trunc, _ = truncate(model, 20)
+        trunc = truncate(model, 20)
         _fail_nth_solve(monkeypatch, player=2, n=2)
         cert = nash_iterate(model, trunc, damping=0.5, eps=1e-300)
         monkeypatch.undo()
@@ -288,7 +288,7 @@ class TestSolverFailure:
 
     def test_first_round_failure_propagates(self, monkeypatch):
         model = shop_model()
-        trunc, _ = truncate(model, 20)
+        trunc = truncate(model, 20)
         _fail_nth_solve(monkeypatch, player=2, n=1)
         with pytest.raises(ConvergenceError, match="forced failure"):
             nash_iterate(model, trunc)
@@ -297,14 +297,14 @@ class TestSolverFailure:
 class TestFindNash:
     def test_uniform_pair_certifies_in_matching_pennies(self):
         model = matching_pennies()
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         res = certify(model, trunc, uniform_strategy(model, 1),
                       uniform_strategy(model, 2), eps=1e-9)
         assert res.passed
 
     def test_driver_reports_honest_status(self):
         model = matching_pennies()
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         cert = find_nash(model, trunc, eps=1e-9, max_rounds=30)
         if cert.converged:
             res = certify(model, trunc, cert.v1, cert.v2, eps=1e-9)
@@ -314,10 +314,10 @@ class TestFindNash:
 
     def test_profile_count(self):
         model = matching_pennies()
-        trunc, _ = truncate(model, 1)
+        trunc = truncate(model, 1)
         assert profile_count(model, trunc) == 4
         big = random_game(np.random.default_rng(41), n_states=8, m1=3, m2=3)
-        btrunc, _ = truncate(big, 8)
+        btrunc = truncate(big, 8)
         assert profile_count(big, btrunc, cap=64) == 65
 
 
@@ -325,7 +325,7 @@ class TestConverseCheck:
     def test_converged_certificate_has_zero_defects(self):
         rng = np.random.default_rng(42)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         cert = nash_iterate(model, trunc, eps=1e-9)
         report = converse_check(model, trunc, cert.v1, cert.v2, tol=1e-9)
         assert report.passed
@@ -334,7 +334,7 @@ class TestConverseCheck:
     def test_damped_early_stop_reports_positive_defects(self):
         rng = np.random.default_rng(43)
         model = random_game(rng, n_states=3, m1=2, m2=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         cert = nash_iterate(model, trunc, damping=0.5, max_rounds=2, eps=1e-12)
         report = converse_check(model, trunc, cert.v1, cert.v2, tol=1e-10)
         assert not report.passed
@@ -343,7 +343,7 @@ class TestConverseCheck:
     def test_exhaustive_pure_nash_passes(self):
         rng = np.random.default_rng(44)
         model = random_game(rng, n_states=2, m1=2, m2=2, cost_scale=0.5)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         nash_set, _ = oracle_pure_nash_pairs(model, 2)
         if not nash_set:
             pytest.skip("no pure equilibrium for this seed")
@@ -356,7 +356,7 @@ class TestConverseCheck:
     def test_report_on_given_eigenpairs_matches_check(self):
         rng = np.random.default_rng(46)
         model = random_game(rng, n_states=3, m1=2, m2=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         cert = nash_iterate(model, trunc, damping=0.5, max_rounds=2,
                             eps=1e-12)
         report = converse_report(model, trunc, cert.v1, cert.v2,
@@ -367,7 +367,7 @@ class TestConverseCheck:
     def test_fixed_point_consistency(self):
         rng = np.random.default_rng(45)
         model = decoupled_game(rng, n_states=3, m=2)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         tol = 1e-10
         cert = nash_iterate(model, trunc, eps=1e-9, tol=tol)
         assert cert.converged

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.stats
 
 from rsgame.eigensolver import principal_eigenpair
-from rsgame.generator import assemble, averaged_rate_matrix
+from rsgame.generator import assemble
 from rsgame.model import (
     shop_model,
     tabular_model,
@@ -90,7 +90,9 @@ class TestSamplePath:
         rng = np.random.default_rng(50)
         model = random_game(rng, n_states=3, m1=1, m2=1, rate_scale=1.0)
         v1, v2 = pair(model)
-        Q = averaged_rate_matrix(model, truncate(model, 3)[0], v1, v2).Q.toarray()
+        costs = [model.cost(1, i, 0, 0) for i in (1, 2, 3)]
+        Q = (assemble(model, truncate(model, 3), v1, v2, 1).A.toarray()
+             - np.diag(costs))
         null = scipy.linalg.null_space(Q.T)
         assert null.shape[1] == 1
         pi = null[:, 0] / null[:, 0].sum()
@@ -150,7 +152,7 @@ class TestEstimateRiskCost:
         model, start, rho_oracle = unbiased_mc_instance(
             np.random.default_rng(61), n_states=4)
         v1, v2 = pair(model)
-        trunc, _ = truncate(model, 4)
+        trunc = truncate(model, 4)
         rho = principal_eigenpair(assemble(model, trunc, v1, v2, 1), 1).rho
         assert rho == pytest.approx(rho_oracle, abs=1e-9)
         est = estimate_risk_cost(model, v1, v2, 1, start, horizon=200.0,
@@ -221,7 +223,7 @@ class TestHittingRepresentation:
     def test_shop_truncated_eigenpair_self_consistency(self):
         model = shop_model()
         v1, v2 = pair(model)
-        trunc, _ = truncate(model, 20)
+        trunc = truncate(model, 20)
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), 1)
         report = hitting_representation_check(
             model, v1, v2, 1, psi=ep.psi_map(), rho=ep.rho,

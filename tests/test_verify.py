@@ -83,6 +83,46 @@ class TestGrowthDrift:
         assert report.holds  # no violation, tail just unverified
 
 
+def loop_growth_witnesses(model, spec, states):
+    """Reference: the growth check as a loop over states and pure action
+    pairs, giving ``(state, a1, a2, defect, note)`` per witness in order."""
+    W = spec.W
+    out = []
+    for i in states:
+        w = W(i)
+        if w < 1.0 - 1e-9:
+            out.append((i, None, None, 1.0 - w, "Lyapunov weight below one"))
+        for ia in range(model.n_actions(1, i)):
+            for ib in range(model.n_actions(2, i)):
+                row = model.row(i, ia, ib)
+                drift = row.diag * w
+                for j, r in zip(row.cols.tolist(), row.rates.tolist()):
+                    drift += r * W(j)
+                bound = spec.C1 * w + spec.C2
+                if drift - bound > 1e-9 * max(1.0, abs(drift), abs(bound)):
+                    out.append((i, ia, ib, drift - bound,
+                                "weighted drift above C1*W + C2"))
+                exit_defect = -row.diag - spec.C3 * w
+                if exit_defect > 1e-9 * max(1.0, abs(spec.C3 * w)):
+                    out.append((i, ia, ib, exit_defect, "exit rate above C3*W"))
+    return out
+
+
+class TestGrowthDriftLoopReference:
+    def test_witnesses_match_loop_in_order(self):
+        model = random_game(np.random.default_rng(61), n_states=8, m1=2, m2=3)
+        spec = LyapunovSpec(W=lambda i: 0.8 if i == 3 else 1.0 + 0.2 * i,
+                            C1=0.5, C2=0.3, C3=1.2)
+        report = check_growth_drift(model, spec, range(1, 9))
+        expect = loop_growth_witnesses(model, spec, range(1, 9))
+        got = [(w.state, w.a1, w.a2, w.defect, w.note) for w in report.witnesses]
+        assert got == expect
+        assert {note for *_, note in expect} == {
+            "Lyapunov weight below one", "weighted drift above C1*W + C2",
+            "exit rate above C3*W"}
+        assert report.max_defect == max(d for *_, d, _ in expect)
+
+
 class TestKilledDrift:
     def test_shop_defaults_unbounded_variant(self):
         params = ShopParams()
@@ -159,7 +199,7 @@ class TestIrreducibility:
     def test_birth_death_with_positive_rates(self):
         model = birth_death_model(up=[1.0, 1.0, 0.0], down=[0.0, 1.0, 1.0],
                                   cost1=[0.0] * 3, cost2=[0.0] * 3)
-        trunc, _ = truncate(model, 3)
+        trunc = truncate(model, 3)
         report = check_irreducibility(model, trunc)
         assert report.irreducible
         assert report.mode == "all-pure"
@@ -168,7 +208,7 @@ class TestIrreducibility:
         grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2)}
         model = tabular_model({(1, 0, 0): {1: 0.0}, (2, 0, 0): {2: 0.0}},
                               {}, grids, n_states=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         report = check_irreducibility(model, trunc)
         assert not report.irreducible
         assert report.n_components == 2
@@ -176,7 +216,7 @@ class TestIrreducibility:
 
     def test_shop_truncation_under_uniform_pair(self):
         model = shop_model()
-        trunc, _ = truncate(model, 30)
+        trunc = truncate(model, 30)
         pair = (uniform_strategy(model, 1), uniform_strategy(model, 2))
         report = check_irreducibility(model, trunc, pair)
         assert report.irreducible
@@ -191,7 +231,7 @@ class TestIrreducibility:
             (2, 0, 0): {1: 1.0, 2: -1.0},
         }
         model = tabular_model(rates, {}, grids, n_states=2)
-        trunc, _ = truncate(model, 2)
+        trunc = truncate(model, 2)
         assert not check_irreducibility(model, trunc).irreducible
 
 
@@ -283,6 +323,30 @@ class TestShopConditionReport:
                     assert drift <= spec.C1 * W(i) + spec.C2 + 1e-9
                     kappa = spec.C4 if i in params.coupled_states else 0.0
                     assert drift <= kappa - spec.ell(i) * W(i) + 1e-9
+
+    def test_constants_agree_with_lyapunov_spec(self):
+        # every display margin re-derived from shop_lyapunov_spec's C1..C4,
+        # W and ell on the same rows
+        params = ShopParams(fee1=0.05, action_max=0.5)
+        spec = shop_lyapunov_spec(params)
+        states = range(1, 30)
+        killed = growth = exit_margin = math.inf
+        for i in states:
+            w = spec.W(i)
+            for u1 in params.grid(1, i):
+                for u2 in params.grid(2, i):
+                    row = shop_row(params, i, u1, u2)
+                    drift = brute_force_drift(params, spec.W, i, u1, u2)
+                    kappa = spec.C4 if i in spec.kappa_set else 0.0
+                    killed = min(killed, kappa - spec.ell(i) * w - drift)
+                    growth = min(growth, spec.C1 * w + spec.C2 - drift)
+                    exit_margin = min(exit_margin, spec.C3 * w + row[i])
+        report = shop_condition_report(params, states)
+        assert report.all_pass
+        for key, margin in (("killed-drift-bound", killed),
+                            ("growth-drift-constants", growth),
+                            ("exit-rate-bound", exit_margin)):
+            assert report.display(key).margin == pytest.approx(margin, rel=1e-12)
 
     def test_json_rendering(self):
         report = shop_condition_report(ShopParams(), range(1, 10))
