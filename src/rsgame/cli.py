@@ -209,15 +209,30 @@ def _run_ladder(config: RunConfig) -> int:
     return 0 if len(rhos) == len(result.rungs) else 1
 
 
+def _check_hitting_states(config: RunConfig):
+    """Reject hitting targets and starts outside the truncation: psi is
+    known only on ``1..trunc``, and a target outside it is never hit."""
+    n = config.trunc[0]
+    for flag, states in (("--hit-targets", config.hit_targets),
+                         ("--hit-starts", config.hit_starts)):
+        for s in states:
+            if not 1 <= s <= n:
+                raise ValueError(f"{flag}: state {s} lies outside the "
+                                 f"truncation 1..{n}")
+
+
 def _run_simulate(config: RunConfig) -> int:
     model = _load(config)
     _check_model(model, None if model.is_finite else config.trunc[0])
+    if config.hitting:  # reject bad hitting input before any path runs
+        _check_hitting_states(config)
+        trunc = truncate(model, config.trunc[0])
     v1 = uniform_strategy(model, 1)
     v2 = uniform_strategy(model, 2)
     start = config.start if config.start is not None else model.anchor
     est = estimate_risk_cost(model, v1, v2, config.player, start,
                              config.horizon, config.paths, config.batches,
-                             config.seed, workers=config.workers)
+                             config.seed)
     with open(config.out, "w") as fh:
         fh.write("batch,rho,se\n")
         for k, rho_b in enumerate(est.batch_rho):
@@ -227,8 +242,7 @@ def _run_simulate(config: RunConfig) -> int:
           f"paths={est.n_paths} escaped={est.escaped}")
     ok = est.valid
     if config.hitting:
-        n = config.trunc[0]
-        trunc = truncate(model, n)
+        n = trunc.n
         ep = principal_eigenpair(
             assemble(model, trunc, v1, v2, config.player), model.anchor,
             config.tol)
@@ -238,7 +252,7 @@ def _run_simulate(config: RunConfig) -> int:
         report = hitting_representation_check(
             model, v1, v2, config.player, ep.psi_map(), ep.rho,
             set(targets), list(starts), config.paths, config.seed,
-            batches=config.batches, kill_outside=n, workers=config.workers)
+            batches=config.batches, kill_outside=n)
         hit_path = config.out + ".hitting.csv"
         with open(hit_path, "w") as fh:
             fh.write("start,psi,estimate,se,rel_deviation,z,hits,killed,"
@@ -366,7 +380,9 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--paths", type=int, default=None)
         q.add_argument("--batches", type=int, default=None)
         q.add_argument("--out", default=None, help="artifact path")
-        q.add_argument("--workers", type=int, default=None)
+        q.add_argument("--workers", type=int, default=None,
+                       help="threads for ladder; solve and simulate accept "
+                            "and ignore it")
         q.add_argument("--damping", type=float, default=None)
         q.add_argument("--max-rounds", dest="max_rounds", type=int,
                        default=None)

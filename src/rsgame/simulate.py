@@ -6,13 +6,15 @@ cost.  Holding times are exponential in the averaged exit rate and jump
 targets follow the averaged embedded chain.
 
 Randomness discipline (bit-exact, documented so results are reproducible
-across machines and thread counts): path ``p`` of a run with seed ``s``
-draws from ``numpy.random.Philox`` keyed by the 128-bit pair ``(s, p)``.
-Uniform variates are taken from that stream in blocks of 256; every jump
-consumes exactly two uniforms, first the holding time (by inversion,
+across machines): path ``p`` of a run with seed ``s`` draws from
+``numpy.random.Philox`` keyed by the 128-bit pair ``(s, p)``.  Uniform
+variates are taken from that stream in blocks of 256; every jump consumes
+exactly two uniforms, first the holding time (by inversion,
 ``-log1p(-u) / rate``), then the target (by cumulative-rate lookup).
-Absorbing states consume nothing.  Estimates reduce per-path results in
-path-index order, so the worker count never changes a digit.
+Absorbing states consume nothing.  The estimators advance a block of paths
+in lockstep, one jump per step, so every path reads the same uniforms as
+the one-path loop of :func:`sample_path`; reductions run in path-index
+order, so the block size never changes a digit.
 
 The risk-sensitive estimator exponentiates path costs, so everything is
 kept in log space: the point estimate is ``(logsumexp(X) - log N) / T``
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ __all__ = [
     "hitting_representation_check",
 ]
 
-_BLOCK = 256
+_DRAWS = 256  # uniforms per draw from a path's stream: 128 jumps
+_PATH_BLOCK = 2048  # paths advanced together; one 4 MB uniform buffer
+_TABLE_START = 32  # states a fresh jump table covers before it doubles
 _MASK64 = (1 << 64) - 1
 
 
@@ -61,23 +64,61 @@ class _Uniforms:
 
     def __init__(self, rng):
         self.rng = rng
-        self.buf = rng.random(_BLOCK)
+        self.buf = rng.random(_DRAWS)
         self.pos = 0
 
     def take(self) -> float:
-        if self.pos == _BLOCK:
-            self.buf = self.rng.random(_BLOCK)
+        if self.pos == _DRAWS:
+            self.buf = self.rng.random(_DRAWS)
             self.pos = 0
         v = self.buf[self.pos]
         self.pos += 1
         return v
 
 
-class _AveragedChain:
-    """Per-state jump tables of the strategy-averaged chain, cached.
+class _Streams:
+    """Blocks of many paths' streams through one reusable Philox.
 
-    Row generation is pure, so concurrent cache fills are benign: both
-    threads compute identical entries.
+    Philox yields four 64-bit words per counter value and raises the
+    counter before each four, so block ``b`` (the ``b``-th 256-draw) of the
+    stream keyed ``(seed, p)`` starts from counter ``64 * b`` with an empty
+    buffer.  Setting that state reproduces ``path_rng(seed, p)``'s block
+    bit for bit without a generator per path.
+    """
+
+    def __init__(self, seed: int):
+        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._bits = np.random.Philox(key=self._key)
+        self._state = self._bits.state
+        self._state["state"] = {"counter": self._counter, "key": self._key}
+        self._gen = np.random.Generator(self._bits)
+
+    def fill(self, out, rows, first: int, block: int) -> None:
+        """Row ``r`` of ``out``, for each ``r`` in ``rows``: block
+        ``block`` of path ``first + r``."""
+        self._counter[0] = block * (_DRAWS // 4)
+        for r in rows.tolist():
+            self._key[1] = (first + r) & _MASK64
+            self._bits.state = self._state
+            self._gen.random(_DRAWS, out=out[r])
+
+
+class _AveragedChain:
+    """Jump tables of the strategy-averaged chain, dense in the state.
+
+    Entry ``i`` of each array belongs to state ``i <= top`` (entry 0 is
+    unused): ``exit`` is the averaged exit rate, ``cost`` both players'
+    averaged cost rates and ``total`` the summed off-diagonal rate; the
+    ``width[i]`` targets of state ``i``, in increasing order, start at
+    ``targets[first[i]]``, with their cumulative rates (restarting from
+    zero at each state) in ``cum``.  ``invalid`` marks states with a
+    non-finite or negative averaged rate, or a positive exit rate and no
+    target; a path that reaches one raises.
+
+    ``cover`` extends the tables by doubling, one action-pair table per
+    extension.  The contraction sums each state's rows in pair order, so
+    every entry equals that state's one-state contraction bit for bit.
     """
 
     def __init__(self, model: GameModel, v1: StationaryStrategy,
@@ -85,28 +126,179 @@ class _AveragedChain:
         self.model = model
         self.v1 = v1
         self.v2 = v2
-        self._cache: dict = {}
+        self.top = 0
+        self.exit = np.zeros(1)
+        self.cost = np.zeros((1, 2))
+        self.total = np.zeros(1)
+        self.first = np.zeros(1, dtype=np.int64)
+        self.width = np.zeros(1, dtype=np.int64)
+        self.targets = np.zeros(0, dtype=np.int64)
+        self.cum = np.zeros(0)
+        self.invalid = np.zeros(1, dtype=bool)
+        self.any_invalid = False
+        self._rows: dict = {}
+
+    def cover(self, state: int) -> None:
+        """Extend the tables to hold ``state``."""
+        if state <= self.top:
+            return
+        size = self.model.n_states
+        if size is not None and state > size:
+            raise ValueError(f"state {state} lies outside the model's "
+                             f"{size} states")
+        hi = max(state, 2 * self.top, _TABLE_START)
+        if size is not None:
+            hi = min(hi, size)
+        states = range(self.top + 1, hi + 1)
+        table = pair_table(self.model, states)
+        weights = (table.strategy_weights(self.v1)
+                   * table.strategy_weights(self.v2))
+        R, diag, cost = table.contract(weights, table.state, len(states))
+        live = R.data != 0.0
+        rates = R.data[live]
+        owner = np.repeat(np.arange(len(states)), np.diff(R.indptr))[live]
+        width = np.bincount(owner, minlength=len(states))
+        ends = np.cumsum(width)
+        cums = [np.cumsum(rates[a:b])
+                for a, b in zip((ends - width).tolist(), ends.tolist())]
+        exit_rate = -diag
+        invalid = (~(np.isfinite(exit_rate) & (exit_rate >= 0.0))
+                   | ((exit_rate > 0.0) & (width == 0)))
+        invalid[owner[~(np.isfinite(rates) & (rates >= 0.0))]] = True
+        self.first = np.concatenate(
+            [self.first, self.targets.size + ends - width])
+        self.width = np.concatenate([self.width, width])
+        self.targets = np.concatenate([self.targets, R.indices[live] + 1])
+        self.cum = np.concatenate([self.cum, *cums])
+        self.total = np.concatenate(
+            [self.total, [c[-1] if c.size else 0.0 for c in cums]])
+        self.exit = np.concatenate([self.exit, exit_rate])
+        self.cost = np.concatenate([self.cost, cost])
+        self.invalid = np.concatenate([self.invalid, invalid])
+        self.any_invalid = self.any_invalid or bool(invalid.any())
+        self.top = states[-1]
+
+    def check(self, states) -> None:
+        """Raise when one of ``states`` is marked invalid."""
+        bad = np.asarray(states)[self.invalid[states]]
+        if bad.size:
+            raise ValueError(
+                f"invalid averaged rate at state {int(bad.min())} under "
+                f"strategies ({self.v1!r}, {self.v2!r})")
 
     def at(self, i: int):
-        entry = self._cache.get(i)
+        """``(exit rate, targets, cumulative rates, total, c1, c2)`` of
+        state ``i`` as Python numbers and lists."""
+        entry = self._rows.get(i)
         if entry is None:
-            table = pair_table(self.model, (i,))
-            weights = (table.strategy_weights(self.v1)
-                       * table.strategy_weights(self.v2))
-            R, diag, cost = table.contract(weights, table.state, 1)
-            live = R.data != 0.0
-            rates = R.data[live]
-            exit_rate = -float(diag[0])
-            if (not math.isfinite(exit_rate) or exit_rate < 0.0
-                    or not np.all(np.isfinite(rates) & (rates >= 0.0))):
-                raise ValueError(
-                    f"invalid averaged rate at state {i} under strategies "
-                    f"({self.v1!r}, {self.v2!r})")
-            cum = np.cumsum(rates).tolist()
-            entry = (exit_rate, (R.indices[live] + 1).tolist(), cum,
-                     cum[-1] if cum else 0.0, *cost[0].tolist())
-            self._cache[i] = entry
+            self.cover(i)
+            self.check([i])
+            a = int(self.first[i])
+            b = a + int(self.width[i])
+            entry = (float(self.exit[i]), self.targets[a:b].tolist(),
+                     self.cum[a:b].tolist(), float(self.total[i]),
+                     *self.cost[i].tolist())
+            self._rows[i] = entry
         return entry
+
+    def jump(self, states, u):
+        """Targets of jumps from ``states`` (positive exit rates) drawn
+        with uniforms ``u``.
+
+        Equals ``targets[min(bisect_right(cum, u * total), width - 1)]``
+        of each state.  Only the first ``width - 1`` cumulative rates can
+        move that index: one comparison decides it at states with two
+        targets, a binary search per distinct wider state.
+        """
+        x = u * self.total[states]
+        lo = self.first[states]
+        width = self.width[states]
+        k = ((width > 1) & (self.cum[lo] <= x)).astype(np.int64)
+        wide = np.flatnonzero(width > 2)
+        if wide.size:
+            at = states[wide]
+            for i in np.unique(at).tolist():
+                rows = wide[at == i]
+                a = int(self.first[i])
+                w = int(self.width[i])
+                k[rows] = np.minimum(
+                    np.searchsorted(self.cum[a:a + w], x[rows], side="right"),
+                    w - 1)
+        return self.targets[lo + k]
+
+
+def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
+              start: int, player: int, shift: float, limit: float,
+              tail: bool, halt=None):
+    """Run paths ``first .. first + n - 1`` from ``start``, one jump of
+    every running path per step, in blocks of ``_PATH_BLOCK`` paths.
+
+    A path integrates the cost rate ``c_player - shift`` and stops, in
+    this order: on a state marked in ``halt``, before its jump
+    (``halt[-1]`` stands for every state past the mask); at an absorbing
+    state; when its next jump would fall after ``limit``.  With ``tail``
+    (used without ``halt``) that is at or after ``limit``, and the
+    integral runs on to ``limit``.  Step ``m`` reads uniforms ``2m`` and
+    ``2m + 1`` of each running path's stream, so every path matches the
+    one-path loop of ``sample_path``.
+
+    Returns each path's integral, final state, highest state visited and
+    whether ``halt`` stopped it.
+    """
+    acc_out = np.empty(n)
+    state_out = np.empty(n, dtype=np.int64)
+    top_out = np.empty(n, dtype=np.int64)
+    halted = np.zeros(n, dtype=bool)
+    streams = _Streams(seed)
+    uniforms = np.empty((min(n, _PATH_BLOCK), _DRAWS))
+    k = 0 if player == 1 else 1
+    jumps_per_draw = _DRAWS // 2
+    chain.cover(start)
+    for lo in range(0, n, _PATH_BLOCK):
+        rows = np.arange(min(_PATH_BLOCK, n - lo))  # running paths
+        s = np.full(rows.size, start, dtype=np.int64)
+        t = np.zeros(rows.size)
+        acc = np.zeros(rows.size)
+        top = s.copy()
+        step = 0
+        while rows.size:
+            held = (np.zeros(rows.size, dtype=bool) if halt is None
+                    else halt[np.minimum(s, halt.size - 1)])
+            if chain.any_invalid:
+                chain.check(s[~held])
+            col = 2 * (step % jumps_per_draw)
+            if col == 0:
+                streams.fill(uniforms, rows, first + lo,
+                             step // jumps_per_draw)
+            rate = chain.exit[s]
+            c = chain.cost[s, k] - shift
+            log_hold = np.fromiter(
+                map(math.log1p, (-uniforms[rows, col]).tolist()), float,
+                rows.size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_next = t + -log_hold / rate
+            stop = held | (rate == 0.0) | (
+                t_next >= limit if tail else t_next > limit)
+            if stop.any():
+                done = lo + rows[stop]
+                acc_out[done] = (acc[stop] + (limit - t[stop]) * c[stop]
+                                 if tail else acc[stop])
+                state_out[done] = s[stop]
+                top_out[done] = top[stop]
+                halted[done] = held[stop]
+                go = ~stop
+                rows, s, t, acc, top, t_next, c = (
+                    rows[go], s[go], t[go], acc[go], top[go], t_next[go],
+                    c[go])
+                if not rows.size:
+                    break
+            acc += (t_next - t) * c
+            t = t_next
+            s = chain.jump(s, uniforms[rows, col + 1])
+            top = np.maximum(top, s)
+            chain.cover(int(s.max()))
+            step += 1
+    return acc_out, state_out, top_out, halted
 
 
 @dataclass(frozen=True)
@@ -188,31 +380,6 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
                             left_box=left if box is not None else None)
 
 
-def _path_cost(chain, start, horizon, uni, player, box):
-    """Accumulated cost integral for one player; no trajectory storage."""
-    t = 0.0
-    state = start
-    cost = 0.0
-    left = box is not None and start > box
-    while True:
-        exit_rate, targets, cum, total, c1, c2 = chain.at(state)
-        c = c1 if player == 1 else c2
-        if exit_rate == 0.0:
-            return cost + (horizon - t) * c, left
-        u_hold = uni.take()
-        u_jump = uni.take()
-        dt = -math.log1p(-u_hold) / exit_rate
-        if t + dt >= horizon:
-            return cost + (horizon - t) * c, left
-        t_next = t + dt
-        cost += (t_next - t) * c
-        t = t_next
-        k = bisect_right(cum, u_jump * total)
-        state = targets[min(k, len(targets) - 1)]
-        if box is not None and state > box:
-            left = True
-
-
 @dataclass(frozen=True)
 class RiskCostEstimate:
     """Monte-Carlo estimate of the risk-sensitive growth rate.
@@ -242,31 +409,17 @@ def _batch_se(batch_logs, horizon):
     return float(y.std(ddof=1) / (math.sqrt(len(y)) * y.mean()) / horizon)
 
 
-def _run_indexed(n, worker_fn, workers):
-    """Run ``worker_fn(lo, hi)`` over contiguous index blocks."""
-    if workers <= 1:
-        worker_fn(0, n)
-        return
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker_fn, int(lo), int(hi))
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
-        for fut in futures:
-            fut.result()
-
-
 def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
                        v2: StationaryStrategy, player: int, start: int,
                        horizon: float, paths: int, batches: int, seed: int,
-                       workers: int = 1,
                        box: int | None = None) -> RiskCostEstimate:
     """Estimate the long-run growth rate of the exponentiated cost.
 
     Reproducible by construction: path ``p`` draws only from the stream
-    keyed ``(seed, p)`` and the reduction runs in path order, so the same
-    arguments give bit-identical results for any ``workers``.  When a
-    diagnostic ``box`` is given, paths leaving it are counted and the
-    estimate is marked invalid if every path escaped.
+    keyed ``(seed, p)`` and the reduction runs in path order; each path's
+    cost integral equals ``sample_path(..., (seed, p))``'s bit for bit.
+    When a diagnostic ``box`` is given, paths leaving it are counted and
+    the estimate is marked invalid if every path escaped.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -275,23 +428,15 @@ def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
     if paths % batches:
         raise ValueError("batches must divide the path count")
     chain = _AveragedChain(model, v1, v2)
-    X = np.empty(paths)
-    escaped = np.zeros(paths, dtype=bool)
-
-    def run_block(lo, hi):
-        for p in range(lo, hi):
-            uni = _Uniforms(path_rng(seed, p))
-            X[p], escaped[p] = _path_cost(chain, start, horizon, uni,
-                                          player, box)
-
-    _run_indexed(paths, run_block, workers)
+    X, _, top, _ = _lockstep(chain, seed, 0, paths, start, player, 0.0,
+                             float(horizon), tail=True)
 
     rho_hat = float((logsumexp(X) - math.log(paths)) / horizon)
     per = paths // batches
     batch_logs = np.array([logsumexp(X[b * per:(b + 1) * per]) - math.log(per)
                            for b in range(batches)])
     se = _batch_se(batch_logs, horizon)
-    n_escaped = int(escaped.sum())
+    n_escaped = 0 if box is None else int((top > box).sum())
     return RiskCostEstimate(
         rho_hat=rho_hat, se=se, horizon=horizon, n_paths=paths,
         n_batches=batches, batch_rho=batch_logs / horizon, log_weights=X,
@@ -338,29 +483,17 @@ class HittingReport:
         return self.valid and all(r.z_score <= k for r in self.rows)
 
 
-def _path_hit(chain, start, targets, uni, player, rho, tau_cap, kill_above):
-    t = 0.0
-    state = start
-    z = 0.0
-    while True:
-        if state in targets:
-            return "hit", z, state
-        if kill_above is not None and state > kill_above:
-            return "killed", z, state
-        exit_rate, tg, cum, total, c1, c2 = chain.at(state)
-        c = (c1 if player == 1 else c2) - rho
-        if exit_rate == 0.0:
-            return "capped", z, state  # absorbing off-target: never hits
-        u_hold = uni.take()
-        u_jump = uni.take()
-        dt = -math.log1p(-u_hold) / exit_rate
-        if t + dt > tau_cap:
-            return "capped", z, state
-        t_next = t + dt
-        z += (t_next - t) * c
-        t = t_next
-        k = bisect_right(cum, u_jump * total)
-        state = tg[min(k, len(tg) - 1)]
+def _halt_mask(targets, kill_above):
+    """Stop mask over states for the hitting check: ``mask[i]`` is True
+    when state ``i`` is a target or lies above ``kill_above``; the last
+    entry holds for every larger state."""
+    top = max([0, *targets] if kill_above is None
+              else [0, *targets, kill_above])
+    mask = np.zeros(top + 2, dtype=bool)
+    mask[[i for i in targets if i >= 1]] = True
+    if kill_above is not None:
+        mask[max(kill_above, 0) + 1:] = True
+    return mask
 
 
 def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
@@ -368,8 +501,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
                                  psi, rho: float, target_set, starts,
                                  n_paths: int, seed: int, batches: int = 20,
                                  tau_cap: float = 1e6,
-                                 kill_outside: int | None = None,
-                                 workers: int = 1) -> HittingReport:
+                                 kill_outside: int | None = None
+                                 ) -> HittingReport:
     """Monte-Carlo check of the hitting-time representation of psi.
 
     ``psi`` maps states to eigenfunction values (it must cover the target
@@ -387,6 +520,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     if n_paths % batches:
         raise ValueError("batches must divide the path count")
     targets = frozenset(int(s) for s in target_set)
+    target_list = sorted(targets)
+    halt = _halt_mask(target_list, kill_outside)
     chain = _AveragedChain(model, v1, v2)
     rows = []
     for k_start, start in enumerate(starts):
@@ -397,27 +532,17 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
                 rel_deviation=0.0, z_score=0.0, n_hit=n_paths, n_killed=0,
                 n_capped=0, valid=True))
             continue
+        z, end, _, halted = _lockstep(chain, seed, k_start * n_paths, n_paths,
+                                      start, player, rho, float(tau_cap),
+                                      tail=False, halt=halt)
+        hit = halted & np.isin(end, target_list)
         logs = np.full(n_paths, -np.inf)
-        status = np.zeros(n_paths, dtype=np.int8)  # 0 hit, 1 killed, 2 capped
-
-        def run_block(lo, hi, start=start):
-            for p in range(lo, hi):
-                uni = _Uniforms(path_rng(seed, k_start * n_paths + p))
-                outcome, z, end = _path_hit(chain, start, targets, uni,
-                                            player, rho, tau_cap,
-                                            kill_outside)
-                if outcome == "hit":
-                    logs[p] = z + math.log(psi[end])
-                    status[p] = 0
-                elif outcome == "killed":
-                    status[p] = 1
-                else:
-                    status[p] = 2
-
-        _run_indexed(n_paths, run_block, workers)
-        n_hit = int((status == 0).sum())
-        n_killed = int((status == 1).sum())
-        n_capped = int((status == 2).sum())
+        hit_states, where = np.unique(end[hit], return_inverse=True)
+        log_psi = np.array([math.log(psi[i]) for i in hit_states.tolist()])
+        logs[hit] = z[hit] + log_psi[where]
+        n_hit = int(hit.sum())
+        n_killed = int(halted.sum()) - n_hit
+        n_capped = n_paths - int(halted.sum())
         estimate = float(np.exp(logsumexp(logs) - math.log(n_paths)))
         per = n_paths // batches
         batch_logs = np.array([
@@ -434,4 +559,4 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
             rel_deviation=rel, z_score=z_score, n_hit=n_hit,
             n_killed=n_killed, n_capped=n_capped, valid=n_hit > 0))
     return HittingReport(rows=tuple(rows), rho=rho, player=player,
-                         n_paths=n_paths, target_set=tuple(sorted(targets)))
+                         n_paths=n_paths, target_set=tuple(target_list))

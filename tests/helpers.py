@@ -2,13 +2,19 @@
 
 The oracles here deliberately avoid the library's assembly and solver
 paths: dense matrices are built by direct loops over the model's raw rows,
-and eigenpairs come from scipy's general dense eigensolver.
+and eigenpairs come from scipy's general dense eigensolver.  The
+simulation references are scalar loops, one jump per iteration.
 """
+
+import math
+from bisect import bisect_right
 
 import numpy as np
 import scipy.linalg
+from scipy.special import logsumexp
 
 from rsgame.model import GameModel, tabular_model
+from rsgame.simulate import path_rng
 
 
 def random_game(rng, n_states=4, m1=2, m2=2, rate_scale=1.0, cost_scale=1.0,
@@ -250,3 +256,91 @@ def unbiased_mc_instance(rng, n_states=None, rate_scale=0.12, cost_scale=0.15,
     final, rho = log_bias_constant(costs)
     assert abs(final) < 1e-10, "bias tuning failed for this draw"
     return build(costs), start, rho
+
+
+def reference_jump_row(model: GameModel, v1, v2, i):
+    """State ``i``'s strategy-averaged jump row, summed pair by pair.
+
+    Independent of rsgame.generator: pure action pairs run in
+    lexicographic order and each target's rate accumulates from zero, the
+    order the action-pair contraction sums in.  Returns ``(exit rate,
+    targets, cumulative rates, total rate, c1, c2)``.
+    """
+    off, diag, c1, c2 = {}, 0.0, 0.0, 0.0
+    for ia, wa in enumerate(v1.weights(i)):
+        for ib, wb in enumerate(v2.weights(i)):
+            w = wa * wb
+            if w == 0.0:
+                continue
+            row = model.row(i, ia, ib)
+            for j, r in zip(row.cols.tolist(), row.rates.tolist()):
+                off[j] = off.get(j, 0.0) + w * r
+            diag += w * row.diag
+            a, b = model.costs(i, ia, ib)
+            c1 += w * a
+            c2 += w * b
+    targets = sorted(j for j, r in off.items() if r != 0.0)
+    cum = np.cumsum([off[j] for j in targets]).tolist()
+    return (-float(diag), targets, cum, cum[-1] if cum else 0.0,
+            float(c1), float(c2))
+
+
+def _stream(seed, path):
+    """Uniforms of path ``path``'s stream, drawn 256 at a time."""
+    rng = path_rng(seed, path)
+    while True:
+        yield from rng.random(256)
+
+
+def reference_hit(model: GameModel, v1, v2, player, start, targets, seed,
+                  path, rho, tau_cap=1e6, kill_above=None):
+    """One hitting-check path, one jump per iteration.
+
+    Returns ``(outcome, z, end state)`` with outcome ``"hit"``,
+    ``"killed"`` or ``"capped"``; ``z`` integrates ``c_player - rho``.
+    """
+    rows = {}
+    uniforms = _stream(seed, path)
+    t = 0.0
+    state = start
+    z = 0.0
+    while True:
+        if state in targets:
+            return "hit", z, state
+        if kill_above is not None and state > kill_above:
+            return "killed", z, state
+        if state not in rows:
+            rows[state] = reference_jump_row(model, v1, v2, state)
+        exit_rate, tg, cum, total, c1, c2 = rows[state]
+        c = (c1 if player == 1 else c2) - rho
+        if exit_rate == 0.0:
+            return "capped", z, state  # absorbing off-target: never hits
+        u_hold = next(uniforms)
+        u_jump = next(uniforms)
+        dt = -math.log1p(-u_hold) / exit_rate
+        if t + dt > tau_cap:
+            return "capped", z, state
+        t_next = t + dt
+        z += (t_next - t) * c
+        t = t_next
+        k = bisect_right(cum, u_jump * total)
+        state = tg[min(k, len(tg) - 1)]
+
+
+def reference_hitting_row(model: GameModel, v1, v2, player, psi, rho,
+                          targets, start, first, n_paths, seed, tau_cap=1e6,
+                          kill_above=None):
+    """Hitting estimate of one start over paths ``first .. first +
+    n_paths - 1`` with :func:`reference_hit`: ``(estimate, hits, killed,
+    capped)``, reduced in path order as the hitting check reduces."""
+    logs = np.full(n_paths, -np.inf)
+    counts = {"hit": 0, "killed": 0, "capped": 0}
+    for p in range(n_paths):
+        outcome, z, end = reference_hit(model, v1, v2, player, start,
+                                        targets, seed, first + p, rho,
+                                        tau_cap, kill_above)
+        counts[outcome] += 1
+        if outcome == "hit":
+            logs[p] = z + math.log(psi[end])
+    estimate = float(np.exp(logsumexp(logs) - math.log(n_paths)))
+    return estimate, counts["hit"], counts["killed"], counts["capped"]

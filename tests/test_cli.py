@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -192,6 +193,59 @@ class TestSimulate:
         assert lines[0].startswith("start,psi,estimate")
         assert len(lines) == 3
 
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hit-starts", "50"), ("--hit-starts", "0"),
+        ("--hit-targets", "45"), ("--hit-targets", "0")])
+    def test_hitting_states_outside_truncation_exit_two(self, flag, value,
+                                                        tmp_path, capsys):
+        # a start without psi, or a target no path can hit, is rejected
+        # before any simulation runs
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--builtin", "shop", "--trunc", "40",
+                "--horizon", "5", "--paths", "100", "--batches", "10",
+                "--hitting", "--hit-targets", "1,2,3", "--hit-starts", "6",
+                "--out", str(out)]
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: state {value} lies outside the truncation 1..40" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_hitting_truncation_beyond_finite_model_exits_two(self, tmp_path,
+                                                             capsys):
+        model_path = tmp_path / "flip.json"
+        save_model(flip_flop_model(), model_path)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--model", str(model_path), "--trunc", "40",
+                     "--horizon", "5", "--paths", "100", "--batches", "10",
+                     "--hitting", "--out", str(out)]) == 2
+        assert "exceeds the 2-state model" in capsys.readouterr().err
+        assert not out.exists()
+
+    # sha256 of the growth CSV and the .hitting.csv of the benchmark's
+    # shop-simulate command at 200 paths, recorded with the one-path-at-a-
+    # time jump loops that the lockstep kernel replaced
+    GOLDEN = {
+        100000: ("b032b710adffb61080d160183189cda4bbdf66f643db096d3ccd11fa18d19135",
+                 "bfa1fe220f212658ad5af32fd20c9b509304bb0e45547c7189742da52dc3ef8e"),
+        100001: ("75ba0597cefa3ff055c03ccd506c890c52f2d6260c3e5061277b3d769f95b3e2",
+                 "d5b1f1e2059966cca68ef38cf445ac991eae6d9eba1ce034371384d6e435cd95"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_shop_artifacts_bit_identical_to_recorded_digests(self, seed,
+                                                              tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--builtin", "shop", "--horizon", "150.0",
+                     "--paths", "200", "--batches", "20", "--workers", "2",
+                     "--trunc", "40", "--hitting", "--hit-targets", "1,2,3,4,5",
+                     "--hit-starts", "6,7,8,9,10", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (out, tmp_path / "sim.csv.hitting.csv"))
+        assert digests == self.GOLDEN[seed]
 
     HIT_ARGS = ["simulate", "--builtin", "shop", "--horizon", "10",
                 "--paths", "400", "--trunc", "40", "--hitting",

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from rsgame import simulate
 from rsgame.eigensolver import principal_eigenpair
 from rsgame.generator import assemble
 from rsgame.model import (
     shop_model,
     tabular_model,
+    tabular_strategy,
     truncate,
     uniform_strategy,
 )
@@ -20,7 +22,12 @@ from rsgame.simulate import (
     sample_path,
 )
 
-from tests.helpers import random_game, unbiased_mc_instance
+from tests.helpers import (
+    random_game,
+    reference_hitting_row,
+    reference_jump_row,
+    unbiased_mc_instance,
+)
 
 
 def absorbing_model(kappa=0.8):
@@ -37,8 +44,26 @@ def flip_flop_model():
     return tabular_model(rates, costs, grids, n_states=2)
 
 
+def trap_model():
+    """1 <-> 2 -> 3 with state 3 absorbing: paths stop jumping at random
+    times."""
+    grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2, 3)}
+    rates = {(1, 0, 0): {2: 1.0, 1: -1.0},
+             (2, 0, 0): {1: 0.5, 3: 0.5, 2: -1.0},
+             (3, 0, 0): {3: 0.0}}
+    costs = {(1, 0, 0): (0.05, 0.2), (2, 0, 0): (0.12, 0.1),
+             (3, 0, 0): (0.02, 0.3)}
+    return tabular_model(rates, costs, grids, n_states=3)
+
+
 def pair(model):
     return uniform_strategy(model, 1), uniform_strategy(model, 2)
+
+
+def same_bits(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 _SOJOURN_CACHE = {}
@@ -167,18 +192,18 @@ class TestEstimateRiskCost:
         risk_neutral = est.log_weights.mean() / est.horizon
         assert est.rho_hat >= risk_neutral - 3 * est.se
 
-    def test_bit_identical_across_worker_counts(self):
+    def test_kernel_matches_scalar_reference(self):
+        # every cost integral equals the one-path loop's on the same stream
         model = flip_flop_model()
         v1, v2 = pair(model)
-        runs = [estimate_risk_cost(model, v1, v2, 1, 1, horizon=30.0,
-                                   paths=600, batches=10, seed=11, workers=w)
-                for w in (1, 2, 8)]
-        assert runs[0].rho_hat == runs[1].rho_hat == runs[2].rho_hat
-        assert np.array_equal(runs[0].log_weights, runs[1].log_weights)
-        assert np.array_equal(runs[0].log_weights, runs[2].log_weights)
+        est = estimate_risk_cost(model, v1, v2, 1, 1, horizon=30.0,
+                                 paths=600, batches=10, seed=11)
+        ref = [sample_path(model, v1, v2, 1, 30.0, (11, p)).cost1
+               for p in range(600)]
+        assert same_bits(est.log_weights, ref)
         other = estimate_risk_cost(model, v1, v2, 1, 1, horizon=30.0,
                                    paths=600, batches=10, seed=12)
-        assert other.rho_hat != runs[0].rho_hat
+        assert other.rho_hat != est.rho_hat
 
     def test_escape_flag_invalidates_when_all_paths_leave(self):
         model = shop_model()
@@ -242,7 +267,156 @@ class TestHittingRepresentation:
                                          batches=2)
 
 
+class TestLockstepKernel:
+    def test_shop_paths_past_the_table_top_across_blocks(self, monkeypatch):
+        # from just below the table's first top, paths extend it, make
+        # more than 128 jumps (a stream refill) and run in five blocks
+        monkeypatch.setattr(simulate, "_PATH_BLOCK", 32)
+        model = shop_model()
+        v1, v2 = pair(model)
+        start = simulate._TABLE_START - 2
+        box = start + 2
+        ref = [sample_path(model, v1, v2, start, 10.0, (31, p), box=box)
+               for p in range(160)]
+        assert max(int(r.states.max()) for r in ref) > simulate._TABLE_START
+        assert sum(r.n_jumps > 128 for r in ref) > 10
+        for player in (1, 2):
+            est = estimate_risk_cost(model, v1, v2, player, start, 10.0,
+                                     paths=160, batches=10, seed=31, box=box)
+            assert same_bits(est.log_weights,
+                             [r.cost1 if player == 1 else r.cost2
+                              for r in ref])
+            assert est.escaped == sum(r.left_box for r in ref)
+        assert 0 < est.escaped < 160
+
+    def test_flip_flop_over_more_than_one_block(self):
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        n = simulate._PATH_BLOCK + 52
+        est = estimate_risk_cost(model, v1, v2, 1, 1, horizon=140.0, paths=n,
+                                 batches=10, seed=5)
+        ref = [sample_path(model, v1, v2, 1, 140.0, (5, p)) for p in range(n)]
+        assert max(r.n_jumps for r in ref) > 128
+        assert same_bits(est.log_weights, [r.cost1 for r in ref])
+
+    def test_absorbing_models(self):
+        # trap paths absorb at random times; their cost runs on to T
+        for model in (absorbing_model(), trap_model()):
+            v1, v2 = pair(model)
+            ref = [sample_path(model, v1, v2, 1, 8.0, (17, p))
+                   for p in range(300)]
+            for player in (1, 2):
+                est = estimate_risk_cost(model, v1, v2, player, 1, 8.0,
+                                         paths=300, batches=10, seed=17)
+                assert same_bits(est.log_weights,
+                                 [r.cost1 if player == 1 else r.cost2
+                                  for r in ref])
+        ends = {int(r.states[-1]) for r in ref}
+        assert 3 in ends and len(ends) > 1
+
+    def test_random_game_rows_of_every_width(self):
+        # rows with one to four targets under mixed strategies
+        rng = np.random.default_rng(2)
+        game = random_game(rng, n_states=6, m1=2, m2=1, extra_edge_prob=0.2)
+        mixed = [tabular_strategy(game, k, {
+            i: rng.dirichlet(np.ones(game.n_actions(k, i)))
+            for i in range(1, 7)}) for k in (1, 2)]
+        widths = {len(reference_jump_row(game, *mixed, i)[1])
+                  for i in range(1, 7)}
+        assert widths == {1, 2, 3, 4}
+        ref = [sample_path(game, *mixed, 2, 40.0, (3, p)) for p in range(200)]
+        est = estimate_risk_cost(game, *mixed, 2, 2, 40.0, paths=200,
+                                 batches=10, seed=3)
+        assert same_bits(est.log_weights, [r.cost2 for r in ref])
+
+    def test_hitting_outcomes_match_scalar_reference(self):
+        # shop: targets {1, 2}, killed above 9, capped at time 0.4
+        model = shop_model()
+        v1, v2 = pair(model)
+        psi = {i: 1.0 + 0.1 * i for i in range(1, 11)}
+        starts = [5, 8]
+        report = hitting_representation_check(
+            model, v1, v2, 1, psi, rho=0.3, target_set={1, 2}, starts=starts,
+            n_paths=400, seed=19, batches=20, tau_cap=0.4, kill_outside=9)
+        totals = np.zeros(3, dtype=int)
+        for k, (start, row) in enumerate(zip(starts, report.rows)):
+            estimate, *counts = reference_hitting_row(
+                model, v1, v2, 1, psi, 0.3, {1, 2}, start, k * 400, 400, 19,
+                tau_cap=0.4, kill_above=9)
+            assert [row.n_hit, row.n_killed, row.n_capped] == counts
+            assert same_bits(row.estimate, estimate)
+            totals += counts
+        assert np.all(totals > 0)
+
+    def test_hitting_absorbing_and_target_starts(self):
+        # start 2 hits 1 or is absorbed at 3 (capped); start 1 is a target
+        # and uses no stream; start 3 is absorbed at once
+        model = trap_model()
+        v1, v2 = pair(model)
+        psi = {1: 2.0, 2: 3.0, 3: 1.0}
+        starts = [2, 1, 3]
+        report = hitting_representation_check(
+            model, v1, v2, 2, psi, rho=0.05, target_set={1}, starts=starts,
+            n_paths=200, seed=23, batches=10)
+        assert report.rows[1].n_hit == 200
+        for k in (0, 2):
+            row = report.rows[k]
+            estimate, *counts = reference_hitting_row(
+                model, v1, v2, 2, psi, 0.05, {1}, starts[k], k * 200, 200, 23)
+            assert [row.n_hit, row.n_killed, row.n_capped] == counts
+            assert same_bits(row.estimate, estimate)
+        assert report.rows[0].n_hit > 0 and report.rows[0].n_capped > 0
+        assert report.rows[2].n_capped == 200
+
+    def test_dense_table_matches_one_state_rows(self):
+        # the doubling table against each state's own pair-by-pair sum:
+        # the shop past two doublings, and a game with mixed strategies
+        model = shop_model()
+        v1, v2 = pair(model)
+        chain = simulate._AveragedChain(model, v1, v2)
+        for i in range(1, 3 * simulate._TABLE_START):
+            assert repr(chain.at(i)) == repr(reference_jump_row(model, v1,
+                                                                v2, i))
+        rng = np.random.default_rng(5)
+        game = random_game(rng, n_states=6, m1=3, m2=2)
+        mixed = [tabular_strategy(game, k, {
+            i: rng.dirichlet(np.ones(game.n_actions(k, i)))
+            for i in range(1, 7)}) for k in (1, 2)]
+        chain = simulate._AveragedChain(game, *mixed)
+        for i in range(1, 7):
+            assert repr(chain.at(i)) == repr(reference_jump_row(game, *mixed,
+                                                                i))
+
+    def test_invalid_rate_raises_only_when_reached(self):
+        # state 3's negative rate is never reached from 1
+        grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2, 3)}
+        rates = {(1, 0, 0): {2: 1.0, 1: -1.0}, (2, 0, 0): {1: 1.0, 2: -1.0},
+                 (3, 0, 0): {1: -1.0, 3: 1.0}}
+        model = tabular_model(rates, {}, grids, n_states=3)
+        v1, v2 = pair(model)
+        est = estimate_risk_cost(model, v1, v2, 1, 1, 10.0, paths=20,
+                                 batches=10, seed=1)
+        assert est.rho_hat == 0.0
+        with pytest.raises(ValueError, match="invalid averaged rate at state 3"):
+            estimate_risk_cost(model, v1, v2, 1, 3, 10.0, paths=20,
+                               batches=10, seed=1)
+
+
 class TestStreams:
+    def test_block_draws_match_path_streams(self):
+        # one reusable Philox reproduces each path's b-th 256-draw, with
+        # the key masked to 64 bits like path_rng's
+        out = np.empty((3, 256))
+        streams = simulate._Streams(-5)
+        first = 2**64 - 2
+        for block in range(3):
+            streams.fill(out, np.arange(3), first, block)
+            for r in range(3):
+                rng = path_rng(-5, first + r)
+                for _ in range(block):
+                    rng.random(256)
+                assert out[r].tobytes() == rng.random(256).tobytes()
+
     def test_philox_streams_are_stable(self):
         # the documented stream scheme: Philox keyed by (seed, path index)
         a = path_rng(42, 0).random(4)
