@@ -313,9 +313,9 @@ def _run_verify(config: RunConfig) -> int:
           f"{irr.irreducible} ({irr.n_components} component(s))")
 
     if config.builtin == "shop":
-        params = ShopParams()
+        params = model.meta["shop_params"]
         spec = shop_lyapunov_spec(params)
-        conditions = verify.shop_condition_report(params, rng)
+        conditions = verify.shop_condition_report(params, rng, model)
         payload["shop_conditions"] = conditions.to_json_dict()
         growth = verify.check_growth_drift(model, spec, rng)
         killed = verify.check_killed_drift(model, spec, "unbounded", rng)

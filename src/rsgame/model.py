@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,6 +122,7 @@ class GameModel:
         self._row_cache: dict = {}
         self._cost_cache: dict = {}
         self._grid_cache: dict = {}
+        self._chain_cache: dict = {}  # sample_path's jump tables per strategy pair
 
     @property
     def is_finite(self) -> bool:
@@ -636,7 +638,11 @@ def shop_model(params: ShopParams | None = None) -> GameModel:
     if bad:
         lines = "; ".join(f"{cond}: {msg}" for cond, msg in bad)
         raise ValueError(f"invalid shop parameters: {lines}")
+    return _shop_game(params)
 
+
+def _shop_game(params: ShopParams) -> GameModel:
+    """The shop model of ``params``, which are not validated."""
     boundary = _shop_boundary_row(params)
     grids = {}
 
@@ -709,26 +715,15 @@ def tabular_model(rates: Mapping, costs: Mapping, action_grids: Mapping,
     ``rates[(i, ia, ib)]`` is the full row mapping ``{j: rate}`` (diagonal
     derived as minus the off-diagonal sum when absent),
     ``costs[(i, ia, ib)] = (c1, c2)`` (zero when absent), and
-    ``action_grids[(player, i)]`` the grid values.
+    ``action_grids[(player, i)]`` the grid values, one for every state.
+    Rejects an entry whose state, target or action lies outside the model.
     """
-    rates = {k: dict(v) for k, v in rates.items()}
-    costs = dict(costs)
-    grids = {k: np.asarray(v, dtype=float) for k, v in action_grids.items()}
-
-    def rate_fn(i, ia, ib):
-        row = dict(rates.get((i, ia, ib), {}))
-        if i not in row:
-            row[i] = -sum(r for j, r in row.items() if j != i)
-        return row
-
-    def cost_fn(i, ia, ib):
-        return costs.get((i, ia, ib), (0.0, 0.0))
-
-    def grid_fn(player, i):
-        return grids[(player, i)]
-
-    return GameModel(rate_fn, cost_fn, grid_fn, n_states=n_states,
-                     anchor=anchor, name=name)
+    rate_entries = [(i, ia, ib, j, r) for (i, ia, ib), row in rates.items()
+                    for j, r in row.items()]
+    cost_entries = [(k, i, ia, ib, c) for (i, ia, ib), (c1, c2) in costs.items()
+                    for k, c in ((1, c1), (2, c2))]
+    return _table_model(n_states, action_grids, rate_entries, cost_entries,
+                        anchor, name)
 
 
 def birth_death_model(up: Sequence[float], down: Sequence[float],
@@ -763,7 +758,11 @@ def birth_death_model(up: Sequence[float], down: Sequence[float],
 
 
 def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
-    """Same model with a constant added to one player's cost rate."""
+    """Same model with a constant added to one player's cost rate.
+
+    Rows do not depend on costs, so the shifted model shares the base
+    model's row cache: a row built by either is built once.
+    """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
 
@@ -774,7 +773,232 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
     shifted = GameModel(model._rate_fn, cost_fn, model._grids,
                         n_states=model.n_states, anchor=model.anchor,
                         name=model.name + f"+shift{player}", meta=None)
+    shifted._row_cache = model._row_cache
     return shifted
+
+
+# ---------------------------------------------------------------------------
+# Columnar tables
+# ---------------------------------------------------------------------------
+
+def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
+                 anchor: int = 1, name: str = "") -> GameModel:
+    """Finite model from rate entries ``[i, ia, ib, j, value]`` and cost
+    entries ``[k, i, ia, ib, value]``, with every row and cost built here.
+
+    The entries become arrays once; every index is checked, a bad entry
+    raising a ``ValueError`` that names the first one in entry order.
+    Entries are sorted by ``(pair, target)`` and every :class:`Row` is a
+    read-only view into one stacked CSR.  A repeated ``(i, ia, ib, j)`` or
+    ``(k, i, ia, ib)`` entry keeps its last value; zero off-diagonal rates
+    are dropped; an explicit diagonal is used as given, and a missing one
+    is minus the sequential sum of the row's off-diagonal values in order
+    of each target's first entry.  Absent rows are absorbing and absent
+    costs zero.
+    """
+    grids = {}
+    for player in (1, 2):
+        for i in range(1, n + 1):
+            if (player, i) not in action_grids:
+                raise ValueError(
+                    f"no action grid for player {player} at state {i}")
+            grids[(player, i)] = np.asarray(action_grids[(player, i)],
+                                            dtype=float)
+    m1 = np.array([grids[(1, i)].size for i in range(1, n + 1)], dtype=np.int64)
+    m2 = np.array([grids[(2, i)].size for i in range(1, n + 1)], dtype=np.int64)
+    per = m1 * m2
+    starts = np.cumsum(per) - per
+    n_pairs = int(per.sum())
+    state = np.repeat(np.arange(1, n + 1), per)
+    a1, a2 = np.divmod(np.arange(n_pairs) - starts[state - 1], m2[state - 1])
+
+    indptr, cols, rates, diag = _stacked_rows(rate_entries, n, m1, m2, starts,
+                                              state)
+    cost = _cost_table(cost_entries, n, m1, m2, starts, n_pairs)
+    keys = list(zip(state.tolist(), a1.tolist(), a2.tolist()))
+    bounds = indptr.tolist()
+    row_cache = dict(zip(keys, (
+        Row(cols=cols[a:b], rates=rates[a:b], diag=d)
+        for a, b, d in zip(bounds[:-1], bounds[1:], diag.tolist()))))
+    cost_cache = dict(zip(keys, map(tuple, cost.tolist())))
+
+    def rate_fn(i, ia, ib):
+        row = row_cache.get((i, ia, ib))
+        if row is None:  # outside the table: absorbing, like an absent row
+            return {i: 0.0}
+        full = dict(zip(row.cols.tolist(), row.rates.tolist()))
+        full[i] = row.diag
+        return full
+
+    def cost_fn(i, ia, ib):
+        return cost_cache.get((i, ia, ib), (0.0, 0.0))
+
+    def grid_fn(player, i):
+        return grids[(player, i)]
+
+    model = GameModel(rate_fn, cost_fn, grid_fn, n_states=n, anchor=anchor,
+                      name=name)
+    model._row_cache = row_cache
+    model._cost_cache = cost_cache
+    return model
+
+
+def _stacked_rows(entries, n, m1, m2, starts, state):
+    """Every pair's row from the rate entries, as one CSR ``(indptr, cols,
+    rates)`` with read-only ``cols`` (target states) and ``rates``, and
+    the diagonals; see :func:`_table_model` for the rules.  Each array is
+    dropped as soon as it is used up."""
+    n_pairs = state.size
+    values = _entry_array(entries, "rate")
+    pair, target = _entry_pairs("rate", values, entries, n, m1, m2, starts)
+    values = values[:, 4].copy()
+    explicit = target == state[pair]
+    on = np.flatnonzero(explicit)
+    given, _, given_value, _ = _last_by_key(pair[on], values[on], 1, on)
+    off = np.flatnonzero(~explicit)
+    key, values = pair[off] * (n + 1) + target[off], values[off]
+    del pair, target, explicit, on
+    off_pair, off_col, off_value, first = _last_by_key(key, values, n + 1, off)
+    del key, values, off
+    keep = off_value != 0.0
+    indptr = np.zeros(n_pairs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(off_pair[keep], minlength=n_pairs), out=indptr[1:])
+    cols, rates = off_col[keep], off_value[keep]
+    cols.setflags(write=False)
+    rates.setflags(write=False)
+    del off_col, keep
+    # derived diagonals: each row's values in order of first entry
+    by_entry = np.lexsort((first, off_pair))
+    del first
+    diag = np.where(np.bincount(off_pair, minlength=n_pairs) > 0,
+                    -_sequential_sums(off_pair[by_entry], off_value[by_entry],
+                                      n_pairs), 0.0)
+    diag[given] = given_value
+    return indptr, cols, rates, diag
+
+
+def _cost_table(entries, n, m1, m2, starts, n_pairs):
+    """``(n_pairs, 2)`` cost rates from the cost entries, zero where
+    absent."""
+    values = _entry_array(entries, "cost")
+    pair, player = _entry_pairs("cost", values, entries, n, m1, m2, starts)
+    at, k, value, _ = _last_by_key(pair * 2 + player - 1, values[:, 4], 2,
+                                   np.arange(pair.size))
+    cost = np.zeros((n_pairs, 2))
+    cost[at, k] = value
+    return cost
+
+
+_ENTRY_FIELDS = {"rate": "[i, ia, ib, j, value]",
+                 "cost": "[k, i, ia, ib, value]"}
+
+
+def _entry_array(entries, kind) -> np.ndarray:
+    """``(len(entries), 5)`` float array of rate or cost entries.
+
+    A row of NaN stands for an entry that is not five numbers, so that the
+    index check names it in entry order.
+    """
+    try:
+        if set(map(len, entries)) <= {5}:
+            return np.fromiter(chain.from_iterable(entries), float,
+                               5 * len(entries)).reshape(-1, 5)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{kind} entries must form a list of "
+                         f"{_ENTRY_FIELDS[kind]} lists")
+    out = np.full((len(entries), 5), np.nan)
+    for p, entry in enumerate(entries):
+        try:
+            if len(entry) == 5:
+                out[p] = [float(x) for x in entry]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return out
+
+
+def _entry_pairs(kind, values, entries, n, m1, m2, starts):
+    """Pair index and target (rate entries) or cost player (cost entries)
+    of every entry; raises naming the first entry outside the model."""
+    if kind == "rate":
+        i, ia, ib, other = values[:, :4].T
+        ok = (other >= 1) & (other <= n)
+    else:
+        other, i, ia, ib = values[:, :4].T
+        ok = (other == 1) | (other == 2)
+    for index in (i, ia, ib, other):  # one column at a time keeps copies small
+        ok &= np.isfinite(index) & (index == np.trunc(index))
+    ok &= (i >= 1) & (i <= n)
+    s = np.where(ok, i - 1, 0).astype(np.int64)
+    ok &= (ia >= 0) & (ia < m1[s]) & (ib >= 0) & (ib < m2[s])
+    if not ok.all():
+        p = int(np.argmin(ok))
+        raise _entry_error(kind, entries[p], values[p], n, m1, m2)
+    return (starts[s] + ia.astype(np.int64) * m2[s] + ib.astype(np.int64),
+            other.astype(np.int64))
+
+
+def _entry_error(kind, entry, values, n, m1, m2) -> ValueError:
+    """Name the index by which a rate or cost entry leaves the model;
+    ``values`` is the entry as floats and ``m1[i - 1]``, ``m2[i - 1]``
+    the grid sizes at state ``i``."""
+    entry = list(entry) if isinstance(entry, (list, tuple)) else entry
+    index = values[:4]
+    if not (np.isfinite(index).all() and (index == np.trunc(index)).all()):
+        return ValueError(f"{kind} entry {entry}: expected five numbers "
+                          f"{_ENTRY_FIELDS[kind]} with integer indices")
+    if kind == "rate":
+        i, ia, ib, j = (int(x) for x in index)
+        k = 1
+    else:
+        k, i, ia, ib = (int(x) for x in index)
+        j = 1
+    if k not in (1, 2):
+        problem = f"cost player {k} is not 1 or 2"
+    elif not 1 <= i <= n:
+        problem = f"state {i} is outside states 1..{n}"
+    elif not 1 <= j <= n:
+        problem = f"target state {j} is outside states 1..{n}"
+    elif not 0 <= ia < m1[i - 1]:
+        problem = (f"player 1 action {ia} is outside the "
+                   f"{m1[i - 1]}-action grid at state {i}")
+    else:
+        problem = (f"player 2 action {ib} is outside the "
+                   f"{m2[i - 1]}-action grid at state {i}")
+    return ValueError(f"{kind} entry {entry}: {problem}")
+
+
+def _last_by_key(key, values, base, position):
+    """One entry per distinct ``key``, in ascending key order: the key's
+    quotient and remainder by ``base``, its last value and the
+    ``position`` of its first entry."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    tail = np.ones(key.size, dtype=bool)
+    tail[:-1] = head[1:]
+    key = key[head]
+    return key // base, key % base, values[order[tail]], position[order[head]]
+
+
+def _sequential_sums(groups, values, n_groups: int) -> np.ndarray:
+    """Sum of each group's ``values``, added one by one in the given order
+    from 0.0.  ``groups`` must be sorted; the sum runs one column of the
+    padded ``(group, position)`` layout at a time, so a group's additions
+    happen in order, and never pairwise."""
+    size = np.bincount(groups, minlength=n_groups)
+    rank = np.arange(groups.size)
+    rank -= (np.cumsum(size) - size)[groups]
+    by_rank = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    del rank
+    total = np.zeros(n_groups)
+    for a, b in zip([0, *ends], ends):
+        at = by_rank[a:b]
+        total[groups[at]] += values[at]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +1017,7 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
 #
 # Unknown keys are rejected at every level.  Rows absent from "rates" are
 # absorbing; a missing diagonal entry is derived so the row is conservative.
+# Repeated entries keep their last value (see ``_table_model``).
 
 _TOP_KEYS = {"states", "lazy", "anchor", "actions", "rates", "costs",
              "shop_params"}
@@ -839,29 +1064,6 @@ def _shop_params_to_dict(p: ShopParams) -> dict:
     return d
 
 
-def _entry_error(kind, entry, n, grids) -> ValueError:
-    """Name the index by which a rate or cost entry leaves the model."""
-    if kind == "rate":
-        i, ia, ib, j = (int(x) for x in entry[:4])
-        k = 1
-    else:
-        k, i, ia, ib = (int(x) for x in entry[:4])
-        j = 1
-    if k not in (1, 2):
-        problem = f"cost player {k} is not 1 or 2"
-    elif not 1 <= i <= n:
-        problem = f"state {i} is outside states 1..{n}"
-    elif not 1 <= j <= n:
-        problem = f"target state {j} is outside states 1..{n}"
-    elif not 0 <= ia < len(grids[(1, i)]):
-        problem = (f"player 1 action {ia} is outside the "
-                   f"{len(grids[(1, i)])}-action grid at state {i}")
-    else:
-        problem = (f"player 2 action {ib} is outside the "
-                   f"{len(grids[(2, i)])}-action grid at state {i}")
-    return ValueError(f"{kind} entry {list(entry)}: {problem}")
-
-
 def model_from_dict(doc: Mapping) -> GameModel:
     _reject_unknown(doc, _TOP_KEYS, "model document")
     if "lazy" in doc:
@@ -883,30 +1085,10 @@ def model_from_dict(doc: Mapping) -> GameModel:
         per_state = {int(i): v for i, v in spec.get("per_state", {}).items()}
         for i in range(1, n + 1):
             g = per_state.get(i, default)
-            if g is None:
-                raise ValueError(
-                    f"no action grid for player {player} at state {i}")
-            grids[(player, i)] = g
-
-    pairs = {(i, ia, ib) for i in range(1, n + 1)
-             for ia in range(len(grids[(1, i)]))
-             for ib in range(len(grids[(2, i)]))}
-    rates: dict = {}
-    for entry in doc.get("rates", []):
-        i, ia, ib, j, value = entry
-        key, j = (int(i), int(ia), int(ib)), int(j)
-        if key not in pairs or not 1 <= j <= n:
-            raise _entry_error("rate", entry, n, grids)
-        rates.setdefault(key, {})[j] = float(value)
-    costs: dict = {}
-    for entry in doc.get("costs", []):
-        k, i, ia, ib, value = entry
-        key, k = (int(i), int(ia), int(ib)), int(k)
-        if key not in pairs or k not in (1, 2):
-            raise _entry_error("cost", entry, n, grids)
-        costs.setdefault(key, [0.0, 0.0])[k - 1] = float(value)
-    costs = {key: tuple(v) for key, v in costs.items()}
-    return tabular_model(rates, costs, grids, n_states=n, anchor=anchor)
+            if g is not None:
+                grids[(player, i)] = g
+    return _table_model(n, grids, doc.get("rates", []), doc.get("costs", []),
+                        anchor)
 
 
 def model_to_dict(model: GameModel) -> dict:

@@ -334,13 +334,17 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
 
     ``stream`` is either a ``(seed, path_index)`` pair naming a
     counter-based stream or a ready ``numpy.random.Generator``.  ``box``
-    marks the sample when the path ever leaves ``{1..box}``.
+    marks the sample when the path ever leaves ``{1..box}``.  The jump
+    tables of the pair ``(v1, v2)`` are built on first use and kept on the
+    model, so later paths under the same strategy objects reuse them.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = path_rng(*stream) if isinstance(stream, tuple) else stream
     uni = _Uniforms(rng)
-    chain = _AveragedChain(model, v1, v2)
+    chain = model._chain_cache.get((v1, v2))
+    if chain is None:  # one per strategy pair, kept beside the row cache
+        chain = model._chain_cache[(v1, v2)] = _AveragedChain(model, v1, v2)
     times = [0.0]
     states = [start]
     cost1 = 0.0

@@ -29,11 +29,10 @@ from .model import (
     LyapunovSpec,
     ShopParams,
     Truncation,
-    shop_costs,
     shop_drift_margin,
     shop_lyapunov_spec,
-    shop_row,
     _shop_boundary_row,
+    _shop_game,
 )
 
 __all__ = [
@@ -104,18 +103,15 @@ def _tolerance(*values):
 
 def _tolerances(*values):
     """``_tolerance`` elementwise over arrays."""
-    finite = [np.where(np.isfinite(v), np.abs(v), 0.0) for v in values]
-    return REL_TOL * np.maximum.reduce([np.ones_like(finite[0]), *finite])
-
-
-def _defect(value):
-    """A defect, or ``inf`` where an overflowed weight left it non-finite:
-    such a state can never count as satisfying its bound."""
-    return value if math.isfinite(value) else math.inf
+    top = np.ones_like(values[0])
+    for v in values:
+        np.maximum(top, np.where(np.isfinite(v), np.abs(v), 0.0), out=top)
+    return REL_TOL * top
 
 
 def _defects(values):
-    """``_defect`` elementwise over an array."""
+    """Defects, with ``inf`` where an overflowed weight left one
+    non-finite: such a state can never count as satisfying its bound."""
     return np.where(np.isfinite(values), values, np.inf)
 
 
@@ -389,12 +385,15 @@ def _display(key, description, witnesses, margin):
                             margin=float(margin))
 
 
-def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
+def shop_condition_report(params: ShopParams, states,
+                          model: GameModel | None = None) -> ShopConditionReport:
     """Numerically reproduce every closed-form stability display of the
     shop model on a range of states, action grids included.
 
     Accepts parameter sets violating the standing conditions; each display
-    then fails with the concrete witness.  The displays are:
+    then fails with the concrete witness.  Rows and costs come from the
+    action-pair table of ``model``, the shop model of ``params`` (built
+    here, unvalidated, when not given).  The displays are:
 
     - ``weighted-drift-identity``: the exponentially weighted row sum at
       ``i >= 2`` equals ``i W(i) [buy (e^t - 1) + sell (e^-t - 1)]`` plus
@@ -411,7 +410,12 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
       nonnegative and ``ell - max cost`` equals ``i beta_k + min payoff``
       (condition (IV)).
     """
-    states = tuple(states)
+    if model is None:
+        model = _shop_game(params)
+    elif model.meta.get("shop_params") != params:
+        raise ValueError("model is not the shop model of these parameters")
+    table = pair_table(model, states)
+    states = table.states
     th = params.theta
     spec = shop_lyapunov_spec(params)
     W, ell, c3, c4 = spec.W, spec.ell, spec.C3, spec.C4
@@ -419,61 +423,62 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
     bracket = (params.buy_rate * (math.exp(th) - 1.0)
                + params.sell_rate * (math.exp(-th) - 1.0))
     boundary = _shop_boundary_row(params)
-    in_kappa = params.coupled_states.__contains__
-
-    def grids(i):
-        g1 = params.grid(1, i)
-        g2 = params.grid(2, i)
-        return [(u1, u2) for u1 in g1 for u2 in g2]
 
     def weighted(row):
         return sum(r * _weight(W, j) for j, r in sorted(row.items()))
 
-    identity_w, killed_w, growth_w, exit_w = [], [], [], []
-    id_margin = killed_margin = growth_margin = exit_margin = math.inf
+    # at most one entry of a shop row precedes its diagonal and two-term
+    # sums commute, so adding the diagonal term first gives the bits of
+    # the column-order sum
+    w, drift = _weighted_drifts(table, W)
+    i = np.asarray(states)[table.state]
+    w = w[table.state]
+
+    def actions(k, m, a):
+        grid = np.concatenate([model.action_values(k, s) for s in states])
+        return grid[(np.cumsum(m) - m)[table.state] + a]
+
+    u1, u2 = actions(1, table.m1, table.a1), actions(2, table.m2, table.a2)
+    kappa = np.array([s in params.coupled_states for s in states])[table.state]
+    ell_s = np.array([ell(s) for s in states])
+
+    def pair_check(bad, tol, slack, live=None, lead=""):
+        """Witnesses where ``bad`` exceeds ``tol`` (at ``live`` pairs), and
+        the margin: the first least ``slack``, as a running min() finds it."""
+        failed = bad > tol if live is None else live & (bad > tol)
+        slack = slack if live is None else slack[live]
+        return ([_witness(int(i[p]), None, None, float(bad[p]),
+                          lead.format(bad[p]) + f"actions ({u1[p]:g},{u2[p]:g})")
+                 for p in np.flatnonzero(failed).tolist()],
+                float(slack[np.argmin(slack)]) if slack.size else math.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = i * w * bracket + np.where(kappa, u1 * (math.exp(th) - 1.0)
+                                         + u2 * (math.exp(-th) - 1.0), 0.0)
+        bad = _defects(np.abs(drift - rhs))
+        tol = _tolerances(drift, rhs, i * w * (params.buy_rate + params.sell_rate))
+        identity_w, id_margin = pair_check(bad, tol, tol - bad, i >= 2,
+                                           "identity off by {:.3e} at ")
+        del rhs, tol  # each check's arrays go before the next one's
+        bound = np.where(kappa, c4, 0.0) - ell_s[table.state] * w
+        bad = _defects(drift - bound)
+        killed_w, killed_margin = pair_check(bad, _tolerances(drift, bound), -bad)
+        bound = w + c4
+        bad = _defects(drift - bound)
+        growth_w, growth_margin = pair_check(bad, _tolerances(drift, bound), -bad)
+        bound = c3 * w
+        exit_rate = -table.diag
+        bad = _defects(exit_rate - bound)
+        exit_w, exit_margin = pair_check(bad, _tolerances(exit_rate, bound),
+                                         -bad)
     if margin <= 0:
         # the kill rate ell(i) = margin * i must be positive norm-like;
         # an outward weighted drift leaves nothing to certify
-        killed_w.append(Witness(0, None, None, -margin,
-                                "drift margin nonpositive: the weighted "
-                                "chain drifts outward (condition (II) "
-                                "inverted relative to theta)"))
-        killed_margin = margin
-    for i in states:
-        w = _weight(W, i)
-        for u1, u2 in grids(i):
-            row = shop_row(params, i, u1, u2, boundary=boundary)
-            drift = weighted(row)
-            if i >= 2:
-                action_term = ((u1 * (math.exp(th) - 1.0)
-                                + u2 * (math.exp(-th) - 1.0))
-                               if in_kappa(i) else 0.0)
-                rhs = i * w * bracket + action_term
-                err = _defect(abs(drift - rhs))
-                scale = _tolerance(drift, rhs, i * w * (params.buy_rate + params.sell_rate))
-                id_margin = min(id_margin, scale - err)
-                if err > scale:
-                    identity_w.append(_witness(i, None, None, err,
-                                               f"identity off by {err:.3e} at "
-                                               f"actions ({u1:g},{u2:g})"))
-            killed_bound = (c4 if in_kappa(i) else 0.0) - ell(i) * w
-            defect = _defect(drift - killed_bound)
-            killed_margin = min(killed_margin, -defect)
-            if defect > _tolerance(drift, killed_bound):
-                killed_w.append(_witness(i, None, None, defect,
-                                         f"actions ({u1:g},{u2:g})"))
-            growth_bound = w + c4
-            gdefect = _defect(drift - growth_bound)
-            growth_margin = min(growth_margin, -gdefect)
-            if gdefect > _tolerance(drift, growth_bound):
-                growth_w.append(_witness(i, None, None, gdefect,
-                                         f"actions ({u1:g},{u2:g})"))
-            exit_rate = -row[i]
-            edefect = _defect(exit_rate - c3 * w)
-            exit_margin = min(exit_margin, -edefect)
-            if edefect > _tolerance(exit_rate, c3 * w):
-                exit_w.append(_witness(i, None, None, edefect,
-                                       f"actions ({u1:g},{u2:g})"))
+        killed_w.insert(0, Witness(0, None, None, -margin,
+                                   "drift margin nonpositive: the weighted "
+                                   "chain drifts outward (condition (II) "
+                                   "inverted relative to theta)"))
+        killed_margin = min(margin, killed_margin)
 
     boundary_w = []
     lhs = weighted(boundary)
@@ -493,17 +498,17 @@ def shop_condition_report(params: ShopParams, states) -> ShopConditionReport:
             cost_w.append(Witness(0, None, None, -beta,
                                   f"fee margin beta_{k} = {beta:.6g} < 0 "
                                   "(condition (IV))"))
-        for i in states:
-            sup_cost = max(shop_costs(params, i, u1, u2)[k - 1]
-                           for u1, u2 in grids(i))
-            inf_payoff = min(params.payoff(k, i, u)
-                             for u in params.grid(k, i))
-            lhs_i = ell(i) - sup_cost
-            rhs_i = i * beta + inf_payoff
-            if abs(lhs_i - rhs_i) > _tolerance(lhs_i, rhs_i, ell(i)):
-                cost_w.append(Witness(i, None, None, abs(lhs_i - rhs_i),
-                                      f"cost-margin identity broken for "
-                                      f"player {k}"))
+        sup_cost = np.maximum.reduceat(table.cost[:, k - 1], table.starts)
+        inf_payoff = np.array([min(params.payoff(k, s, u)
+                                   for u in model.action_values(k, s))
+                               for s in states])
+        lhs_s = ell_s - sup_cost
+        rhs_s = np.asarray(states) * beta + inf_payoff
+        gap = np.abs(lhs_s - rhs_s)
+        for s in np.flatnonzero(gap > _tolerances(lhs_s, rhs_s, ell_s)).tolist():
+            cost_w.append(Witness(states[s], None, None, float(gap[s]),
+                                  f"cost-margin identity broken for "
+                                  f"player {k}"))
 
     displays = (
         _display("weighted-drift-identity",

@@ -6,6 +6,7 @@ and eigenpairs come from scipy's general dense eigensolver.  The
 simulation references are scalar loops, one jump per iteration.
 """
 
+import hashlib
 import math
 from bisect import bisect_right
 
@@ -46,6 +47,52 @@ def random_game(rng, n_states=4, m1=2, m2=2, rate_scale=1.0, cost_scale=1.0,
                 costs[(i, ia, ib)] = (cost_scale * rng.random(),
                                       cost_scale * rng.random())
     return tabular_model(rates, costs, grids, n_states=n_states)
+
+
+def digest_game():
+    """The seeded 50-state game behind the golden loader digests."""
+    return random_game(np.random.default_rng(2026), n_states=50, m1=2, m2=3)
+
+
+def table_digest(model: GameModel) -> str:
+    """sha256 over every pure pair's row (targets, rates, diagonal) and
+    both costs, in ``(state, ia, ib)`` order."""
+    h = hashlib.sha256()
+    for i in model.states():
+        for ia in range(model.n_actions(1, i)):
+            for ib in range(model.n_actions(2, i)):
+                row = model.row(i, ia, ib)
+                h.update(np.asarray(row.cols, dtype=np.int64).tobytes())
+                h.update(np.asarray(row.rates, dtype=float).tobytes())
+                h.update(np.float64(row.diag).tobytes())
+                h.update(np.array(model.costs(i, ia, ib), dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def reference_table(doc):
+    """Rows and costs of a finite model document built the way the
+    dict-based loader built them: entry by entry into one dict per pair
+    (a repeated key keeps its last value at its first position), a missing
+    diagonal derived as minus the off-diagonal values added one by one in
+    dict order.  Returns ``{(i, ia, ib): (cols, rates, diag)}`` and
+    ``{(i, ia, ib): (c1, c2)}`` for the pairs with entries."""
+    rates, costs = {}, {}
+    for i, ia, ib, j, value in doc["rates"]:
+        rates.setdefault((int(i), int(ia), int(ib)), {})[int(j)] = float(value)
+    for k, i, ia, ib, value in doc["costs"]:
+        costs.setdefault((int(i), int(ia), int(ib)), [0.0, 0.0])[int(k) - 1] = (
+            float(value))
+    rows = {}
+    for key, row in rates.items():
+        i = key[0]
+        off = [r for j, r in row.items() if j != i]
+        total = 0.0
+        for r in off:
+            total += r
+        diag = row[i] if i in row else (-total if off else 0.0)
+        cols = sorted(j for j, r in row.items() if j != i and r != 0.0)
+        rows[key] = (cols, [row[j] for j in cols], diag)
+    return rows, {key: tuple(c) for key, c in costs.items()}
 
 
 def dense_tilted(model: GameModel, n, v1, v2, player):

@@ -18,7 +18,7 @@ from rsgame.model import (
     uniform_strategy,
 )
 
-from tests.helpers import random_game
+from tests.helpers import digest_game, random_game
 
 from tests.test_nash import decoupled_game, matching_pennies
 from tests.test_simulate import flip_flop_model
@@ -317,6 +317,69 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["growth_drift"]["status"] == "violated-at"
         assert doc["killed_drift"]["status"] == "violated-at"
+
+
+    def test_shop_verify_bit_identical_to_recorded_digest(self, tmp_path):
+        # the shop-solve benchmark's verify; recorded with the condition
+        # displays summed entry by entry over per-pair shop rows
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--builtin", "shop", "--range", "1000",
+                     "--trunc", "320", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e")
+
+
+class TestTableModelFiles:
+    # sha256 of the verify and solve artifacts on the saved digest game,
+    # recorded with the dict-based loader (verify fails the anchor-row
+    # check and solve detects a cycle: both exit 1)
+    GOLDEN = {
+        "verify": ["--range", "50", "--trunc", "50"],
+        "solve": ["--trunc", "50"],
+    }
+    DIGESTS = {
+        "verify": "63b058c32130860c8532a4834ecc085496d121b289819ab500a929a3899d2493",
+        "solve": "99ccd10102838a48ec8317d39fe191d9c9ca5faf4d52026363b3df2846707b1d",
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_artifacts_bit_identical_to_recorded_digests(self, command,
+                                                         tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(path), "--out", str(out)]
+                    + self.GOLDEN[command]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            self.DIGESTS[command])
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_nan_index_exits_two_naming_entry(self, command, tmp_path,
+                                              capsys):
+        doc = {"states": 2, "rates": [[1, 0, 0, 2, 1.0],
+                                      [2, 0, float("nan"), 1, 1.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(path), "--trunc", "2",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rate entry [2, 0, nan, 1, 1.0]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_float_indices_give_the_same_artifact(self, decoupled_path,
+                                                  tmp_path):
+        doc = json.loads(open(decoupled_path).read())
+        for key in ("rates", "costs"):
+            doc[key] = [[float(x) for x in e] for e in doc[key]]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for model, out in zip((decoupled_path, path), outs):
+            assert main(["solve", "--model", str(model), "--trunc", "3",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestConfigHandling:

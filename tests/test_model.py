@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,7 +29,12 @@ from rsgame.model import (
     with_cost_shift,
 )
 
-from tests.helpers import random_game
+from tests.helpers import (
+    digest_game,
+    random_game,
+    reference_table,
+    table_digest,
+)
 
 
 def two_state_birth_death():
@@ -247,6 +254,34 @@ class TestCostShift:
         assert d1 == pytest.approx(c1 + 0.7)
         assert d2 == c2
 
+    def test_shifted_loaded_model_never_rebuilds_rows(self, tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        model = load_model(path)
+        shifted = with_cost_shift(model, 2, 0.3)
+
+        def rebuild(i, ia, ib):
+            raise AssertionError(f"row ({i}, {ia}, {ib}) rebuilt")
+
+        shifted._rate_fn = rebuild
+        table = pair_table(shifted, shifted.states())
+        assert table.rows.nnz == pair_table(model, model.states()).rows.nnz
+        assert shifted.row(7, 1, 2) is model.row(7, 1, 2)
+        assert shifted.costs(7, 1, 2) == (model.costs(7, 1, 2)[0],
+                                          model.costs(7, 1, 2)[1] + 0.3)
+
+    def test_table_rate_fn_returns_the_cached_row(self, tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        model = load_model(path)
+        fresh = GameModel(model._rate_fn, model._cost_fn, model._grids,
+                          n_states=model.n_states)
+        for key, row in model._row_cache.items():
+            again = fresh.row(*key)
+            assert again.cols.tolist() == row.cols.tolist()
+            assert again.rates.tolist() == row.rates.tolist()
+            assert again.diag == row.diag
+
 
 class TestJsonFormat:
     def test_round_trip_preserves_rows_and_costs(self, tmp_path):
@@ -319,6 +354,173 @@ class TestJsonFormat:
         report = validate_model(model)
         assert not report.ok
         assert report.violations[0].magnitude == pytest.approx(1e-3)
+
+
+def _doc(rates, costs=(), n=20, m1=1, m2=1):
+    return {"states": n,
+            "actions": {"1": {"default": list(map(float, range(m1)))},
+                        "2": {"default": list(map(float, range(m2)))}},
+            "rates": list(rates), "costs": list(costs)}
+
+
+class TestColumnarTables:
+    # sha256 (tests.helpers.table_digest) of every row and cost, recorded
+    # with the dict-based loader: the saved digest game reloaded, and the
+    # same document without diagonals, shuffled, a third of its rates
+    # repeated first with value 7.0
+    SAVED = "1c14cd263894f644a31f4394c935855f0483b75f9c24973812b2c49f490ca5b3"
+    DERIVED = "ee4d7d524a434d6a4088ffb7a3917c657fb24b12b117519a6b85139cb0fe19fb"
+
+    def test_reloaded_game_matches_recorded_digest(self, tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        assert table_digest(load_model(path)) == self.SAVED
+
+    def test_derived_diagonals_match_recorded_digest(self):
+        doc = json.loads(json.dumps(model_to_dict(digest_game())))
+        off = [e for e in doc["rates"] if e[0] != e[3]]
+        random.Random(7).shuffle(off)
+        doc["rates"] = [[*e[:4], 7.0] for e in off[::3]] + off
+        assert table_digest(model_from_dict(doc)) == self.DERIVED
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_dict_reference_on_random_documents(self, seed):
+        # repeated keys, explicit and derived diagonals, zero, NaN and
+        # negative rates, values far apart in size, entries in random order
+        rng = np.random.default_rng(seed)
+        n, m1, m2 = 6, 2, 3
+        rates, costs = [], []
+        for _ in range(150):
+            i = int(rng.integers(1, n + 1))
+            value = float(rng.choice([0.0, -0.5, float("nan"), 1e-16, 3e-17,
+                                      1.0, 1e3, rng.random()],
+                                     p=[.1, .03, .02, .25, .1, .1, .1, .3]))
+            j = i if rng.random() < 0.08 else int(rng.integers(1, n + 1))
+            rates.append([i, int(rng.integers(m1)), int(rng.integers(m2)), j,
+                          value])
+            costs.append([int(rng.integers(1, 3)), i, int(rng.integers(m1)),
+                          int(rng.integers(m2)), rng.random()])
+        doc = _doc(rates, costs[:40], n=n, m1=m1, m2=m2)
+        model = model_from_dict(doc)
+        ref_rows, ref_costs = reference_table(doc)
+        for i in model.states():
+            for ia in range(m1):
+                for ib in range(m2):
+                    row = model.row(i, ia, ib)
+                    cols, rates_ref, diag = ref_rows.get((i, ia, ib),
+                                                         ([], [], 0.0))
+                    assert row.cols.tolist() == cols
+                    assert repr(row.rates.tolist()) == repr(rates_ref)
+                    assert repr(row.diag) == repr(diag)
+                    assert model.costs(i, ia, ib) == ref_costs.get(
+                        (i, ia, ib), (0.0, 0.0))
+
+    def test_duplicate_keeps_last_value_at_first_position(self):
+        # target 20 enters first (5.0), then fifteen tiny rates, then 20
+        # again with its final value 1.0
+        small = [[1, 0, 0, j, 1e-16] for j in range(2, 17)]
+        row = model_from_dict(_doc([[1, 0, 0, 20, 5.0], *small,
+                                    [1, 0, 0, 20, 1.0]])).row(1, 0, 0)
+        assert row.cols.tolist() == [*range(2, 17), 20]
+        assert row.rates.tolist() == [1e-16] * 15 + [1.0]
+        total = 0.0
+        for r in [1.0] + [1e-16] * 15:  # first-entry order, one by one
+            total += r
+        assert row.diag == -total == -1.0
+        # target order, or numpy's pairwise sum, gives another double
+        in_target_order = 0.0
+        for r in row.rates.tolist():
+            in_target_order += r
+        assert -in_target_order != row.diag
+        assert -float(np.sum([1.0] + [1e-16] * 15)) != row.diag
+
+    def test_repeated_cost_keeps_last_value(self):
+        model = model_from_dict(_doc([], [[2, 1, 0, 0, 3.0], [1, 1, 0, 0, 0.5],
+                                          [2, 1, 0, 0, 0.25]], n=2))
+        assert model.costs(1, 0, 0) == (0.5, 0.25)
+
+    def test_explicit_diagonal_used_as_given_last_wins(self):
+        model = model_from_dict(_doc([[1, 0, 0, 1, -7.0], [1, 0, 0, 2, 1.0],
+                                      [1, 0, 0, 1, -1.25]], n=2))
+        row = model.row(1, 0, 0)
+        assert row.diag == -1.25
+        assert row.cols.tolist() == [2] and row.rates.tolist() == [1.0]
+
+    def test_absent_row_absorbing_and_absent_cost_zero(self):
+        model = model_from_dict(_doc([[1, 0, 0, 2, 1.0]], n=3, m1=2))
+        for ia in (0, 1):
+            row = model.row(3, ia, 0)
+            assert row.cols.size == 0 and row.rates.size == 0
+            assert row.diag == 0.0 and math.copysign(1.0, row.diag) == 1.0
+            assert model.costs(3, ia, 0) == (0.0, 0.0)
+        assert model.row(1, 1, 0).diag == 0.0
+
+    def test_zero_rate_dropped_nan_and_negative_kept(self):
+        model = model_from_dict(_doc([[1, 0, 0, 2, 0.0],
+                                      [1, 0, 0, 3, float("nan")],
+                                      [1, 0, 0, 4, -0.5]], n=4))
+        row = model.row(1, 0, 0)
+        assert row.cols.tolist() == [3, 4]
+        assert math.isnan(row.rates[0]) and row.rates[1] == -0.5
+        assert math.isnan(row.diag)
+        kinds = [v.kind for v in validate_model(model).violations]
+        assert "non-finite off-diagonal rate" in kinds
+        assert "negative off-diagonal rate" in kinds
+
+    def test_index_written_as_float_is_that_integer(self):
+        rates = [[1, 0, 1, 2, 0.5], [2, 0, 0, 1, 0.75]]
+        costs = [[2, 2, 0, 1, 0.125]]
+        as_int = model_from_dict(_doc(rates, costs, n=2, m2=2))
+        as_float = model_from_dict(_doc([[float(x) for x in e] for e in rates],
+                                        [[float(x) for x in e] for e in costs],
+                                        n=2, m2=2))
+        assert table_digest(as_float) == table_digest(as_int)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.5, "x",
+                                     None])
+    def test_index_that_is_no_integer_rejected_naming_entry(self, bad):
+        entry = [1, 0, 0, bad, 1.0]
+        with pytest.raises(ValueError) as err:
+            model_from_dict(_doc([[1, 0, 0, 2, 1.0], entry], n=2))
+        assert str(entry) in str(err.value)
+        assert "integer indices" in str(err.value)
+
+    @pytest.mark.parametrize("entry", [[1, 0, 0, 2], [1, 0, 0, 2, 1.0, 9],
+                                       [1, 0, 0, 2, "x"], 7])
+    def test_malformed_entry_rejected_naming_it(self, entry):
+        with pytest.raises(ValueError) as err:
+            model_from_dict(_doc([[1, 0, 0, 2, 1.0], entry], n=2))
+        assert f"rate entry {entry}" in str(err.value)
+
+    def test_first_bad_entry_in_file_order_is_named(self):
+        rates = [[1, 0, 0, 2, 1.0], [1, 0, 0, 9, 1.0], [1, 0, 0, "x", 1.0],
+                 [5, 0, 0, 1, 1.0]]
+        with pytest.raises(ValueError, match=r"\[1, 0, 0, 9, 1.0\]"):
+            model_from_dict(_doc(rates, n=2))
+        with pytest.raises(ValueError, match="'x'"):
+            model_from_dict(_doc(rates[:1] + rates[2:], n=2))
+
+    def test_rows_are_read_only_views_of_one_array(self):
+        model = random_game(np.random.default_rng(3), n_states=5)
+        rows = [model.row(i, ia, ib) for i in model.states()
+                for ia in range(2) for ib in range(2)]
+        base = rows[0].cols.base
+        assert base is not None and base.size == sum(r.cols.size for r in rows)
+        for row in rows:
+            assert not row.cols.flags.writeable
+            assert not row.rates.flags.writeable
+            assert row.cols.base is base
+
+    def test_tabular_model_checks_grids_and_indices(self):
+        grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2)}
+        with pytest.raises(ValueError, match="no action grid for player 2 at "
+                                             "state 2"):
+            tabular_model({}, {}, {k: v for k, v in grids.items()
+                                   if k != (2, 2)}, n_states=2)
+        with pytest.raises(ValueError, match="target state 3"):
+            tabular_model({(1, 0, 0): {3: 1.0}}, {}, grids, n_states=2)
+        with pytest.raises(ValueError, match="player 1 action 1"):
+            tabular_model({}, {(2, 1, 0): (0.5, 0.5)}, grids, n_states=2)
 
 
 class TestGameModelBasics:

@@ -144,6 +144,23 @@ class TestSamplePath:
         s2 = sample_path(model, v1, v2, 1, horizon=10.0, stream=(23, 0))
         assert s2.left_box is None
 
+    def test_one_jump_table_per_strategy_pair(self):
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        paths = [sample_path(model, v1, v2, 1, 30.0, (3, p)) for p in range(5)]
+        assert len(model._chain_cache) == 1
+        chain = model._chain_cache[(v1, v2)]
+        model._chain_cache.clear()  # a fresh table gives the same paths
+        again = [sample_path(model, v1, v2, 1, 30.0, (3, p)) for p in range(5)]
+        assert model._chain_cache[(v1, v2)] is not chain
+        for a, b in zip(paths, again):
+            assert a.times.tolist() == b.times.tolist()
+            assert a.states.tolist() == b.states.tolist()
+            assert (a.cost1, a.cost2) == (b.cost1, b.cost2)
+        other = uniform_strategy(model, 1)
+        sample_path(model, other, v2, 1, 30.0, (3, 0))
+        assert len(model._chain_cache) == 2
+
     def test_invalid_horizon(self):
         model = absorbing_model()
         v1, v2 = pair(model)
@@ -400,6 +417,12 @@ class TestLockstepKernel:
         with pytest.raises(ValueError, match="invalid averaged rate at state 3"):
             estimate_risk_cost(model, v1, v2, 1, 3, 10.0, paths=20,
                                batches=10, seed=1)
+        # the kept sample_path table covers state 3 and still raises only
+        # for a path that reaches it
+        assert sample_path(model, v1, v2, 1, 10.0, (1, 0)).cost1 == 0.0
+        with pytest.raises(ValueError, match="invalid averaged rate at state 3"):
+            sample_path(model, v1, v2, 3, 10.0, (1, 0))
+        assert sample_path(model, v1, v2, 2, 10.0, (1, 1)).cost1 == 0.0
 
 
 class TestStreams:

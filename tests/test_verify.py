@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,7 +10,6 @@ from rsgame.model import (
     ShopParams,
     birth_death_model,
     shop_boundary_cut,
-    shop_costs,
     shop_drift_margin,
     shop_lyapunov_spec,
     shop_model,
@@ -16,6 +17,7 @@ from rsgame.model import (
     tabular_model,
     truncate,
     uniform_strategy,
+    _shop_game,
 )
 from rsgame.verify import (
     HOLDS,
@@ -162,7 +164,7 @@ class TestKilledDrift:
             C4=shop_lyapunov_spec(ShopParams()).C4,
             ell=lambda i: margin * i,
             kappa_set=frozenset({1, 3}), tail_certified=True)
-        report = check_killed_drift(_raw_shop(params), model_spec,
+        report = check_killed_drift(_shop_game(params), model_spec,
                                     "unbounded", range(1, 40))
         assert report.status == VIOLATED
         assert any("not norm-like" in w.note for w in report.witnesses)
@@ -174,25 +176,6 @@ class TestKilledDrift:
         with pytest.raises(ValueError, match="gamma"):
             check_killed_drift(model, LyapunovSpec(W=lambda i: 1.0),
                                "bounded", [1])
-
-
-def _raw_shop(params):
-    """Shop-shaped model built without the constructor's validation."""
-    from rsgame.model import GameModel, _shop_boundary_row
-    boundary = _shop_boundary_row(params)
-
-    def rate_fn(i, ia, ib):
-        u1 = params.grid(1, i)[ia]
-        u2 = params.grid(2, i)[ib]
-        return shop_row(params, i, u1, u2, boundary=boundary)
-
-    def cost_fn(i, ia, ib):
-        u1 = params.grid(1, i)[ia]
-        u2 = params.grid(2, i)[ib]
-        return shop_costs(params, i, u1, u2)
-
-    return GameModel(rate_fn, cost_fn, lambda p, i: params.grid(p, i),
-                     n_states=None, anchor=1)
 
 
 class TestIrreducibility:
@@ -347,6 +330,40 @@ class TestShopConditionReport:
                             ("growth-drift-constants", growth),
                             ("exit-rate-bound", exit_margin)):
             assert report.display(key).margin == pytest.approx(margin, rel=1e-12)
+
+    # sha256 of each report's sorted JSON, recorded with the displays
+    # summed entry by entry over per-pair shop rows; every case fails some
+    # display, so witnesses and their order are covered
+    GOLDEN = {
+        "overflow": ("ec0e2446a42bb0078332c1343ad25e2143a21d745d58e90945751204c0d739f4",
+                     {}, range(2780, 2850)),
+        "inverted": ("4bef2ce2cfd50fb8d1c31fd733d26e46e3db84a1623b26389a87dc4a2e676662",
+                     {"sell_rate": 1.0, "buy_rate": 2.0}, range(1, 101)),
+        "fee": ("08b9321432900e6de04f16a7c16ebd79def649c98528234d0b898091931ecb09",
+                {"fee1": shop_drift_margin(ShopParams()) + 0.1}, range(1, 101)),
+        "wide-coupled": (
+            "7623e438a36b6e436713a9433ceb01bf650c679a464feda2b1af98a211f664f5",
+            {"theta": 0.6, "action_max": 3.0, "n_actions": 4,
+             "coupled_states": frozenset({1, 2, 5})}, range(1, 80)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_reports_bit_identical_to_recorded_digests(self, case):
+        digest, kwargs, states = self.GOLDEN[case]
+        doc = shop_condition_report(ShopParams(**kwargs), states).to_json_dict()
+        assert not doc["all_pass"]
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
+                              ).hexdigest() == digest
+
+    def test_reads_the_given_model(self):
+        params = ShopParams()
+        model = shop_model(params)
+        given = shop_condition_report(params, range(1, 80), model)
+        assert given.to_json_dict() == shop_condition_report(
+            params, range(1, 80)).to_json_dict()
+        assert (79, 2, 2) in model._row_cache
+        with pytest.raises(ValueError, match="not the shop model"):
+            shop_condition_report(ShopParams(theta=0.3), range(1, 5), model)
 
     def test_json_rendering(self):
         report = shop_condition_report(ShopParams(), range(1, 10))
