@@ -192,8 +192,7 @@ def _run_ladder(config: RunConfig) -> int:
     own = uniform_strategy(model, config.player) if config.fixed_uniform else None
     result = truncation_ladder(model, opponent, config.player,
                                list(config.trunc), tol=config.tol,
-                               own_strategy=own, max_iter=None,
-                               workers=config.workers)
+                               own_strategy=own, max_iter=None)
     with open(config.out, "w") as fh:
         fh.write("n,rho,residual,iterations,error\n")
         for rung in result.rungs:
@@ -381,8 +380,8 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--batches", type=int, default=None)
         q.add_argument("--out", default=None, help="artifact path")
         q.add_argument("--workers", type=int, default=None,
-                       help="threads for ladder; solve and simulate accept "
-                            "and ignore it")
+                       help="accepted and ignored: every subcommand runs "
+                            "in one thread")
         q.add_argument("--damping", type=float, default=None)
         q.add_argument("--max-rounds", dest="max_rounds", type=int,
                        default=None)

@@ -19,7 +19,6 @@ eigenvalue as the state space grows.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,15 +397,13 @@ def _aitken_limit(rhos):
 def truncation_ladder(model: GameModel, opponent_strategy, player: int,
                       n_list, tol: float = 1e-10,
                       own_strategy: StationaryStrategy | None = None,
-                      max_iter: int | None = None,
-                      workers: int = 1) -> LadderResult:
+                      max_iter: int | None = None) -> LadderResult:
     """Eigenvalue sequence over increasing truncations.
 
     With ``own_strategy=None`` each rung solves the nonlinear
     best-response eigenproblem; otherwise the pair is frozen and each rung
-    is a linear solve.  Per-rung failures are recorded and the ladder
-    continues.  Rungs are independent and may be solved in parallel;
-    results do not depend on ``workers``.
+    is a linear solve.  Rungs are solved one after the other, each on its
+    own; per-rung failures are recorded and the ladder continues.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -424,29 +421,15 @@ def truncation_ladder(model: GameModel, opponent_strategy, player: int,
             ep = principal_eigenpair(A, model.anchor, tol, max_iter)
         return ep
 
-    results: list = [None] * len(n_list)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {k: pool.submit(solve, n) for k, n in enumerate(n_list)}
-            for k, fut in futures.items():
-                try:
-                    results[k] = fut.result()
-                except (ConvergenceError, ValueError) as exc:
-                    results[k] = exc
-    else:
-        for k, n in enumerate(n_list):
-            try:
-                results[k] = solve(n)
-            except (ConvergenceError, ValueError) as exc:
-                results[k] = exc
-
     rungs = []
-    for n, res in zip(n_list, results):
-        if isinstance(res, EigenPair):
-            rungs.append(LadderRung(n=n, rho=res.rho, eigenpair=res))
-        else:
+    for n in n_list:
+        try:
+            ep = solve(n)
+        except (ConvergenceError, ValueError) as exc:
             rungs.append(LadderRung(n=n, rho=None, eigenpair=None,
-                                    error=str(res)))
+                                    error=str(exc)))
+        else:
+            rungs.append(LadderRung(n=n, rho=ep.rho, eigenpair=ep))
     rhos = [r.rho for r in rungs if r.rho is not None]
     increments = tuple(b - a for a, b in zip(rhos, rhos[1:]))
     max_defect = max((-d for d in increments), default=0.0)

@@ -7,9 +7,11 @@ operator ``A = Q + diag(c)`` has the long-run growth rate of the expected
 exponentiated cost as its principal eigenvalue; each player's
 frozen-opponent rows; the drift sums of the stability checks; the jump
 tables of the simulator.  :func:`pair_table` stacks those rows once for a
-list of states and :meth:`PairTable.contract` sums weighted rows into
-groups.  Everything here is a pure function of the model, truncation and
-strategies, so assemblies can run in parallel.
+list of states, sliced from the model's pair store, and
+:meth:`PairTable.contract` sums weighted rows into groups.  Everything
+here is a pure function of the model, truncation and strategies; a lazy
+model's store grows as states are asked for, so a model is used from one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -122,33 +124,27 @@ class PairTable:
 
 
 def pair_table(model: GameModel, states) -> PairTable:
-    """Table of every pure action pair's row and costs at ``states``."""
+    """Table of every pure action pair's row and costs at ``states``, sliced
+    from the model's pair store (gathered by index unless the states are
+    consecutive).  Raises the error of the first state or pair that failed
+    to build."""
     states = tuple(states)
-    m1 = np.array([model.n_actions(1, i) for i in states], dtype=np.int64)
-    m2 = np.array([model.n_actions(2, i) for i in states], dtype=np.int64)
-    rows, costs = [], []
-    for i, k1, k2 in zip(states, m1.tolist(), m2.tolist()):
-        for ia in range(k1):
-            for ib in range(k2):
-                rows.append(model.row(i, ia, ib))
-                costs.append(model.costs(i, ia, ib))
+    store, pairs = model._select(states)
+    store.check(states, pairs, model._costs)
+    s = np.asarray(states) - 1
+    m1, m2 = store.m1[s], store.m2[s]
     per = m1 * m2
     starts = np.cumsum(per) - per
     state = np.repeat(np.arange(len(states)), per)
     a1, a2 = np.divmod(np.arange(state.size) - starts[state], m2[state])
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter((r.cols.size for r in rows), np.int64, len(rows)),
-              out=indptr[1:])
-    cols = np.concatenate([r.cols for r in rows])
-    cols -= 1
+    entries, indptr = store.entries(pairs)
+    cols = store.cols[entries] - 1
     width = max(int(cols.max(initial=0)) + 1, max(states))
     return PairTable(
         states=states, m1=m1, m2=m2, state=state, a1=a1, a2=a2, starts=starts,
-        rows=sparse.csr_matrix(
-            (np.concatenate([r.rates for r in rows]), cols, indptr),
-            shape=(len(rows), width)),
-        diag=np.fromiter((r.diag for r in rows), float, len(rows)),
-        cost=np.array(costs).reshape(-1, 2))
+        rows=sparse.csr_matrix((store.rates[entries].copy(), cols, indptr),
+                               shape=(state.size, width)),
+        diag=store.diag[pairs].copy(), cost=model._costs.cost[pairs].copy())
 
 
 def common_edges(rows: sparse.csr_matrix, groups, n_groups: int,

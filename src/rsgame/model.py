@@ -104,6 +104,10 @@ class GameModel:
         or ``None`` for a lazily generated countable model.
     anchor : int
         State at which eigenfunctions are normalized to one.
+
+    Rows and costs live in one columnar pair store per model (see
+    :class:`_PairStore`), filled through ``rate_fn`` and ``cost_fn`` as
+    states are asked for; :meth:`row` and :meth:`costs` read it.
     """
 
     def __init__(self, rate_fn, cost_fn, action_grids, n_states=None,
@@ -119,8 +123,8 @@ class GameModel:
         self.anchor = int(anchor)
         self.name = name
         self.meta = dict(meta) if meta else {}
-        self._row_cache: dict = {}
-        self._cost_cache: dict = {}
+        self._rows = _PairStore()
+        self._costs = _CostStore()
         self._grid_cache: dict = {}
         self._chain_cache: dict = {}  # sample_path's jump tables per strategy pair
 
@@ -154,37 +158,49 @@ class GameModel:
         return self.action_values(player, i).size
 
     def row(self, i: int, ia: int, ib: int) -> Row:
-        key = (i, ia, ib)
-        row = self._row_cache.get(key)
+        """Row of pair ``(i, ia, ib)``: read-only views into the pair store.
+
+        Raises the error its construction raised when the row failed to
+        build (a missing diagonal, an error from ``rate_fn``, or, on a
+        countable model, a row that is not conservative).
+        """
+        row = self._rows.views.get((i, ia, ib))
         if row is None:
-            raw = self._rate_fn(i, ia, ib)
-            if i not in raw:
-                raise ValueError(f"row at state {i} is missing its diagonal entry")
-            cols = np.array(sorted(j for j, r in raw.items() if j != i and r != 0.0),
-                            dtype=np.int64)
-            rates = np.array([raw[j] for j in cols], dtype=float)
-            cols.setflags(write=False)
-            rates.setflags(write=False)
-            row = Row(cols=cols, rates=rates, diag=float(raw[i]))
-            if not self.is_finite:
-                # countable rows can never be validated up front, so
-                # conservativeness is enforced at materialization
-                defect = row.total()
-                if abs(defect) > ROW_SUM_TOL:
-                    raise ValueError(
-                        f"lazy row at state {i}, actions ({ia},{ib}) is not "
-                        f"conservative (defect {defect:.3e})")
-            self._row_cache[key] = row
+            row = self._rows.view(self._pair(i, ia, ib), (i, ia, ib))
         return row
 
     def costs(self, i: int, ia: int, ib: int) -> tuple:
-        key = (i, ia, ib)
-        c = self._cost_cache.get(key)
+        c = self._costs.values.get((i, ia, ib))
         if c is None:
-            c1, c2 = self._cost_fn(i, ia, ib)
-            c = (float(c1), float(c2))
-            self._cost_cache[key] = c
+            c = self._costs.value(self._pair(i, ia, ib, costs=True), (i, ia, ib))
         return c
+
+    def _built(self, top: int, costs: bool = False) -> "_PairStore":
+        """The pair store with the rows of states ``1..top`` built, and
+        this model's costs too when ``costs`` is set."""
+        if not 1 <= top <= (self.n_states or top):
+            raise ValueError(f"state {top} is not a state of the model")
+        if top > self._rows.top:
+            self._rows.fill(self, top)
+        if costs and top > self._costs.top:
+            self._costs.fill(self, top)
+        return self._rows
+
+    def _pair(self, i: int, ia: int, ib: int, costs: bool = False) -> int:
+        """Store index of pair ``(i, ia, ib)``."""
+        return self._built(i, costs).index(i, ia, ib)
+
+    def _select(self, states: tuple):
+        """Pair store (rows and costs built) and the pairs of ``states`` in
+        their order: a slice for consecutive states, else an index array."""
+        s = np.asarray(states, dtype=np.int64)
+        if s.min() < 1:
+            raise ValueError(f"state {int(s.min())} is not a state of the model")
+        store = self._built(int(s.max()), costs=True)
+        if np.all(np.diff(s) == 1):
+            return store, slice(int(store.starts[s[0] - 1]),
+                                int(store.starts[s[-1]]))
+        return store, _ranges(store.starts[s - 1], store.starts[s])
 
     def cost(self, player: int, i: int, ia: int, ib: int) -> float:
         return self.costs(i, ia, ib)[player - 1]
@@ -199,6 +215,285 @@ class GameModel:
         size = self.n_states if self.is_finite else "countable"
         label = f" {self.name!r}" if self.name else ""
         return f"<GameModel{label} states={size} anchor={self.anchor}>"
+
+
+# ---------------------------------------------------------------------------
+# Pair store
+# ---------------------------------------------------------------------------
+
+class _Columns:
+    """Arrays that grow at their end.  Capacity doubles, so a store built
+    one state at a time still costs linear time."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def _append(self, **blocks):
+        for name, block in blocks.items():
+            used = getattr(self, name)
+            n, need = len(used), len(used) + len(block)
+            buf = self._buffers.get(name)
+            if buf is None or need > len(buf):
+                buf = np.empty((max(need, 2 * n),) + used.shape[1:], used.dtype)
+                buf[:n] = used
+                self._buffers[name] = buf
+            buf[n:need] = block
+            setattr(self, name, buf[:need])
+
+
+class _PairStore(_Columns):
+    """Columnar rows of every pure action pair of states ``1..top``.
+
+    Pairs run over ``(state, ia, ib)`` in lexicographic order: state ``i``
+    has ``m1[i - 1] x m2[i - 1]`` actions and owns pairs
+    ``starts[i - 1]:starts[i]``; pair ``p`` owns entries
+    ``indptr[p]:indptr[p + 1]`` of ``cols`` (target states, ascending) and
+    ``rates``, with diagonal ``diag[p]`` and row total ``total[p]``
+    (``Row.total()`` bit for bit).  A row that failed to build is empty,
+    with a NaN diagonal, and ``failed[p]`` keeps its error; ``empty[i]``
+    holds the errors of the empty action grids of state ``i``, which then
+    owns no pairs.
+
+    A table model hands its arrays over complete.  A lazy model's store is
+    filled one block of requested states at a time; rows handed out are
+    read-only views into it, memoized in ``views`` by pair.
+    """
+
+    def __init__(self, top=0, m1=None, m2=None, starts=None, indptr=None,
+                 cols=None, rates=None, diag=None):
+        super().__init__()
+        index = np.zeros(0, dtype=np.int64)
+        self.top = top
+        self.m1 = index if m1 is None else m1
+        self.m2 = index if m2 is None else m2
+        self.starts = np.zeros(1, dtype=np.int64) if starts is None else starts
+        self.indptr = np.zeros(1, dtype=np.int64) if indptr is None else indptr
+        self.cols = index if cols is None else cols
+        self.rates = np.zeros(0) if rates is None else rates
+        self.diag = np.zeros(0) if diag is None else diag
+        self.total = _row_totals(self.indptr, self.rates, self.diag)
+        self.failed: dict = {}
+        self.empty: dict = {}
+        self.views: dict = {}
+
+    def fill(self, model: GameModel, top: int) -> None:
+        """Build the rows of states ``self.top + 1 .. top``: one
+        ``rate_fn`` call per pair into plain lists, then one array per
+        column.  Each row is read as :class:`GameModel` documents: off-
+        diagonal targets ascending, zero rates dropped, values as floats."""
+        states = range(self.top + 1, top + 1)
+        m1, m2, empty = [], [], {}
+        for i in states:
+            for player, sizes in ((1, m1), (2, m2)):
+                try:
+                    sizes.append(model.n_actions(player, i))
+                except ValueError as exc:
+                    empty.setdefault(i, []).append(exc)
+                    sizes.append(0)
+        rate_fn = model._rate_fn
+        offs, values, diags, failed = [], [], [], {}
+        for i, k1, k2 in zip(states, m1, m2):
+            for ia in range(k1):
+                for ib in range(k2):
+                    try:
+                        raw = rate_fn(i, ia, ib)
+                        if i not in raw:
+                            raise ValueError(
+                                f"row at state {i} is missing its diagonal entry")
+                        off = sorted([j for j, r in raw.items()
+                                      if j != i and r != 0.0])
+                        row = ([raw[j] for j in off], raw[i])
+                    except Exception as exc:  # a row that fails to build is data
+                        failed[len(diags)] = exc
+                        off, row = (), ((), math.nan)
+                    offs.append(off)
+                    values.append(row[0])
+                    diags.append(row[1])
+        try:
+            cols, rates, diag = _row_arrays(offs, values, diags)
+        except Exception:  # some row's values do not convert: find which
+            for k in range(len(diags)):
+                try:
+                    _row_arrays(offs[k:k + 1], values[k:k + 1], diags[k:k + 1])
+                except Exception as exc:
+                    failed[k] = exc
+                    offs[k], values[k], diags[k] = (), (), math.nan
+            cols, rates, diag = _row_arrays(offs, values, diags)
+        indptr = np.zeros(len(offs) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, offs), np.int64, len(offs)),
+                  out=indptr[1:])
+        m1, m2 = np.array(m1, dtype=np.int64), np.array(m2, dtype=np.int64)
+        first = len(self.diag)
+        self._append(m1=m1, m2=m2, starts=self.starts[-1] + np.cumsum(m1 * m2),
+                     indptr=self.indptr[-1] + indptr[1:], cols=cols,
+                     rates=rates, diag=diag,
+                     total=_row_totals(indptr, rates, diag))
+        self.top = top
+        self.empty.update(empty)
+        self.failed.update((first + k, exc) for k, exc in failed.items())
+        if not model.is_finite:
+            # countable rows can never be validated up front, so
+            # conservativeness is enforced as they are built
+            total = self.total[first:]
+            for k in np.flatnonzero(np.abs(total) > ROW_SUM_TOL).tolist():
+                p = first + k
+                if p not in self.failed:
+                    i, ia, ib = self.key(p)
+                    self.failed[p] = ValueError(
+                        f"lazy row at state {i}, actions ({ia},{ib}) is not "
+                        f"conservative (defect {float(total[k]):.3e})")
+
+    def index(self, i: int, ia: int, ib: int) -> int:
+        """Index of pair ``(i, ia, ib)``; a ``ValueError`` when the store
+        does not hold it."""
+        if not 1 <= i <= self.top:
+            raise ValueError(f"state {i} is not in the pair store")
+        if i in self.empty:
+            raise self.empty[i][0]
+        k1, k2 = int(self.m1[i - 1]), int(self.m2[i - 1])
+        if not (0 <= ia < k1 and 0 <= ib < k2):
+            raise ValueError(f"no action pair ({ia},{ib}) at state {i}: the "
+                             f"grids have {k1} and {k2} actions")
+        return int(self.starts[i - 1]) + ia * k2 + ib
+
+    def key(self, p: int) -> tuple:
+        """``(i, ia, ib)`` of pair ``p``."""
+        i = int(np.searchsorted(self.starts, p, side="right"))
+        ia, ib = divmod(p - int(self.starts[i - 1]), int(self.m2[i - 1]))
+        return i, ia, ib
+
+    def view(self, p: int, key: tuple) -> Row:
+        """Read-only row of pair ``p``, memoized under ``key``."""
+        if p in self.failed:
+            raise self.failed[p]
+        a, b = self.indptr[p], self.indptr[p + 1]
+        cols, rates = self.cols[a:b], self.rates[a:b]
+        cols.setflags(write=False)
+        rates.setflags(write=False)
+        row = self.views[key] = Row(cols=cols, rates=rates,
+                                    diag=float(self.diag[p]))
+        return row
+
+    def entries(self, pairs):
+        """Entries of ``pairs`` (a slice or an index array) and their
+        CSR ``indptr`` from 0."""
+        if isinstance(pairs, slice):
+            indptr = self.indptr[pairs.start:pairs.stop + 1]
+            return slice(int(indptr[0]), int(indptr[-1])), indptr - indptr[0]
+        lo, hi = self.indptr[pairs], self.indptr[pairs + 1]
+        indptr = np.zeros(lo.size + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=indptr[1:])
+        return _ranges(lo, hi), indptr
+
+    def check(self, states: tuple, pairs, costs: "_CostStore") -> None:
+        """Raise the first error of ``states``: an empty action grid, then
+        the row or costs of ``pairs`` that failed first, in pair order."""
+        if self.empty:
+            for i in states:
+                if i in self.empty:
+                    raise self.empty[i][0]
+        failed = {**costs.failed, **self.failed}
+        if failed:
+            sel = np.arange(self.diag.size)[pairs]
+            hit = np.isin(sel, np.fromiter(failed, np.int64, len(failed)))
+            if hit.any():
+                raise failed[int(sel[np.argmax(hit)])]
+
+
+class _CostStore(_Columns):
+    """Both players' cost rates of the pairs of states ``1..top``, in the
+    pair order of the model's :class:`_PairStore`.  An error from
+    ``cost_fn`` is kept in ``failed`` and raised when the pair's costs are
+    read; ``values`` memoizes the tuples handed out."""
+
+    def __init__(self, top=0, cost=None):
+        super().__init__()
+        self.top = top
+        self.cost = np.zeros((0, 2)) if cost is None else cost
+        self.failed: dict = {}
+        self.values: dict = {}
+
+    def fill(self, model: GameModel, top: int) -> None:
+        """Costs of states ``self.top + 1 .. top``, whose rows are built."""
+        store, cost_fn = model._rows, model._cost_fn
+        out = []
+        for i, k1, k2 in zip(range(self.top + 1, top + 1),
+                             store.m1[self.top:top].tolist(),
+                             store.m2[self.top:top].tolist()):
+            for ia in range(k1):
+                for ib in range(k2):
+                    try:
+                        c1, c2 = cost_fn(i, ia, ib)
+                        out.append((float(c1), float(c2)))
+                    except Exception as exc:
+                        self.failed[len(self.cost) + len(out)] = exc
+                        out.append((math.nan, math.nan))
+        self._append(cost=np.array(out, dtype=float).reshape(-1, 2))
+        self.top = top
+
+    def value(self, p: int, key: tuple) -> tuple:
+        if p in self.failed:
+            raise self.failed[p]
+        c = self.values[key] = tuple(self.cost[p].tolist())
+        return c
+
+
+def _row_arrays(offs, values, diags):
+    """Targets, rates and diagonals of rows given as lists, converted the
+    way a single row is: targets to int64, rates and diagonals to float."""
+    return (np.array(list(chain.from_iterable(offs)), dtype=np.int64),
+            np.array(list(chain.from_iterable(values)), dtype=float),
+            np.array([float(d) for d in diags], dtype=float))
+
+
+def _ranges(lo, hi) -> np.ndarray:
+    """``arange(lo[k], hi[k])`` for every ``k``, concatenated."""
+    size = hi - lo
+    ends = np.cumsum(size)
+    return np.repeat(lo - (ends - size), size) + np.arange(
+        int(ends[-1]) if size.size else 0)
+
+
+def _row_totals(indptr, rates, diag) -> np.ndarray:
+    """``Row.total()`` of every row: the ``ndarray.sum`` of its rates plus
+    its diagonal (NaN, without a warning, where infinities cancel).  The
+    diagonal is the left operand because the scalar sum in ``Row.total``
+    keeps the diagonal's NaN when both terms are NaN; for any other values
+    the order does not change the result."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return diag + _row_sums(indptr, rates)
+
+
+def _row_sums(indptr, values) -> np.ndarray:
+    """``values[indptr[p]:indptr[p + 1]].sum()`` for every row ``p``, bit
+    for bit.  ``ndarray.sum`` adds fewer than 8 values one by one from 0.0,
+    up to 128 values in eight interleaved partial sums (position ``k`` of
+    every block of eight) that it combines pairwise before adding the
+    remainder one by one, and splits longer runs in two; those few rows
+    are summed by ``ndarray.sum`` itself."""
+    start, size = indptr[:-1], np.diff(indptr)
+    total = np.zeros(size.size)
+    short = np.flatnonzero(size < 8)
+    for t in range(7):
+        short = short[size[short] > t]
+        total[short] += values[start[short] + t]
+    mid = np.flatnonzero((size >= 8) & (size <= 128))
+    if mid.size:
+        first, blocks = start[mid], size[mid] // 8
+        acc = values[first[:, None] + np.arange(8)]
+        for b in range(1, int(blocks.max())):
+            live = np.flatnonzero(blocks > b)
+            acc[live] += values[first[live, None] + 8 * b + np.arange(8)]
+        res = (((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3]))
+               + ((acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])))
+        tail, rest = first + 8 * blocks, size[mid] % 8
+        for t in range(7):
+            live = np.flatnonzero(rest > t)
+            res[live] += values[tail[live] + t]
+        total[mid] = 0.0 + res  # the reduction's initial value
+    for p in np.flatnonzero(size > 128).tolist():
+        total[p] = values[indptr[p]:indptr[p + 1]].sum()
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -251,42 +546,61 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
     if states is None:
         states = model.states() if model.is_finite else model.states(50)
     states = tuple(states)
+    if not states:
+        return ValidationReport(violations=(), checked_states=states)
+    store, pairs = model._select(states)
+    costs = model._costs
+    sel = np.arange(store.diag.size)[pairs]
+    entries, indptr = store.entries(pairs)
+    cols, rates = store.cols[entries], store.rates[entries]
+    total, diag, cost = store.total[pairs], store.diag[pairs], costs.cost[pairs]
+    # the checks in vector form; Python runs over the flagged pairs only
+    bad_rate = ~(np.isfinite(rates) & (rates >= 0))
+    flagged = ((np.abs(total) > ROW_SUM_TOL) | ~np.isfinite(diag)
+               | ~(np.isfinite(cost) & (cost >= 0)).all(axis=1))
+    flagged[np.repeat(np.arange(sel.size), np.diff(indptr))[bad_rate]] = True
+    failed = {**costs.failed, **store.failed}
+    if failed:
+        flagged |= np.isin(sel, np.fromiter(failed, np.int64, len(failed)))
+    s = np.asarray(states, dtype=np.int64)
+    position = np.repeat(np.arange(s.size), store.m1[s - 1] * store.m2[s - 1])
+    flagged = np.flatnonzero(flagged)
+    events = sorted([(k, -1) for k, i in enumerate(states) if i in store.empty]
+                    + list(zip(position[flagged].tolist(), flagged.tolist())))
     bad = []
-    for i in states:
-        counts = []
-        for player in (1, 2):
-            try:
-                counts.append(model.n_actions(player, i))
-            except ValueError:
-                bad.append(Violation("empty action grid", i))
-                counts.append(0)
-        for ia in range(counts[0]):
-            for ib in range(counts[1]):
-                try:
-                    row = model.row(i, ia, ib)
-                except (ValueError, KeyError) as exc:
-                    bad.append(Violation(f"row construction failed ({exc})",
-                                         i, ia, ib))
-                    continue
-                defect = row.total()  # not finite when a rate is not
-                rates = row.rates
-                if not math.isfinite(defect) or (rates.size and rates.min() < 0):
-                    wrong = ~(np.isfinite(rates) & (rates >= 0))
-                    for j, r in zip(row.cols[wrong].tolist(), rates[wrong].tolist()):
-                        kind = "negative" if r < 0 else "non-finite"
-                        bad.append(Violation(f"{kind} off-diagonal rate", i,
-                                             ia, ib, j, r))
-                if abs(defect) > ROW_SUM_TOL:
-                    bad.append(Violation("non-conservative row", i, ia, ib,
-                                         None, defect))
-                if not math.isfinite(row.exit_rate):
-                    bad.append(Violation("unbounded exit rate", i, ia, ib,
-                                         None, row.exit_rate))
-                for player, c in zip((1, 2), model.costs(i, ia, ib)):
-                    if not (math.isfinite(c) and c >= 0):
-                        kind = "negative" if c < 0 else "non-finite"
-                        bad.append(Violation(f"{kind} cost (player {player})",
-                                             i, ia, ib, None, c))
+    for k, q in events:
+        i = states[k]
+        if q < 0:
+            bad += [Violation("empty action grid", i)] * len(store.empty[i])
+            continue
+        p = int(sel[q])
+        ia, ib = divmod(p - int(store.starts[i - 1]), int(store.m2[i - 1]))
+        exc = store.failed.get(p)
+        if exc is not None:
+            if not isinstance(exc, (ValueError, KeyError)):
+                raise exc
+            bad.append(Violation(f"row construction failed ({exc})", i, ia, ib))
+            continue
+        a, b = indptr[q], indptr[q + 1]
+        wrong = bad_rate[a:b]
+        for j, r in zip(cols[a:b][wrong].tolist(), rates[a:b][wrong].tolist()):
+            kind = "negative" if r < 0 else "non-finite"
+            bad.append(Violation(f"{kind} off-diagonal rate", i, ia, ib, j, r))
+        defect = float(total[q])  # not finite when a rate is not
+        if abs(defect) > ROW_SUM_TOL:
+            bad.append(Violation("non-conservative row", i, ia, ib, None,
+                                 defect))
+        exit_rate = -float(diag[q])
+        if not math.isfinite(exit_rate):
+            bad.append(Violation("unbounded exit rate", i, ia, ib, None,
+                                 exit_rate))
+        if p in costs.failed:
+            raise costs.failed[p]
+        for player, c in zip((1, 2), cost[q].tolist()):
+            if not (math.isfinite(c) and c >= 0):
+                kind = "negative" if c < 0 else "non-finite"
+                bad.append(Violation(f"{kind} cost (player {player})",
+                                     i, ia, ib, None, c))
     return ValidationReport(violations=tuple(bad), checked_states=states)
 
 
@@ -480,13 +794,6 @@ class LyapunovSpec:
 # Shop inventory model
 # ---------------------------------------------------------------------------
 
-def _default_payoff(fee: float, action_max: float):
-    def payoff(i, u):
-        return fee * i * (0.25 + 0.5 * u / action_max)
-
-    return payoff
-
-
 @dataclass(frozen=True)
 class ShopParams:
     """Parameters of the built-in shop inventory model.
@@ -515,11 +822,13 @@ class ShopParams:
     boundary_tail_tol: float = 1e-15
 
     def payoff(self, player: int, i: int, u: float) -> float:
+        """``payoff_k(i, u)``; by default ``fee_k * i * (1/4 + u / (2 *
+        action_max))``."""
         fn = self.payoff1 if player == 1 else self.payoff2
-        if fn is None:
-            fee = self.fee1 if player == 1 else self.fee2
-            fn = _default_payoff(fee, self.action_max)
-        return fn(i, u)
+        if fn is not None:
+            return fn(i, u)
+        fee = self.fee1 if player == 1 else self.fee2
+        return fee * i * (0.25 + 0.5 * u / self.action_max)
 
     def perturbation(self, i: int, u: float) -> float:
         """Rate perturbation ``u * exp(-theta * i)`` on the coupled set."""
@@ -644,26 +953,29 @@ def shop_model(params: ShopParams | None = None) -> GameModel:
 def _shop_game(params: ShopParams) -> GameModel:
     """The shop model of ``params``, which are not validated."""
     boundary = _shop_boundary_row(params)
-    grids = {}
+    grids, values = {}, {}
 
     def action_grids(player, i):
         # state 1 has special grids; elsewhere the grid is state-independent
         key = (player, i if i == 1 else 0)
         g = grids.get(key)
         if g is None:
-            g = params.grid(player, i)
-            grids[key] = g
+            g = grids[key] = params.grid(player, i)
+            values[key] = g.tolist()  # Python floats: cheaper arithmetic
         return g
 
+    def actions(i, ia, ib):
+        s = i if i == 1 else 0
+        if (2, s) not in values:
+            action_grids(1, i)
+            action_grids(2, i)
+        return values[(1, s)][ia], values[(2, s)][ib]
+
     def rate_fn(i, ia, ib):
-        u1 = action_grids(1, i)[ia]
-        u2 = action_grids(2, i)[ib]
-        return shop_row(params, i, u1, u2, boundary=boundary)
+        return shop_row(params, i, *actions(i, ia, ib), boundary=boundary)
 
     def cost_fn(i, ia, ib):
-        u1 = action_grids(1, i)[ia]
-        u2 = action_grids(2, i)[ib]
-        return shop_costs(params, i, u1, u2)
+        return shop_costs(params, i, *actions(i, ia, ib))
 
     meta = {"shop_params": params}
     return GameModel(rate_fn, cost_fn, action_grids, n_states=None,
@@ -761,7 +1073,7 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
     """Same model with a constant added to one player's cost rate.
 
     Rows do not depend on costs, so the shifted model shares the base
-    model's row cache: a row built by either is built once.
+    model's row store: a row built by either is built once.
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
@@ -773,7 +1085,7 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
     shifted = GameModel(model._rate_fn, cost_fn, model._grids,
                         n_states=model.n_states, anchor=model.anchor,
                         name=model.name + f"+shift{player}", meta=None)
-    shifted._row_cache = model._row_cache
+    shifted._rows = model._rows
     return shifted
 
 
@@ -788,8 +1100,8 @@ def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
 
     The entries become arrays once; every index is checked, a bad entry
     raising a ``ValueError`` that names the first one in entry order.
-    Entries are sorted by ``(pair, target)`` and every :class:`Row` is a
-    read-only view into one stacked CSR.  A repeated ``(i, ia, ib, j)`` or
+    Entries are sorted by ``(pair, target)`` into the model's pair store,
+    which takes the arrays as they are.  A repeated ``(i, ia, ib, j)`` or
     ``(k, i, ia, ib)`` entry keeps its last value; zero off-diagonal rates
     are dropped; an explicit diagonal is used as given, and a missing one
     is minus the sequential sum of the row's off-diagonal values in order
@@ -802,44 +1114,56 @@ def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
             if (player, i) not in action_grids:
                 raise ValueError(
                     f"no action grid for player {player} at state {i}")
-            grids[(player, i)] = np.asarray(action_grids[(player, i)],
-                                            dtype=float)
+            grid = np.asarray(action_grids[(player, i)], dtype=float)
+            if grid.ndim != 1:
+                raise ValueError(f"action grid for player {player} at state "
+                                 f"{i} is not a list of numbers")
+            grids[(player, i)] = grid
     m1 = np.array([grids[(1, i)].size for i in range(1, n + 1)], dtype=np.int64)
     m2 = np.array([grids[(2, i)].size for i in range(1, n + 1)], dtype=np.int64)
     per = m1 * m2
     starts = np.cumsum(per) - per
     n_pairs = int(per.sum())
     state = np.repeat(np.arange(1, n + 1), per)
-    a1, a2 = np.divmod(np.arange(n_pairs) - starts[state - 1], m2[state - 1])
 
     indptr, cols, rates, diag = _stacked_rows(rate_entries, n, m1, m2, starts,
                                               state)
     cost = _cost_table(cost_entries, n, m1, m2, starts, n_pairs)
-    keys = list(zip(state.tolist(), a1.tolist(), a2.tolist()))
-    bounds = indptr.tolist()
-    row_cache = dict(zip(keys, (
-        Row(cols=cols[a:b], rates=rates[a:b], diag=d)
-        for a, b, d in zip(bounds[:-1], bounds[1:], diag.tolist()))))
-    cost_cache = dict(zip(keys, map(tuple, cost.tolist())))
 
+    store = _PairStore(n, m1, m2, np.append(starts, n_pairs), indptr, cols,
+                       rates, diag)
+    costs = _CostStore(n, cost)
+
+    # the callables read the stores, not the model, so that a model is
+    # freed as soon as it is dropped (no reference cycle)
     def rate_fn(i, ia, ib):
-        row = row_cache.get((i, ia, ib))
-        if row is None:  # outside the table: absorbing, like an absent row
+        try:
+            p = store.index(i, ia, ib)
+        except ValueError:  # outside the table: absorbing, like an absent row
             return {i: 0.0}
-        full = dict(zip(row.cols.tolist(), row.rates.tolist()))
-        full[i] = row.diag
+        a, b = store.indptr[p], store.indptr[p + 1]
+        full = dict(zip(store.cols[a:b].tolist(), store.rates[a:b].tolist()))
+        full[i] = float(store.diag[p])
         return full
 
     def cost_fn(i, ia, ib):
-        return cost_cache.get((i, ia, ib), (0.0, 0.0))
+        try:
+            return tuple(costs.cost[store.index(i, ia, ib)].tolist())
+        except ValueError:
+            return (0.0, 0.0)
 
     def grid_fn(player, i):
         return grids[(player, i)]
 
     model = GameModel(rate_fn, cost_fn, grid_fn, n_states=n, anchor=anchor,
                       name=name)
-    model._row_cache = row_cache
-    model._cost_cache = cost_cache
+    model._rows, model._costs = store, costs
+    for i in np.flatnonzero(per == 0).tolist():
+        for player in (1, 2):
+            try:
+                model.n_actions(player, i + 1)
+            except ValueError as exc:
+                store.empty.setdefault(i + 1, []).append(exc)
     return model
 
 

@@ -343,7 +343,7 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
     rng = path_rng(*stream) if isinstance(stream, tuple) else stream
     uni = _Uniforms(rng)
     chain = model._chain_cache.get((v1, v2))
-    if chain is None:  # one per strategy pair, kept beside the row cache
+    if chain is None:  # one per strategy pair, kept beside the pair store
         chain = model._chain_cache[(v1, v2)] = _AveragedChain(model, v1, v2)
     times = [0.0]
     states = [start]

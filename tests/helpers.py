@@ -14,7 +14,17 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from rsgame.model import GameModel, tabular_model
+from scipy import sparse
+
+from rsgame.generator import PairTable
+from rsgame.model import (
+    ROW_SUM_TOL,
+    GameModel,
+    Row,
+    ValidationReport,
+    Violation,
+    tabular_model,
+)
 from rsgame.simulate import path_rng
 
 
@@ -93,6 +103,109 @@ def reference_table(doc):
         cols = sorted(j for j, r in row.items() if j != i and r != 0.0)
         rows[key] = (cols, [row[j] for j in cols], diag)
     return rows, {key: tuple(c) for key, c in costs.items()}
+
+
+def reference_row(model: GameModel, i, ia, ib) -> Row:
+    """Row of pair ``(i, ia, ib)`` built on its own from the model's
+    ``rate_fn``, the way ``GameModel.row`` built each row before the pair
+    store: targets sorted, zero rates dropped, numpy conversions, and a
+    countable model's row checked for conservativeness."""
+    raw = model._rate_fn(i, ia, ib)
+    if i not in raw:
+        raise ValueError(f"row at state {i} is missing its diagonal entry")
+    cols = np.array(sorted(j for j, r in raw.items() if j != i and r != 0.0),
+                    dtype=np.int64)
+    rates = np.array([raw[j] for j in cols], dtype=float)
+    row = Row(cols=cols, rates=rates, diag=float(raw[i]))
+    if not model.is_finite:
+        defect = row.total()
+        if abs(defect) > ROW_SUM_TOL:
+            raise ValueError(
+                f"lazy row at state {i}, actions ({ia},{ib}) is not "
+                f"conservative (defect {defect:.3e})")
+    return row
+
+
+def reference_costs(model: GameModel, i, ia, ib) -> tuple:
+    """Costs of pair ``(i, ia, ib)`` straight from the model's ``cost_fn``."""
+    c1, c2 = model._cost_fn(i, ia, ib)
+    return float(c1), float(c2)
+
+
+def reference_validate(model: GameModel, states=None) -> ValidationReport:
+    """``validate_model`` as a loop over states and pairs, on rows and costs
+    from :func:`reference_row` and :func:`reference_costs`."""
+    if states is None:
+        states = model.states() if model.is_finite else model.states(50)
+    states = tuple(states)
+    bad = []
+    for i in states:
+        counts = []
+        for player in (1, 2):
+            try:
+                counts.append(model.n_actions(player, i))
+            except ValueError:
+                bad.append(Violation("empty action grid", i))
+                counts.append(0)
+        for ia in range(counts[0]):
+            for ib in range(counts[1]):
+                try:
+                    row = reference_row(model, i, ia, ib)
+                except (ValueError, KeyError) as exc:
+                    bad.append(Violation(f"row construction failed ({exc})",
+                                         i, ia, ib))
+                    continue
+                defect = row.total()  # not finite when a rate is not
+                rates = row.rates
+                if not math.isfinite(defect) or (rates.size and rates.min() < 0):
+                    wrong = ~(np.isfinite(rates) & (rates >= 0))
+                    for j, r in zip(row.cols[wrong].tolist(), rates[wrong].tolist()):
+                        kind = "negative" if r < 0 else "non-finite"
+                        bad.append(Violation(f"{kind} off-diagonal rate", i,
+                                             ia, ib, j, r))
+                if abs(defect) > ROW_SUM_TOL:
+                    bad.append(Violation("non-conservative row", i, ia, ib,
+                                         None, defect))
+                if not math.isfinite(row.exit_rate):
+                    bad.append(Violation("unbounded exit rate", i, ia, ib,
+                                         None, row.exit_rate))
+                for player, c in zip((1, 2), reference_costs(model, i, ia, ib)):
+                    if not (math.isfinite(c) and c >= 0):
+                        kind = "negative" if c < 0 else "non-finite"
+                        bad.append(Violation(f"{kind} cost (player {player})",
+                                             i, ia, ib, None, c))
+    return ValidationReport(violations=tuple(bad), checked_states=states)
+
+
+def reference_pair_table(model: GameModel, states) -> PairTable:
+    """``pair_table`` stacked from ``GameModel.row`` and ``costs``, one
+    pair at a time in ``(state, ia, ib)`` order."""
+    states = tuple(states)
+    m1 = np.array([model.n_actions(1, i) for i in states], dtype=np.int64)
+    m2 = np.array([model.n_actions(2, i) for i in states], dtype=np.int64)
+    rows, costs = [], []
+    for i, k1, k2 in zip(states, m1.tolist(), m2.tolist()):
+        for ia in range(k1):
+            for ib in range(k2):
+                rows.append(model.row(i, ia, ib))
+                costs.append(model.costs(i, ia, ib))
+    per = m1 * m2
+    starts = np.cumsum(per) - per
+    state = np.repeat(np.arange(len(states)), per)
+    a1, a2 = np.divmod(np.arange(state.size) - starts[state], m2[state])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((r.cols.size for r in rows), np.int64, len(rows)),
+              out=indptr[1:])
+    cols = np.concatenate([r.cols for r in rows])
+    cols -= 1
+    width = max(int(cols.max(initial=0)) + 1, max(states))
+    return PairTable(
+        states=states, m1=m1, m2=m2, state=state, a1=a1, a2=a2, starts=starts,
+        rows=sparse.csr_matrix(
+            (np.concatenate([r.rates for r in rows]), cols, indptr),
+            shape=(len(rows), width)),
+        diag=np.fromiter((r.diag for r in rows), float, len(rows)),
+        cost=np.array(costs).reshape(-1, 2))
 
 
 def dense_tilted(model: GameModel, n, v1, v2, player):
@@ -391,3 +504,154 @@ def reference_hitting_row(model: GameModel, v1, v2, player, psi, rho,
             logs[p] = z + math.log(psi[end])
     estimate = float(np.exp(logsumexp(logs) - math.log(n_paths)))
     return estimate, counts["hit"], counts["killed"], counts["capped"]
+
+
+def _lazy(rate_fn, cost_fn=lambda i, a, b: (0.5, 0.25), grid=(0.0, 1.0),
+          n_states=None):
+    return GameModel(rate_fn, cost_fn, lambda p, i: list(grid),
+                     n_states=n_states)
+
+
+def _long_rows(i, ia, ib):
+    """Countable rows of ``(7 i + 3 ia + ib) % 301`` entries with rates in
+    the hundreds, so some row sums land just inside and some just outside
+    the conservativeness tolerance."""
+    rng = np.random.default_rng([i, ia, ib])
+    size = (7 * i + 3 * ia + ib) % 301
+    targets = i + 1 + np.arange(size)
+    rates = rng.uniform(1.0, 900.0, size)
+    row = dict(zip(targets.tolist(), rates.tolist()))
+    total = 0.0
+    for r in rates.tolist():
+        total += r
+    row[i] = -total
+    return row
+
+
+def _bad_values_model():
+    """Finite table with NaN, infinite and negative rates and costs, a
+    non-conservative explicit diagonal and rows of up to 40 entries."""
+    grids = {(p, i): [0.0, 1.0] for p in (1, 2) for i in range(1, 51)}
+    rng = np.random.default_rng(7)
+    rates, costs = {}, {}
+    for i in range(1, 51):
+        for ia in range(2):
+            for ib in range(2):
+                size = (i * 3 + ia + ib) % 41
+                targets = rng.choice([j for j in range(1, 51) if j != i],
+                                     size, replace=False)
+                row = dict(zip(targets.tolist(),
+                               rng.uniform(0.0, 2.0, size).tolist()))
+                costs[(i, ia, ib)] = tuple(rng.uniform(0.0, 1.0, 2).tolist())
+                rates[(i, ia, ib)] = row
+    rates[(2, 0, 1)][5] = float("nan")
+    rates[(3, 1, 1)][7] = -0.5
+    rates[(4, 0, 0)][9] = float("inf")
+    rates[(5, 1, 0)][11] = -float("inf")
+    rates[(6, 0, 0)][6] = -1.0  # explicit diagonal that does not conserve
+    costs[(7, 0, 1)] = (float("nan"), -2.0)
+    costs[(8, 1, 1)] = (float("inf"), 0.0)
+    return tabular_model(rates, costs, grids, n_states=50)
+
+
+def store_corpus():
+    """``(name, build, states)``: models (built fresh by ``build()``) and
+    state lists on which the pair store is compared with the references."""
+    from rsgame.model import birth_death_model, shop_model, with_cost_shift
+
+    def missing_diagonal(i, ia, ib):
+        return {i + 1: 1.0} if (i, ia) == (2, 1) else {i + 1: 1.0, i: -1.0}
+
+    def key_error(i, ia, ib):  # no row for ib = 1 at states 2, 5, 8, ...
+        rows = {0: {i + 1: 2.0, i: -2.0}}
+        return rows[ib if i % 3 == 2 else 0]
+
+    def non_conservative(i, ia, ib):
+        return {i + 1: 1.0, i: -1.0 + (1e-9 if (i, ia, ib) == (4, 1, 0) else 0.0)}
+
+    def type_error(i, ia, ib):
+        return {i + 1: 1.0, i: -1.0} if i != 3 else {i + 1: 1.0, i: None}
+
+    def text_rate(i, ia, ib):
+        return {i + 1: "x" if (i, ib) == (2, 1) else 1.0, i - 1: None, i: -1.0}
+
+    def cost_error(i, ia, ib):
+        if (i, ia, ib) == (3, 1, 1):
+            raise ValueError("no cost at (3, 1, 1)")
+        return (0.5, 0.5)
+
+    def both_fail(i, ia, ib):
+        if (i, ia, ib) == (3, 1, 0):
+            raise KeyError((i, ia, ib))
+        return {i + 1: 1.0, i: -1.0}
+
+    def empty_grid(player, i):
+        return [] if (player, i) == (1, 2) else [0.0, 1.0]
+
+    shop = shop_model
+    corpus = [
+        ("shop 1..1000", shop, range(1, 1001)),
+        ("shop 1..320", shop, range(1, 321)),
+        ("shop 5..9", shop, range(5, 10)),
+        ("shop [5, 3, 9]", shop, [5, 3, 9]),
+        ("shop [2, 2, 1]", shop, [2, 2, 1]),
+        ("digest game", digest_game, range(1, 51)),
+        ("digest game [40, 3, 17]", digest_game, [40, 3, 17]),
+        ("bad values", _bad_values_model, range(1, 51)),
+        ("bad values 2..9", _bad_values_model, range(2, 10)),
+        ("missing diagonal", lambda: _lazy(missing_diagonal, n_states=4),
+         range(1, 5)),
+        ("rate_fn KeyError", lambda: _lazy(key_error), range(1, 9)),
+        ("non-conservative lazy row", lambda: _lazy(non_conservative),
+         range(1, 7)),
+        ("rate_fn TypeError", lambda: _lazy(type_error), range(1, 6)),
+        ("rate that is text", lambda: _lazy(text_rate, n_states=4), range(1, 5)),
+        ("cost_fn ValueError", lambda: _lazy(lambda i, a, b: {i: 0.0},
+                                             cost_error), range(1, 5)),
+        ("rate_fn and cost_fn fail at one pair", lambda: _lazy(
+            both_fail, lambda i, a, b: cost_error(i, a, b + 1)), range(1, 5)),
+        ("empty grid", lambda: GameModel(lambda i, a, b: {i: 0.0},
+                                         lambda i, a, b: (0.0, 0.0),
+                                         empty_grid, n_states=3), range(1, 4)),
+        ("rows of 0..300 entries", lambda: _lazy(_long_rows, grid=(0.0, 1.0, 2.0)),
+         range(1, 61)),
+        ("finite rows of 0..300 entries", lambda: _lazy(
+            _long_rows, grid=(0.0, 1.0, 2.0), n_states=60), range(1, 61)),
+        ("birth-death", lambda: birth_death_model(
+            [1.0, 2.0, 0.5, 0.0], [0.0, 1.0, 3.0, 2.0],
+            [0.5, 1.0, 1.5, 2.0], [0.0, 0.1, 0.2, 0.3]), range(1, 5)),
+        ("shifted shop", lambda: with_cost_shift(shop(), 2, 0.3), range(1, 41)),
+        ("shifted digest game", lambda: with_cost_shift(digest_game(), 1, -0.7),
+         range(1, 51)),
+    ]
+    for seed in range(4):
+        n = 3 + 5 * seed
+        corpus.append((f"random game {seed}", lambda seed=seed, n=n: random_game(
+            np.random.default_rng(seed), n_states=n, m1=1 + seed % 3, m2=2),
+            range(1, n + 1)))
+    return corpus
+
+
+def outcome(fn):
+    """``("ok", value)``, or ``("raised", type, message)`` when ``fn``
+    raises."""
+    try:
+        return "ok", fn()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def violation_fields(report) -> list:
+    """Every violation as its fields, the magnitude by its bits."""
+    return [(v.kind, v.state, v.a1, v.a2, v.target,
+             np.float64(v.magnitude).tobytes()) for v in report.violations]
+
+
+def table_fields(table) -> list:
+    """Every field of a pair table as dtypes, shapes and bytes."""
+    out = [table.states, table.rows.shape]
+    for a in (table.m1, table.m2, table.state, table.a1, table.a2,
+              table.starts, table.rows.indptr, table.rows.indices,
+              table.rows.data, table.diag, table.cost):
+        out += [a.dtype.str, a.shape, a.tobytes()]
+    return out

@@ -328,12 +328,16 @@ class TestLadder:
         assert res.mode == "fixed"
         assert res.limit_estimate is not None
 
-    def test_parallel_rungs_bit_identical(self):
+    def test_rungs_match_standalone_solves(self):
         model = shop_model()
         opp = uniform_strategy(model, 2)
-        seq = truncation_ladder(model, opp, 1, [5, 8], workers=1)
-        par = truncation_ladder(model, opp, 1, [5, 8], workers=2)
-        assert seq.rho_values() == par.rho_values()
+        res = truncation_ladder(model, opp, 1, [5, 8, 80])
+        for rung in res.rungs:
+            fresh = shop_model()
+            ep, _ = best_response_eigenpair(fresh, truncate(fresh, rung.n),
+                                            uniform_strategy(fresh, 2), 1)
+            assert rung.rho == ep.rho
+            assert rung.eigenpair.psi.tobytes() == ep.psi.tobytes()
 
     def test_failures_recorded_ladder_continues(self):
         model = shop_model()

@@ -15,7 +15,18 @@ from rsgame.model import (
     uniform_strategy,
 )
 
-from tests.helpers import dense_response_rows, dense_tilted, random_game
+from rsgame.model import GameModel
+from tests.helpers import (
+    dense_response_rows,
+    dense_tilted,
+    outcome,
+    random_game,
+    reference_pair_table,
+    store_corpus,
+    table_fields,
+)
+
+CORPUS = store_corpus()
 
 
 def oracle_average_row(model, i, w1, w2):
@@ -89,6 +100,28 @@ class TestPairTable:
                 every = all(j in model.row(i, ia, ib).cols
                             for ia in range(2) for ib in range(2))
                 assert graph[i - 1, j - 1] == every
+
+
+    @pytest.mark.parametrize("build,states", [c[1:] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_matches_row_walking_reference(self, build, states):
+        assert outcome(lambda: table_fields(pair_table(build(), states))) == (
+            outcome(lambda: table_fields(reference_pair_table(build(), states))))
+
+    def test_raises_for_the_first_failing_pair_in_pair_order(self):
+        def rate_fn(i, ia, ib):
+            if (i, ia, ib) in ((2, 1, 0), (3, 0, 1)):
+                raise KeyError((i, ia, ib))
+            return {i + 1: 1.0, i: -1.0}
+
+        model = GameModel(rate_fn, lambda i, a, b: (0.0, 0.0),
+                          lambda p, i: [0.0, 1.0], n_states=None)
+        for states, first in ((range(1, 5), "(2, 1, 0)"), ([3, 2], "(3, 0, 1)"),
+                              ([4, 3, 1], "(3, 0, 1)"), (range(3, 5), "(3, 0, 1)")):
+            with pytest.raises(KeyError) as info:
+                pair_table(model, states)
+            assert str(info.value) == first
+        assert pair_table(model, [4, 1]).rows.shape == (8, 5)
 
 
 class TestAverageRow:

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -29,12 +31,21 @@ from rsgame.model import (
     with_cost_shift,
 )
 
+from rsgame.model import _row_sums
 from tests.helpers import (
     digest_game,
+    outcome,
     random_game,
+    reference_costs,
+    reference_row,
     reference_table,
+    reference_validate,
+    store_corpus,
     table_digest,
+    violation_fields,
 )
+
+CORPUS = store_corpus()
 
 
 def two_state_birth_death():
@@ -276,8 +287,10 @@ class TestCostShift:
         model = load_model(path)
         fresh = GameModel(model._rate_fn, model._cost_fn, model._grids,
                           n_states=model.n_states)
-        for key, row in model._row_cache.items():
-            again = fresh.row(*key)
+        for key in ((i, ia, ib) for i in model.states()
+                    for ia in range(model.n_actions(1, i))
+                    for ib in range(model.n_actions(2, i))):
+            row, again = model.row(*key), fresh.row(*key)
             assert again.cols.tolist() == row.cols.tolist()
             assert again.rates.tolist() == row.rates.tolist()
             assert again.diag == row.diag
@@ -511,6 +524,13 @@ class TestColumnarTables:
             assert not row.rates.flags.writeable
             assert row.cols.base is base
 
+    def test_nested_action_grid_rejected_at_load(self):
+        doc = {"states": 2, "actions": {"1": {"default": [[0.0, 1.0]]}},
+               "rates": [], "costs": []}
+        with pytest.raises(ValueError, match="player 1 at state 1 is not a "
+                                             "list of numbers"):
+            model_from_dict(doc)
+
     def test_tabular_model_checks_grids_and_indices(self):
         grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2)}
         with pytest.raises(ValueError, match="no action grid for player 2 at "
@@ -562,3 +582,97 @@ class TestValidateNeverRaises:
                           n_states=None)
         with pytest.raises(ValueError, match="not\\s+conservative"):
             model.row(1, 0, 0)
+
+
+def _row_fields(row):
+    return (row.cols.dtype.str, row.cols.tobytes(), row.rates.dtype.str,
+            row.rates.tobytes(), np.float64(row.diag).tobytes())
+
+
+class TestPairStore:
+    """The pair store against the per-pair references of tests.helpers."""
+
+    @pytest.mark.parametrize("build,states", [c[1:] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_validate_matches_reference(self, build, states):
+        def report(validate):
+            found = validate(build(), states)
+            return violation_fields(found), [str(v) for v in found.violations]
+
+        assert outcome(lambda: report(validate_model)) == outcome(
+            lambda: report(reference_validate))
+
+    @pytest.mark.parametrize("build,states", [c[1:] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_rows_costs_and_totals_match_reference(self, build, states):
+        model, fresh = build(), build()
+        for i in sorted(set(states)):
+            sizes = outcome(lambda: (model.n_actions(1, i), model.n_actions(2, i)))
+            if sizes[0] == "raised":
+                continue
+            for ia in range(sizes[1][0]):
+                for ib in range(sizes[1][1]):
+                    row = outcome(lambda: model.row(i, ia, ib))
+                    want = outcome(lambda: reference_row(fresh, i, ia, ib))
+                    assert row[0] == want[0]
+                    if row[0] == "raised":
+                        assert row == want
+                        continue
+                    assert _row_fields(row[1]) == _row_fields(want[1])
+                    p = model._pair(i, ia, ib)
+                    with np.errstate(invalid="ignore"):
+                        total = np.float64(row[1].total())
+                    assert total.tobytes() == model._rows.total[p].tobytes()
+                    assert row[1] is model.row(i, ia, ib)
+                    assert outcome(lambda: np.array(model.costs(i, ia, ib))
+                                   .tobytes()) == outcome(
+                        lambda: np.array(reference_costs(fresh, i, ia, ib))
+                        .tobytes())
+
+    def test_row_totals_match_ndarray_sum_on_rows_of_0_to_300_entries(self):
+        rng = np.random.default_rng(11)
+        sizes = np.concatenate([np.arange(301), rng.integers(0, 301, 300)])
+        values = (rng.standard_normal(sizes.sum())
+                  * 10.0 ** rng.integers(-8, 9, sizes.sum()))
+        odd = rng.random(values.size)
+        values[odd < 0.002] = np.nan
+        values[(odd >= 0.002) & (odd < 0.004)] = np.inf
+        values[(odd >= 0.004) & (odd < 0.006)] = -np.inf
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        values[indptr[5]:indptr[6]] = -0.0  # all negative zeros
+        values[indptr[20]:indptr[21]] = -0.0
+        with np.errstate(invalid="ignore"):
+            want = [values[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])]
+            got = _row_sums(indptr, values)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_dropped_table_model_is_freed_without_the_cycle_collector(self):
+        model = random_game(np.random.default_rng(4), n_states=6)
+        validate_model(model)
+        pair_table(model, model.states())
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_one_state_at_a_time_builds_only_the_states_asked_for(self):
+        calls = []
+
+        def rate_fn(i, ia, ib):
+            calls.append(i)
+            return {i + 1: 1.0, i: -1.0}
+
+        model = GameModel(rate_fn, lambda i, a, b: (0.0, 0.0),
+                          lambda p, i: [0.0, 1.0], n_states=None)
+        buffers = set()
+        for k in range(1, 301):
+            model.row(k, 1, 0)
+            assert max(calls) == k and model._rows.top == k
+            buffers.add(id(model._rows._buffers["cols"]))
+        assert calls == [i for i in range(1, 301) for _ in range(4)]
+        assert len(buffers) <= 12  # capacity doubles: about log2(1200) copies
+        validate_model(model, states=[310, 305])
+        assert max(calls) == 310 and model._rows.top == 310

@@ -361,7 +361,7 @@ class TestShopConditionReport:
         given = shop_condition_report(params, range(1, 80), model)
         assert given.to_json_dict() == shop_condition_report(
             params, range(1, 80)).to_json_dict()
-        assert (79, 2, 2) in model._row_cache
+        assert model._rows.top == 79  # the given model's pair store was read
         with pytest.raises(ValueError, match="not the shop model"):
             shop_condition_report(ShopParams(theta=0.3), range(1, 5), model)
 
