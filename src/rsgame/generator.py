@@ -7,7 +7,7 @@ operator ``A = Q + diag(c)`` has the long-run growth rate of the expected
 exponentiated cost as its principal eigenvalue; each player's
 frozen-opponent rows; the drift sums of the stability checks; the jump
 tables of the simulator.  :func:`pair_table` stacks those rows once for a
-list of states, sliced from the model's pair store, and
+list of states, gathered from the model's pair store, and
 :meth:`PairTable.contract` sums weighted rows into groups.  Everything
 here is a pure function of the model, truncation and strategies; a lazy
 model's store grows as states are asked for, so a model is used from one
@@ -124,10 +124,9 @@ class PairTable:
 
 
 def pair_table(model: GameModel, states) -> PairTable:
-    """Table of every pure action pair's row and costs at ``states``, sliced
-    from the model's pair store (gathered by index unless the states are
-    consecutive).  Raises the error of the first state or pair that failed
-    to build."""
+    """Table of every pure action pair's row and costs at ``states``,
+    gathered by index from the model's pair store.  Raises the error of the
+    first state or pair that failed to build."""
     states = tuple(states)
     store, pairs = model._select(states)
     store.check(states, pairs, model._costs)
@@ -142,9 +141,9 @@ def pair_table(model: GameModel, states) -> PairTable:
     width = max(int(cols.max(initial=0)) + 1, max(states))
     return PairTable(
         states=states, m1=m1, m2=m2, state=state, a1=a1, a2=a2, starts=starts,
-        rows=sparse.csr_matrix((store.rates[entries].copy(), cols, indptr),
+        rows=sparse.csr_matrix((store.rates[entries], cols, indptr),
                                shape=(state.size, width)),
-        diag=store.diag[pairs].copy(), cost=model._costs.cost[pairs].copy())
+        diag=store.diag[pairs], cost=model._costs.cost[pairs])
 
 
 def common_edges(rows: sparse.csr_matrix, groups, n_groups: int,

@@ -16,6 +16,7 @@ set of states.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -160,6 +161,9 @@ class GameModel:
     def row(self, i: int, ia: int, ib: int) -> Row:
         """Row of pair ``(i, ia, ib)``: read-only views into the pair store.
 
+        The store holds states ``1..top`` in one piece, so on a lazy model
+        the first call at state ``i`` builds every row of states
+        ``1..i`` not built yet (one ``rate_fn`` call per pair of them).
         Raises the error its construction raised when the row failed to
         build (a missing diagonal, an error from ``rate_fn``, or, on a
         countable model, a row that is not conservative).
@@ -170,6 +174,9 @@ class GameModel:
         return row
 
     def costs(self, i: int, ia: int, ib: int) -> tuple:
+        """Both players' cost rates at pair ``(i, ia, ib)``.  Like
+        :meth:`row`, the first call at state ``i`` builds the rows and costs
+        of every state ``1..i`` not built yet."""
         c = self._costs.values.get((i, ia, ib))
         if c is None:
             c = self._costs.value(self._pair(i, ia, ib, costs=True), (i, ia, ib))
@@ -191,15 +198,12 @@ class GameModel:
         return self._built(i, costs).index(i, ia, ib)
 
     def _select(self, states: tuple):
-        """Pair store (rows and costs built) and the pairs of ``states`` in
-        their order: a slice for consecutive states, else an index array."""
+        """Pair store (rows and costs built) and the index array of the
+        pairs of ``states``, in their order."""
         s = np.asarray(states, dtype=np.int64)
         if s.min() < 1:
             raise ValueError(f"state {int(s.min())} is not a state of the model")
         store = self._built(int(s.max()), costs=True)
-        if np.all(np.diff(s) == 1):
-            return store, slice(int(store.starts[s[0] - 1]),
-                                int(store.starts[s[-1]]))
         return store, _ranges(store.starts[s - 1], store.starts[s])
 
     def cost(self, player: int, i: int, ia: int, ib: int) -> float:
@@ -252,7 +256,9 @@ class _PairStore(_Columns):
     (``Row.total()`` bit for bit).  A row that failed to build is empty,
     with a NaN diagonal, and ``failed[p]`` keeps its error; ``empty[i]``
     holds the errors of the empty action grids of state ``i``, which then
-    owns no pairs.
+    owns no pairs.  Errors are kept without a traceback and raised as
+    fresh copies (see :func:`_kept` and :func:`_raise`), so they never tie
+    the store to the model or its callers.
 
     A table model hands its arrays over complete.  A lazy model's store is
     filled one block of requested states at a time; rows handed out are
@@ -288,7 +294,7 @@ class _PairStore(_Columns):
                 try:
                     sizes.append(model.n_actions(player, i))
                 except ValueError as exc:
-                    empty.setdefault(i, []).append(exc)
+                    empty.setdefault(i, []).append(_kept(exc))
                     sizes.append(0)
         rate_fn = model._rate_fn
         offs, values, diags, failed = [], [], [], {}
@@ -304,7 +310,7 @@ class _PairStore(_Columns):
                                       if j != i and r != 0.0])
                         row = ([raw[j] for j in off], raw[i])
                     except Exception as exc:  # a row that fails to build is data
-                        failed[len(diags)] = exc
+                        failed[len(diags)] = _kept(exc)
                         off, row = (), ((), math.nan)
                     offs.append(off)
                     values.append(row[0])
@@ -316,7 +322,7 @@ class _PairStore(_Columns):
                 try:
                     _row_arrays(offs[k:k + 1], values[k:k + 1], diags[k:k + 1])
                 except Exception as exc:
-                    failed[k] = exc
+                    failed[k] = _kept(exc)
                     offs[k], values[k], diags[k] = (), (), math.nan
             cols, rates, diag = _row_arrays(offs, values, diags)
         indptr = np.zeros(len(offs) + 1, dtype=np.int64)
@@ -349,7 +355,7 @@ class _PairStore(_Columns):
         if not 1 <= i <= self.top:
             raise ValueError(f"state {i} is not in the pair store")
         if i in self.empty:
-            raise self.empty[i][0]
+            _raise(self.empty[i][0])
         k1, k2 = int(self.m1[i - 1]), int(self.m2[i - 1])
         if not (0 <= ia < k1 and 0 <= ib < k2):
             raise ValueError(f"no action pair ({ia},{ib}) at state {i}: the "
@@ -365,7 +371,7 @@ class _PairStore(_Columns):
     def view(self, p: int, key: tuple) -> Row:
         """Read-only row of pair ``p``, memoized under ``key``."""
         if p in self.failed:
-            raise self.failed[p]
+            _raise(self.failed[p])
         a, b = self.indptr[p], self.indptr[p + 1]
         cols, rates = self.cols[a:b], self.rates[a:b]
         cols.setflags(write=False)
@@ -375,11 +381,8 @@ class _PairStore(_Columns):
         return row
 
     def entries(self, pairs):
-        """Entries of ``pairs`` (a slice or an index array) and their
-        CSR ``indptr`` from 0."""
-        if isinstance(pairs, slice):
-            indptr = self.indptr[pairs.start:pairs.stop + 1]
-            return slice(int(indptr[0]), int(indptr[-1])), indptr - indptr[0]
+        """Index array of the entries of ``pairs`` (an index array) and
+        their CSR ``indptr`` from 0."""
         lo, hi = self.indptr[pairs], self.indptr[pairs + 1]
         indptr = np.zeros(lo.size + 1, dtype=np.int64)
         np.cumsum(hi - lo, out=indptr[1:])
@@ -391,13 +394,12 @@ class _PairStore(_Columns):
         if self.empty:
             for i in states:
                 if i in self.empty:
-                    raise self.empty[i][0]
+                    _raise(self.empty[i][0])
         failed = {**costs.failed, **self.failed}
         if failed:
-            sel = np.arange(self.diag.size)[pairs]
-            hit = np.isin(sel, np.fromiter(failed, np.int64, len(failed)))
+            hit = np.isin(pairs, np.fromiter(failed, np.int64, len(failed)))
             if hit.any():
-                raise failed[int(sel[np.argmax(hit)])]
+                _raise(failed[int(pairs[np.argmax(hit)])])
 
 
 class _CostStore(_Columns):
@@ -426,16 +428,40 @@ class _CostStore(_Columns):
                         c1, c2 = cost_fn(i, ia, ib)
                         out.append((float(c1), float(c2)))
                     except Exception as exc:
-                        self.failed[len(self.cost) + len(out)] = exc
+                        self.failed[len(self.cost) + len(out)] = _kept(exc)
                         out.append((math.nan, math.nan))
         self._append(cost=np.array(out, dtype=float).reshape(-1, 2))
         self.top = top
 
     def value(self, p: int, key: tuple) -> tuple:
         if p in self.failed:
-            raise self.failed[p]
+            _raise(self.failed[p])
         c = self.values[key] = tuple(self.cost[p].tolist())
         return c
+
+
+def _kept(exc: Exception) -> Exception:
+    """``exc`` stored as data, without its traceback and chain.  Each frame
+    in them holds its caller's frame, up to the one that filled the store
+    and with it the model and the store, which would then hold themselves
+    in a cycle."""
+    exc.__cause__ = exc.__context__ = None
+    return exc.with_traceback(None)
+
+
+def _raise(exc: Exception):
+    """Raise the stored error ``exc`` afresh, as a copy: a raise adds the
+    frames it passes through to the traceback of what it raises, and the
+    stored error must not collect them."""
+    try:
+        fresh = copy.copy(exc)
+    except Exception:  # its __init__ does not take the error's args
+        fresh = type(exc).__new__(type(exc), *exc.args)
+        fresh.__dict__.update(vars(exc))
+    try:
+        raise fresh
+    finally:
+        fresh = None  # its traceback holds this frame
 
 
 def _row_arrays(offs, values, diags):
@@ -550,7 +576,6 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
         return ValidationReport(violations=(), checked_states=states)
     store, pairs = model._select(states)
     costs = model._costs
-    sel = np.arange(store.diag.size)[pairs]
     entries, indptr = store.entries(pairs)
     cols, rates = store.cols[entries], store.rates[entries]
     total, diag, cost = store.total[pairs], store.diag[pairs], costs.cost[pairs]
@@ -558,10 +583,10 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
     bad_rate = ~(np.isfinite(rates) & (rates >= 0))
     flagged = ((np.abs(total) > ROW_SUM_TOL) | ~np.isfinite(diag)
                | ~(np.isfinite(cost) & (cost >= 0)).all(axis=1))
-    flagged[np.repeat(np.arange(sel.size), np.diff(indptr))[bad_rate]] = True
+    flagged[np.repeat(np.arange(pairs.size), np.diff(indptr))[bad_rate]] = True
     failed = {**costs.failed, **store.failed}
     if failed:
-        flagged |= np.isin(sel, np.fromiter(failed, np.int64, len(failed)))
+        flagged |= np.isin(pairs, np.fromiter(failed, np.int64, len(failed)))
     s = np.asarray(states, dtype=np.int64)
     position = np.repeat(np.arange(s.size), store.m1[s - 1] * store.m2[s - 1])
     flagged = np.flatnonzero(flagged)
@@ -573,12 +598,12 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
         if q < 0:
             bad += [Violation("empty action grid", i)] * len(store.empty[i])
             continue
-        p = int(sel[q])
+        p = int(pairs[q])
         ia, ib = divmod(p - int(store.starts[i - 1]), int(store.m2[i - 1]))
         exc = store.failed.get(p)
         if exc is not None:
             if not isinstance(exc, (ValueError, KeyError)):
-                raise exc
+                _raise(exc)
             bad.append(Violation(f"row construction failed ({exc})", i, ia, ib))
             continue
         a, b = indptr[q], indptr[q + 1]
@@ -595,7 +620,7 @@ def validate_model(model: GameModel, states=None) -> ValidationReport:
             bad.append(Violation("unbounded exit rate", i, ia, ib, None,
                                  exit_rate))
         if p in costs.failed:
-            raise costs.failed[p]
+            _raise(costs.failed[p])
         for player, c in zip((1, 2), cost[q].tolist()):
             if not (math.isfinite(c) and c >= 0):
                 kind = "negative" if c < 0 else "non-finite"
@@ -1163,7 +1188,7 @@ def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
             try:
                 model.n_actions(player, i + 1)
             except ValueError as exc:
-                store.empty.setdefault(i + 1, []).append(exc)
+                store.empty.setdefault(i + 1, []).append(_kept(exc))
     return model
 
 

@@ -658,6 +658,70 @@ class TestPairStore:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("case", ["rate_fn", "chained", "custom",
+                                      "text rate", "cost_fn", "diagonal",
+                                      "lazy defect", "empty grid"])
+    def test_failing_lazy_model_is_freed_after_repeated_raises(self, case):
+        class PairError(ValueError):  # not rebuilt by calling it with args
+            def __init__(self, i, note):
+                super().__init__(f"pair at {i}: {note}")
+
+        def rate_fn(i, ia, ib):
+            if i == 3 and case == "rate_fn":
+                raise KeyError(f"no row at {i}")
+            if i == 3 and case == "chained":
+                try:
+                    {}[i]
+                except KeyError as exc:
+                    raise ValueError(f"no row at {i}") from exc
+            if i == 3 and case == "custom":
+                raise PairError(i, "no row")
+            if i == 3 and case == "text rate":
+                return {i + 1: "fast", i: -1.0}
+            if i == 3 and case == "diagonal":
+                return {i + 1: 1.0}
+            if i == 3 and case == "lazy defect":
+                return {i + 1: 1.0, i: -2.0}
+            return {i + 1: 1.0, i: -1.0}
+
+        def cost_fn(i, ia, ib):
+            if i == 3 and case == "cost_fn":
+                raise ValueError(f"no cost at {i}")
+            return (0.0, 0.0)
+
+        def grid_fn(player, i):
+            return [] if (player, i, case) == (1, 3, "empty grid") else [0.0]
+
+        model = GameModel(rate_fn, cost_fn, grid_fn, n_states=None)
+        messages = set()
+        for _ in range(3):
+            for read in (lambda: model.row(3, 0, 0),
+                         lambda: model.costs(3, 0, 0),
+                         lambda: pair_table(model, [1, 2, 3])):
+                try:
+                    read()
+                except Exception as exc:
+                    messages.add((type(exc), str(exc)))
+        try:
+            validate_model(model, states=[1, 2, 3, 4])
+        except Exception as exc:  # cost_fn errors propagate
+            messages.add((type(exc), str(exc)))
+        assert len(messages) == 1  # the same error each time
+        if case == "custom":
+            assert messages == {(PairError, "pair at 3: no row")}
+        store = model._rows
+        kept = list(store.failed.values()) + list(model._costs.failed.values())
+        kept += [e for errors in store.empty.values() for e in errors]
+        assert len(kept) == 1
+        assert kept[0].__traceback__ is None  # no raise has added a frame
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model, read
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_one_state_at_a_time_builds_only_the_states_asked_for(self):
         calls = []
 
