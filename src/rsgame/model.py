@@ -19,9 +19,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,8 +108,11 @@ class GameModel:
         State at which eigenfunctions are normalized to one.
 
     Rows and costs live in one columnar pair store per model (see
-    :class:`_PairStore`), filled through ``rate_fn`` and ``cost_fn`` as
-    states are asked for; :meth:`row` and :meth:`costs` read it.
+    :class:`_PairStore`), filled one block of states at a time as states
+    are asked for; :meth:`row` and :meth:`costs` read it.  The blocks come
+    from :meth:`_row_blocks` and :meth:`_cost_block`, which call
+    ``rate_fn`` and ``cost_fn`` once per pair (the shop model builds most
+    of its blocks as arrays instead).
     """
 
     def __init__(self, rate_fn, cost_fn, action_grids, n_states=None,
@@ -127,7 +131,8 @@ class GameModel:
         self._rows = _PairStore()
         self._costs = _CostStore()
         self._grid_cache: dict = {}
-        self._chain_cache: dict = {}  # sample_path's jump tables per strategy pair
+        # sample_path's jump tables: strategy v1 -> strategy v2 -> chain
+        self._chain_cache = weakref.WeakKeyDictionary()
 
     @property
     def is_finite(self) -> bool:
@@ -163,7 +168,7 @@ class GameModel:
 
         The store holds states ``1..top`` in one piece, so on a lazy model
         the first call at state ``i`` builds every row of states
-        ``1..i`` not built yet (one ``rate_fn`` call per pair of them).
+        ``1..i`` not built yet, as one block.
         Raises the error its construction raised when the row failed to
         build (a missing diagonal, an error from ``rate_fn``, or, on a
         countable model, a row that is not conservative).
@@ -206,6 +211,76 @@ class GameModel:
         store = self._built(int(s.max()), costs=True)
         return store, _ranges(store.starts[s - 1], store.starts[s])
 
+    def _row_blocks(self, lo: int, hi: int):
+        """The rows of states ``lo..hi``: :class:`_RowBlock` objects over
+        consecutive runs of them, in state order.  This one yields a single
+        block, from one ``rate_fn`` call per pair into plain lists, then one
+        array per column.  Each row is read as documented above: off-
+        diagonal targets ascending, zero rates dropped, values as floats."""
+        states = range(lo, hi + 1)
+        m1, m2, empty = [], [], {}
+        for i in states:
+            for player, sizes in ((1, m1), (2, m2)):
+                try:
+                    sizes.append(self.n_actions(player, i))
+                except ValueError as exc:
+                    empty.setdefault(i, []).append(_kept(exc))
+                    sizes.append(0)
+        rate_fn = self._rate_fn
+        offs, values, diags, failed = [], [], [], {}
+        for i, k1, k2 in zip(states, m1, m2):
+            for ia in range(k1):
+                for ib in range(k2):
+                    try:
+                        raw = rate_fn(i, ia, ib)
+                        if i not in raw:
+                            raise ValueError(
+                                f"row at state {i} is missing its diagonal entry")
+                        off = sorted([j for j, r in raw.items()
+                                      if j != i and r != 0.0])
+                        row = ([raw[j] for j in off], raw[i])
+                    except Exception as exc:  # a row that fails to build is data
+                        failed[len(diags)] = _kept(exc)
+                        off, row = (), ((), math.nan)
+                    offs.append(off)
+                    values.append(row[0])
+                    diags.append(row[1])
+        try:
+            cols, rates, diag = _row_arrays(offs, values, diags)
+        except Exception:  # some row's values do not convert: find which
+            for k in range(len(diags)):
+                try:
+                    _row_arrays(offs[k:k + 1], values[k:k + 1], diags[k:k + 1])
+                except Exception as exc:
+                    failed[k] = _kept(exc)
+                    offs[k], values[k], diags[k] = (), (), math.nan
+            cols, rates, diag = _row_arrays(offs, values, diags)
+        indptr = np.zeros(len(offs) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, offs), np.int64, len(offs)),
+                  out=indptr[1:])
+        yield _RowBlock(np.array(m1, dtype=np.int64),
+                        np.array(m2, dtype=np.int64), indptr, cols, rates,
+                        diag, empty, failed)
+
+    def _cost_block(self, lo: int, hi: int) -> tuple:
+        """Both players' costs at the pairs of states ``lo..hi``, whose rows
+        are built: a ``(pairs, 2)`` array in pair order and the errors that
+        ``cost_fn`` raised, by pair within the block (their costs are NaN).
+        This one calls ``cost_fn`` once per pair."""
+        store, cost_fn = self._rows, self._cost_fn
+        out, failed = [], {}
+        for i, k1, k2 in zip(range(lo, hi + 1), store.m1[lo - 1:hi].tolist(),
+                             store.m2[lo - 1:hi].tolist()):
+            for ia in range(k1):
+                for ib in range(k2):
+                    try:
+                        c1, c2 = cost_fn(i, ia, ib)
+                        out.append((float(c1), float(c2)))
+                    except Exception as exc:
+                        failed[len(out)] = _kept(exc)
+                        out.append((math.nan, math.nan))
+        return np.array(out, dtype=float).reshape(-1, 2), failed
+
     def cost(self, player: int, i: int, ia: int, ib: int) -> float:
         return self.costs(i, ia, ib)[player - 1]
 
@@ -243,6 +318,24 @@ class _Columns:
                 self._buffers[name] = buf
             buf[n:need] = block
             setattr(self, name, buf[:need])
+
+
+class _RowBlock(NamedTuple):
+    """Rows of consecutive states in pair order, as a model's block
+    producer hands them to :meth:`_PairStore.fill`: each state's grid sizes,
+    a CSR from 0 over the block's pairs (target ``cols``, ascending, and
+    ``rates``) with each row's diagonal, the errors of each state's empty
+    grids (by state) and the errors of the rows that failed to build (by
+    pair within the block; such a row is empty, with a NaN diagonal)."""
+
+    m1: np.ndarray
+    m2: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    rates: np.ndarray
+    diag: np.ndarray
+    empty: dict
+    failed: dict
 
 
 class _PairStore(_Columns):
@@ -283,71 +376,31 @@ class _PairStore(_Columns):
         self.views: dict = {}
 
     def fill(self, model: GameModel, top: int) -> None:
-        """Build the rows of states ``self.top + 1 .. top``: one
-        ``rate_fn`` call per pair into plain lists, then one array per
-        column.  Each row is read as :class:`GameModel` documents: off-
-        diagonal targets ascending, zero rates dropped, values as floats."""
-        states = range(self.top + 1, top + 1)
-        m1, m2, empty = [], [], {}
-        for i in states:
-            for player, sizes in ((1, m1), (2, m2)):
-                try:
-                    sizes.append(model.n_actions(player, i))
-                except ValueError as exc:
-                    empty.setdefault(i, []).append(_kept(exc))
-                    sizes.append(0)
-        rate_fn = model._rate_fn
-        offs, values, diags, failed = [], [], [], {}
-        for i, k1, k2 in zip(states, m1, m2):
-            for ia in range(k1):
-                for ib in range(k2):
-                    try:
-                        raw = rate_fn(i, ia, ib)
-                        if i not in raw:
-                            raise ValueError(
-                                f"row at state {i} is missing its diagonal entry")
-                        off = sorted([j for j, r in raw.items()
-                                      if j != i and r != 0.0])
-                        row = ([raw[j] for j in off], raw[i])
-                    except Exception as exc:  # a row that fails to build is data
-                        failed[len(diags)] = _kept(exc)
-                        off, row = (), ((), math.nan)
-                    offs.append(off)
-                    values.append(row[0])
-                    diags.append(row[1])
-        try:
-            cols, rates, diag = _row_arrays(offs, values, diags)
-        except Exception:  # some row's values do not convert: find which
-            for k in range(len(diags)):
-                try:
-                    _row_arrays(offs[k:k + 1], values[k:k + 1], diags[k:k + 1])
-                except Exception as exc:
-                    failed[k] = _kept(exc)
-                    offs[k], values[k], diags[k] = (), (), math.nan
-            cols, rates, diag = _row_arrays(offs, values, diags)
-        indptr = np.zeros(len(offs) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, offs), np.int64, len(offs)),
-                  out=indptr[1:])
-        m1, m2 = np.array(m1, dtype=np.int64), np.array(m2, dtype=np.int64)
-        first = len(self.diag)
-        self._append(m1=m1, m2=m2, starts=self.starts[-1] + np.cumsum(m1 * m2),
-                     indptr=self.indptr[-1] + indptr[1:], cols=cols,
-                     rates=rates, diag=diag,
-                     total=_row_totals(indptr, rates, diag))
-        self.top = top
-        self.empty.update(empty)
-        self.failed.update((first + k, exc) for k, exc in failed.items())
-        if not model.is_finite:
-            # countable rows can never be validated up front, so
-            # conservativeness is enforced as they are built
-            total = self.total[first:]
-            for k in np.flatnonzero(np.abs(total) > ROW_SUM_TOL).tolist():
-                p = first + k
-                if p not in self.failed:
-                    i, ia, ib = self.key(p)
-                    self.failed[p] = ValueError(
-                        f"lazy row at state {i}, actions ({ia},{ib}) is not "
-                        f"conservative (defect {float(total[k]):.3e})")
+        """Build the rows of states ``self.top + 1 .. top`` from the blocks
+        of the model's ``_row_blocks``."""
+        for block in model._row_blocks(self.top + 1, top):
+            first = len(self.diag)
+            self._append(
+                m1=block.m1, m2=block.m2,
+                starts=self.starts[-1] + np.cumsum(block.m1 * block.m2),
+                indptr=self.indptr[-1] + block.indptr[1:], cols=block.cols,
+                rates=block.rates, diag=block.diag,
+                total=_row_totals(block.indptr, block.rates, block.diag))
+            self.top += block.m1.size
+            self.empty.update(block.empty)
+            self.failed.update((first + k, exc)
+                               for k, exc in block.failed.items())
+            if not model.is_finite:
+                # countable rows can never be validated up front, so
+                # conservativeness is enforced as they are built
+                total = self.total[first:]
+                for k in np.flatnonzero(np.abs(total) > ROW_SUM_TOL).tolist():
+                    p = first + k
+                    if p not in self.failed:
+                        i, ia, ib = self.key(p)
+                        self.failed[p] = ValueError(
+                            f"lazy row at state {i}, actions ({ia},{ib}) is "
+                            f"not conservative (defect {float(total[k]):.3e})")
 
     def index(self, i: int, ia: int, ib: int) -> int:
         """Index of pair ``(i, ia, ib)``; a ``ValueError`` when the store
@@ -416,21 +469,12 @@ class _CostStore(_Columns):
         self.values: dict = {}
 
     def fill(self, model: GameModel, top: int) -> None:
-        """Costs of states ``self.top + 1 .. top``, whose rows are built."""
-        store, cost_fn = model._rows, model._cost_fn
-        out = []
-        for i, k1, k2 in zip(range(self.top + 1, top + 1),
-                             store.m1[self.top:top].tolist(),
-                             store.m2[self.top:top].tolist()):
-            for ia in range(k1):
-                for ib in range(k2):
-                    try:
-                        c1, c2 = cost_fn(i, ia, ib)
-                        out.append((float(c1), float(c2)))
-                    except Exception as exc:
-                        self.failed[len(self.cost) + len(out)] = _kept(exc)
-                        out.append((math.nan, math.nan))
-        self._append(cost=np.array(out, dtype=float).reshape(-1, 2))
+        """Costs of states ``self.top + 1 .. top``, whose rows are built,
+        from the model's ``_cost_block``."""
+        cost, failed = model._cost_block(self.top + 1, top)
+        first = len(self.cost)
+        self._append(cost=cost)
+        self.failed.update((first + k, exc) for k, exc in failed.items())
         self.top = top
 
     def value(self, p: int, key: tuple) -> tuple:
@@ -483,11 +527,11 @@ def _ranges(lo, hi) -> np.ndarray:
 def _row_totals(indptr, rates, diag) -> np.ndarray:
     """``Row.total()`` of every row: the ``ndarray.sum`` of its rates plus
     its diagonal (NaN, without a warning, where infinities cancel).  The
-    diagonal is the left operand because the scalar sum in ``Row.total``
-    keeps the diagonal's NaN when both terms are NaN; for any other values
-    the order does not change the result."""
+    scalar sum in ``Row.total`` keeps the diagonal's NaN when both terms
+    are NaN, while numpy's vector loops keep either one's, by the row's
+    place in the array; so a NaN diagonal is the total as it is."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return diag + _row_sums(indptr, rates)
+        return np.where(np.isnan(diag), diag, diag + _row_sums(indptr, rates))
 
 
 def _row_sums(indptr, values) -> np.ndarray:
@@ -1002,9 +1046,93 @@ def _shop_game(params: ShopParams) -> GameModel:
     def cost_fn(i, ia, ib):
         return shop_costs(params, i, *actions(i, ia, ib))
 
-    meta = {"shop_params": params}
-    return GameModel(rate_fn, cost_fn, action_grids, n_states=None,
-                     anchor=1, name="shop", meta=meta)
+    return _ShopGame(params, rate_fn, cost_fn, action_grids)
+
+
+def _exact_float(x) -> bool:
+    """Whether numpy's float64 arithmetic on ``x`` is Python's."""
+    return isinstance(x, float) or (isinstance(x, int) and abs(x) <= 2 ** 53)
+
+
+class _ShopGame(GameModel):
+    """The shop model, whose blocks of rows and costs are arrays.
+
+    Every pair of a state ``i >= 2`` outside ``coupled_states`` has the row
+    ``{i - 1: sell_rate * i + 0.0, i + 1: buy_rate * i + 0.0}`` with
+    diagonal ``-(down + up)``, as ``shop_row`` adds it up; those rows are
+    built for a run of states at once.  State 1 and the coupled states go
+    through ``rate_fn``, one pair at a time.  The default payoffs give every
+    cost as ``i * fee - fee * i * (0.25 + 0.5 * u / action_max)`` in one
+    array; custom payoffs, and a zero ``action_max`` (whose division
+    raises), go through ``cost_fn``.  Parameters that are not plain numbers
+    take the ``rate_fn`` and ``cost_fn`` paths throughout.
+    """
+
+    def __init__(self, params: ShopParams, rate_fn, cost_fn, action_grids):
+        super().__init__(rate_fn, cost_fn, action_grids, n_states=None,
+                         anchor=1, name="shop", meta={"shop_params": params})
+        self._params = params
+        self._arrays = all(map(_exact_float, (
+            params.sell_rate, params.buy_rate, params.fee1, params.fee2,
+            params.action_max)))
+
+    def _row_blocks(self, lo: int, hi: int):
+        if not self._arrays:
+            yield from super()._row_blocks(lo, hi)
+            return
+        coupled = self._params.coupled_states
+        scalar = [i for i in range(lo, hi + 1) if i == 1 or i in coupled]
+        a = lo
+        for b in scalar + [hi + 1]:
+            if a < b:
+                yield from self._interior_blocks(a, b - 1)
+            if b <= hi:
+                yield from super()._row_blocks(b, b)
+            a = b + 1
+
+    def _interior_blocks(self, lo: int, hi: int):
+        """The rows of states ``lo..hi``, none of them 1 or coupled."""
+        try:  # one grid serves every state but 1
+            k1, k2 = self.n_actions(1, lo), self.n_actions(2, lo)
+        except ValueError:  # empty grids: each state keeps its own errors
+            yield from super()._row_blocks(lo, hi)
+            return
+        per = k1 * k2
+        state = np.arange(lo, hi + 1)
+        i = state.astype(float)
+        with np.errstate(all="ignore"):  # Python's float arithmetic is silent
+            down = self._params.sell_rate * i + 0.0
+            up = self._params.buy_rate * i + 0.0
+            diag = np.repeat(-(down + up), per)
+        rates = np.repeat(np.stack([down, up], axis=1), per, axis=0)
+        cols = np.repeat(np.stack([state - 1, state + 1], axis=1), per, axis=0)
+        keep = rates != 0.0
+        indptr = np.zeros(diag.size + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        yield _RowBlock(np.full(state.size, k1, dtype=np.int64),
+                        np.full(state.size, k2, dtype=np.int64), indptr,
+                        cols[keep], rates[keep], diag, {}, {})
+
+    def _cost_block(self, lo: int, hi: int) -> tuple:
+        params = self._params
+        if (params.payoff1 is not None or params.payoff2 is not None
+                or params.action_max == 0 or not self._arrays):
+            return super()._cost_block(lo, hi)
+        store = self._rows
+        per = store.m1[lo - 1:hi] * store.m2[lo - 1:hi]
+        u1, u2 = [np.zeros(0)], [np.zeros(0)]
+        for a, b in ((lo, min(hi, 1)), (max(lo, 2), hi)):  # state 1, the rest
+            if a <= b and per[a - lo]:
+                g1, g2 = self.action_values(1, a), self.action_values(2, a)
+                u1.append(np.tile(np.repeat(g1, g2.size), b - a + 1))
+                u2.append(np.tile(g2, g1.size * (b - a + 1)))
+        i = np.repeat(np.arange(lo, hi + 1, dtype=float), per)
+        cost = np.empty((i.size, 2))
+        with np.errstate(all="ignore"):
+            for k, fee, u in ((0, params.fee1, u1), (1, params.fee2, u2)):
+                cost[:, k] = i * fee - fee * i * (
+                    0.25 + 0.5 * np.concatenate(u) / params.action_max)
+        return cost, {}
 
 
 def shop_lyapunov_spec(params: ShopParams | None = None) -> LyapunovSpec:

@@ -25,6 +25,7 @@ the delta method for the log.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -119,13 +120,17 @@ class _AveragedChain:
     ``cover`` extends the tables by doubling, one action-pair table per
     extension.  The contraction sums each state's rows in pair order, so
     every entry equals that state's one-state contraction bit for bit.
+
+    The chain holds its model and strategies by weak reference, so that
+    one kept on the model (see :func:`sample_path`) keeps nothing alive;
+    its user holds them.
     """
 
     def __init__(self, model: GameModel, v1: StationaryStrategy,
                  v2: StationaryStrategy):
-        self.model = model
-        self.v1 = v1
-        self.v2 = v2
+        self._model = weakref.ref(model)
+        self._v1 = weakref.ref(v1)
+        self._v2 = weakref.ref(v2)
         self.top = 0
         self.exit = np.zeros(1)
         self.cost = np.zeros((1, 2))
@@ -142,7 +147,8 @@ class _AveragedChain:
         """Extend the tables to hold ``state``."""
         if state <= self.top:
             return
-        size = self.model.n_states
+        model, v1, v2 = self._model(), self._v1(), self._v2()
+        size = model.n_states
         if size is not None and state > size:
             raise ValueError(f"state {state} lies outside the model's "
                              f"{size} states")
@@ -150,9 +156,8 @@ class _AveragedChain:
         if size is not None:
             hi = min(hi, size)
         states = range(self.top + 1, hi + 1)
-        table = pair_table(self.model, states)
-        weights = (table.strategy_weights(self.v1)
-                   * table.strategy_weights(self.v2))
+        table = pair_table(model, states)
+        weights = table.strategy_weights(v1) * table.strategy_weights(v2)
         R, diag, cost = table.contract(weights, table.state, len(states))
         live = R.data != 0.0
         rates = R.data[live]
@@ -184,7 +189,7 @@ class _AveragedChain:
         if bad.size:
             raise ValueError(
                 f"invalid averaged rate at state {int(bad.min())} under "
-                f"strategies ({self.v1!r}, {self.v2!r})")
+                f"strategies ({self._v1()!r}, {self._v2()!r})")
 
     def at(self, i: int):
         """``(exit rate, targets, cumulative rates, total, c1, c2)`` of
@@ -336,15 +341,21 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
     counter-based stream or a ready ``numpy.random.Generator``.  ``box``
     marks the sample when the path ever leaves ``{1..box}``.  The jump
     tables of the pair ``(v1, v2)`` are built on first use and kept on the
-    model, so later paths under the same strategy objects reuse them.
+    model, so later paths under the same strategy objects reuse them; they
+    go with either strategy.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = path_rng(*stream) if isinstance(stream, tuple) else stream
     uni = _Uniforms(rng)
-    chain = model._chain_cache.get((v1, v2))
-    if chain is None:  # one per strategy pair, kept beside the pair store
-        chain = model._chain_cache[(v1, v2)] = _AveragedChain(model, v1, v2)
+    # one chain per strategy pair, kept beside the pair store; weak keys,
+    # since a strategy may hold the model (uniform and pure ones do)
+    chains = model._chain_cache.get(v1)
+    if chains is None:
+        chains = model._chain_cache[v1] = weakref.WeakKeyDictionary()
+    chain = chains.get(v2)
+    if chain is None:
+        chain = chains[v2] = _AveragedChain(model, v1, v2)
     times = [0.0]
     states = [start]
     cost1 = 0.0

@@ -554,10 +554,83 @@ def _bad_values_model():
     return tabular_model(rates, costs, grids, n_states=50)
 
 
+def scalar_shop(model: GameModel) -> GameModel:
+    """A plain ``GameModel`` over the shop ``model``'s own ``rate_fn``,
+    ``cost_fn`` and grids (``shop_row`` and ``shop_costs`` for one pair at a
+    time): the reference for the shop's array blocks."""
+    return GameModel(model._rate_fn, model._cost_fn, model._grids,
+                     n_states=None, anchor=model.anchor, name=model.name,
+                     meta=model.meta)
+
+
+def _error_fields(exc) -> tuple:
+    return type(exc), str(exc), exc.args
+
+
+def store_fields(model: GameModel) -> list:
+    """Every array of the model's pair store and cost store as dtype,
+    shape and bytes, and every kept error as type, message and args."""
+    rows, costs = model._rows, model._costs
+    out = [rows.top, costs.top]
+    for a in (rows.m1, rows.m2, rows.starts, rows.indptr, rows.cols,
+              rows.rates, rows.diag, rows.total, costs.cost):
+        out += [a.dtype.str, a.shape, a.tobytes()]
+    out.append({i: [_error_fields(e) for e in errors]
+                for i, errors in rows.empty.items()})
+    for failed in (rows.failed, costs.failed):
+        out.append({p: _error_fields(e) for p, e in sorted(failed.items())})
+    return out
+
+
+def shop_cases():
+    """``(name, params)``: shop parameters on which the shop's array blocks
+    are compared with :func:`scalar_shop`.  The last ones fail
+    ``validate_shop_params`` and are built with ``model._shop_game``."""
+    from rsgame.model import ShopParams
+
+    def payoff1(i, u):
+        return 0.05 * i * (0.5 + u) ** 2
+
+    def payoff2(i, u):
+        if i == 7:
+            raise ValueError(f"no payoff at state {i}")
+        return 0.03 * i + u
+
+    return [
+        ("default", ShopParams()),
+        ("custom payoffs", ShopParams(payoff1=payoff1, payoff2=payoff2)),
+        ("custom payoff 2 only", ShopParams(payoff2=lambda i, u: 0.01 * i)),
+        ("custom boundary row", ShopParams(boundary_row={2: 0.3, 5: 0.01,
+                                                         9: 1e-3})),
+        ("coupled 1, 3, 7, 500", ShopParams(
+            coupled_states=frozenset({1, 3, 7, 500}))),
+        ("coupled 1, 2, 3, 4", ShopParams(coupled_states=frozenset(
+            {1, 2, 3, 4}))),
+        ("two actions", ShopParams(n_actions=2)),
+        ("five actions, action_max 2.5", ShopParams(n_actions=5,
+                                                    action_max=2.5)),
+        ("integer params", ShopParams(sell_rate=3, buy_rate=1, fee1=0,
+                                      fee2=1, action_max=2)),
+        ("float32 rate", ShopParams(buy_rate=np.float32(1.1))),
+        ("action_max 0", ShopParams(action_max=0.0)),
+        ("one action", ShopParams(n_actions=1)),
+        ("no actions", ShopParams(n_actions=0)),
+        ("buy_rate 0", ShopParams(buy_rate=0.0)),
+        ("negative zero rates", ShopParams(sell_rate=-0.0, buy_rate=-0.0)),
+        ("sell_rate NaN", ShopParams(sell_rate=float("nan"))),
+        ("negative action_max", ShopParams(action_max=-1.0)),
+    ]
+
+
 def store_corpus():
     """``(name, build, states)``: models (built fresh by ``build()``) and
     state lists on which the pair store is compared with the references."""
-    from rsgame.model import birth_death_model, shop_model, with_cost_shift
+    from rsgame.model import (
+        _shop_game,
+        birth_death_model,
+        shop_model,
+        with_cost_shift,
+    )
 
     def missing_diagonal(i, ia, ib):
         return {i + 1: 1.0} if (i, ia) == (2, 1) else {i + 1: 1.0, i: -1.0}
@@ -624,6 +697,9 @@ def store_corpus():
         ("shifted digest game", lambda: with_cost_shift(digest_game(), 1, -0.7),
          range(1, 51)),
     ]
+    for name, params in shop_cases()[1:]:
+        corpus.append((f"shop, {name}", lambda params=params: _shop_game(
+            params), range(1, 41)))
     for seed in range(4):
         n = 3 + 5 * seed
         corpus.append((f"random game {seed}", lambda seed=seed, n=n: random_game(

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from rsgame.generator import pair_table
 from rsgame.model import (
@@ -31,7 +33,7 @@ from rsgame.model import (
     with_cost_shift,
 )
 
-from rsgame.model import _row_sums
+from rsgame.model import _row_sums, _shop_game
 from tests.helpers import (
     digest_game,
     outcome,
@@ -40,8 +42,12 @@ from tests.helpers import (
     reference_row,
     reference_table,
     reference_validate,
+    scalar_shop,
+    shop_cases,
     store_corpus,
+    store_fields,
     table_digest,
+    table_fields,
     violation_fields,
 )
 
@@ -740,3 +746,144 @@ class TestPairStore:
         assert len(buffers) <= 12  # capacity doubles: about log2(1200) copies
         validate_model(model, states=[310, 305])
         assert max(calls) == 310 and model._rows.top == 310
+
+
+SHOP_CASES = shop_cases()
+GROWTH = {
+    "one state at a time": list(range(1, 61)),
+    "blocks": [1, 2, 3, 5, 40, 321, 1000],
+    "at once": [1000],
+}
+
+
+def _grown(model, tops):
+    """``model`` after its store grew to each of ``tops``, with the store
+    fields after every step."""
+    steps = []
+    for top in tops:
+        model._built(top, costs=True)
+        steps.append(store_fields(model))
+    return steps
+
+
+class TestShopBlocks:
+    """The shop's array blocks against the same shop's ``rate_fn`` and
+    ``cost_fn`` called once per pair (``tests.helpers.scalar_shop``)."""
+
+    @pytest.mark.parametrize("growth", list(GROWTH), ids=list(GROWTH))
+    @pytest.mark.parametrize("params", [c[1] for c in SHOP_CASES],
+                             ids=[c[0] for c in SHOP_CASES])
+    def test_store_matches_scalar_rows_and_costs(self, params, growth):
+        model = _shop_game(params)
+        tops = GROWTH[growth]
+        assert _grown(model, tops) == _grown(scalar_shop(model), tops)
+
+    @pytest.mark.parametrize("params", [c[1] for c in SHOP_CASES],
+                             ids=[c[0] for c in SHOP_CASES])
+    def test_reports_and_tables_match_scalar_shop(self, params):
+        states = [*range(1, 60), 500, 321]
+        model, reference = _shop_game(params), scalar_shop(_shop_game(params))
+        for read in (
+                lambda m: violation_fields(validate_model(m, states)),
+                lambda m: [str(v) for v in validate_model(m, states).violations],
+                lambda m: table_fields(pair_table(m, states)),
+                lambda m: table_fields(pair_table(m, [7, 2, 3]))):
+            assert outcome(lambda: read(model)) == outcome(
+                lambda: read(reference))
+
+    def test_default_shop_calls_shop_row_only_at_state_one_and_coupled(self):
+        model = _shop_game(ShopParams(coupled_states=frozenset({1, 3, 7})))
+        calls = []
+        rate_fn = model._rate_fn
+
+        def counted(i, ia, ib):
+            calls.append(i)
+            return rate_fn(i, ia, ib)
+
+        model._rate_fn = counted
+        model._built(1000, costs=True)
+        assert sorted(set(calls)) == [1, 3, 7]
+        assert len(calls) == model.n_actions(1, 1) + 2 * 9
+
+    def test_custom_payoffs_called_once_per_pair_in_pair_order(self):
+        calls = []
+
+        def payoff(k):
+            def fn(i, u):
+                calls.append((k, i, u))
+                return 0.0
+            return fn
+
+        params = ShopParams(payoff1=payoff(1), payoff2=payoff(2))
+        model = _shop_game(params)
+        model._built(40, costs=True)
+        want = []
+        for i in range(1, 41):
+            for u1 in model.action_values(1, i).tolist():
+                for u2 in model.action_values(2, i).tolist():
+                    want += [(1, i, u1), (2, i, u2)]
+        assert calls == want
+
+    def test_costs_that_raise_are_kept_per_pair(self):
+        # a zero action_max divides by zero in every default payoff
+        model = _shop_game(ShopParams(action_max=0.0))
+        model._built(5, costs=True)
+        failed = model._costs.failed
+        assert sorted(failed) == list(range(len(model._costs.cost)))
+        assert {type(e) for e in failed.values()} == {ZeroDivisionError}
+        with pytest.raises(ZeroDivisionError):
+            validate_model(model, range(1, 6))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sell=st.floats(0.5, 6.0), buy=st.floats(0.05, 1.0),
+           theta=st.floats(0.05, 1.0), action_max=st.floats(0.1, 5.0),
+           fees=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           n_actions=st.integers(2, 5),
+           coupled=st.sets(st.integers(2, 120), max_size=5),
+           tops=st.lists(st.integers(1, 150), min_size=1, max_size=4))
+    def test_random_valid_params_give_the_scalar_store(
+            self, sell, buy, theta, action_max, fees, n_actions, coupled,
+            tops):
+        buy = min(buy, sell)
+        margin = shop_drift_margin(ShopParams(sell_rate=sell, buy_rate=buy,
+                                              theta=theta))
+        params = ShopParams(sell_rate=sell, buy_rate=buy, theta=theta,
+                            action_max=action_max, fee1=fees[0] * margin,
+                            fee2=fees[1] * margin, n_actions=n_actions,
+                            coupled_states=frozenset({1, *coupled}))
+        assume(not validate_shop_params(params))
+        model = shop_model(params)
+        assert _grown(model, sorted(set(tops))) == _grown(
+            scalar_shop(model), sorted(set(tops)))
+
+
+class TestJsonRoundTripProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(1, 12),
+           m1=st.integers(1, 3), m2=st.integers(1, 3))
+    def test_random_game_rows_and_costs_survive_json(self, seed, n_states,
+                                                     m1, m2):
+        model = random_game(np.random.default_rng(seed), n_states=n_states,
+                            m1=m1, m2=m2)
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert table_digest(back) == table_digest(model)
+
+    @settings(max_examples=30, deadline=None)
+    @given(theta=st.floats(0.05, 1.0), sell=st.floats(2.0, 6.0),
+           action_max=st.floats(0.1, 5.0), n_actions=st.integers(2, 5),
+           coupled=st.sets(st.integers(2, 60), max_size=4),
+           boundary=st.booleans(), top=st.integers(1, 120))
+    def test_shop_rows_and_costs_survive_json(self, theta, sell, action_max,
+                                              n_actions, coupled, boundary,
+                                              top):
+        params = ShopParams(
+            theta=theta, sell_rate=sell, action_max=action_max,
+            n_actions=n_actions, coupled_states=frozenset({1, *coupled}),
+            fee1=0.0, fee2=0.0,
+            boundary_row={2: math.exp(-4.0 * theta)} if boundary else None)
+        assume(not validate_shop_params(params))
+        model = shop_model(params)
+        back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert back.meta["shop_params"] == params
+        assert _grown(back, [top]) == _grown(model, [top])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -148,11 +150,11 @@ class TestSamplePath:
         model = flip_flop_model()
         v1, v2 = pair(model)
         paths = [sample_path(model, v1, v2, 1, 30.0, (3, p)) for p in range(5)]
-        assert len(model._chain_cache) == 1
-        chain = model._chain_cache[(v1, v2)]
+        assert len(model._chain_cache) == 1 and len(model._chain_cache[v1]) == 1
+        chain = model._chain_cache[v1][v2]
         model._chain_cache.clear()  # a fresh table gives the same paths
         again = [sample_path(model, v1, v2, 1, 30.0, (3, p)) for p in range(5)]
-        assert model._chain_cache[(v1, v2)] is not chain
+        assert model._chain_cache[v1][v2] is not chain
         for a, b in zip(paths, again):
             assert a.times.tolist() == b.times.tolist()
             assert a.states.tolist() == b.states.tolist()
@@ -160,6 +162,28 @@ class TestSamplePath:
         other = uniform_strategy(model, 1)
         sample_path(model, other, v2, 1, 30.0, (3, 0))
         assert len(model._chain_cache) == 2
+
+    @pytest.mark.parametrize("make", ["uniform", "tabular"])
+    def test_model_and_strategies_freed_without_the_cycle_collector(self, make):
+        # uniform strategies hold their model; tabular ones do not
+        model = shop_model()
+        if make == "uniform":
+            v1, v2 = pair(model)
+        else:
+            v1, v2 = (tabular_strategy(model, k, {
+                i: np.full(model.n_actions(k, i), 1.0 / model.n_actions(k, i))
+                for i in range(1, 513)}) for k in (1, 2))
+        sample_path(model, v1, v2, 1, 5.0, (3, 0))
+        refs = [weakref.ref(x) for x in (model, v1, v2)]
+        gc.disable()
+        try:
+            del model
+            if make == "tabular":  # the kept strategies do not keep it
+                assert refs[0]() is None
+            del v1, v2
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_invalid_horizon(self):
         model = absorbing_model()
