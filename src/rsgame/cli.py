@@ -20,6 +20,7 @@ written), 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -178,6 +179,8 @@ def _run_solve(config: RunConfig) -> int:
         print(f"solve: status={cert.status} rho=({cert.rho1:.9g}, "
               f"{cert.rho2:.9g}) gaps=({cert.delta1:.3e}, {cert.delta2:.3e}) "
               f"converse={'pass' if converse.passed else 'fail'}")
+        for note in cert.warnings:  # reported; the exit status ignores them
+            print(f"solve: warning: {note}")
     except ConvergenceError as exc:
         payload["error"] = str(exc)
         print(f"solve: solver did not converge: {exc}")
@@ -355,7 +358,9 @@ def run(config: RunConfig) -> int:
     return _RUNNERS[config.command](config)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="rsgame",
         description="risk-sensitive ergodic game solver (equilibria, "
@@ -417,6 +422,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:  # a solve not caught by its command
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,15 +18,16 @@ eigenvalue as the state space grows.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix, identity
+from scipy.sparse import csc_matrix, csgraph, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from . import generator
-from .model import GameModel, StationaryStrategy, pure_strategy, truncate
+from .model import GameModel, StationaryStrategy, _selector, truncate
 
 __all__ = [
     "EigenPair",
@@ -110,25 +111,73 @@ def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
     Returns ``(lo, hi, psi, steps)``: the Collatz-Wielandt bounds of the
     returned ``psi`` on the shifted operator and the number of power steps
     plus solves taken.  The loop stops once ``hi - lo <= tol``, or after
-    ``max_iter`` steps with the bracket still open.
+    ``max_iter`` steps, or at once when the bracket is not finite (say,
+    ``psi`` out of double range), with the bracket still open.
     """
     psi = np.ones(M.shape[0]) if psi0 is None else psi0 / psi0[anchor_idx]
+    shift = None
     steps = 0
     while True:
         y = M @ psi
         ratios = y / psi
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if hi - lo <= tol or steps >= max_iter:
+        if hi - lo <= tol or steps >= max_iter or not math.isfinite(hi - lo):
             return lo, hi, psi, steps
         steps += 1
-        x = _noda_step(M, hi, psi, anchor_idx) if steps > POWER_STEPS else None
+        x = None
+        if steps > POWER_STEPS:
+            if shift is None:
+                shift = _NodaShift(M)
+            x = _noda_step(shift(hi), psi, anchor_idx)
         psi = y / y[anchor_idx] if x is None else x
 
 
-def _noda_step(M, sigma, psi, anchor_idx):
-    """Normalized solution of ``(sigma I - M) x = psi``, or None."""
-    shifted = (sigma * identity(M.shape[0], format="csc") - M).tocsc()
+class _NodaShift:
+    """``sigma I - M`` in CSC form for any ``sigma``, from one pattern.
+
+    The pattern holds every nonzero off-diagonal entry of ``M`` (as
+    ``0.0 - M_ij``) and a slot on every diagonal; a call writes
+    ``sigma - M_ii`` into the diagonal slots and drops those that are
+    exactly zero.  That is the matrix scipy's ``sigma * identity(n, "csc")
+    - M`` gives, entry for entry and in the same order.
+    """
+
+    def __init__(self, M):
+        C = M.tocsc()
+        C.sum_duplicates()
+        n = C.shape[0]
+        col = np.repeat(np.arange(n), np.diff(C.indptr))
+        off = (C.indices != col) & (C.data != 0.0)
+        row = np.concatenate([C.indices[off], np.arange(n)])
+        col = np.concatenate([col[off], np.arange(n)])
+        order = np.lexsort((row, col))
+        self.diag = C.diagonal()
+        self.slots = np.argsort(order)[off.sum():]  # where each diagonal went
+        data = np.concatenate([0.0 - C.data[off], np.zeros(n)])[order]
+        indptr = np.zeros(n + 1, dtype=C.indptr.dtype)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        self.matrix = csc_matrix((data, row[order].astype(C.indices.dtype),
+                                  indptr), shape=C.shape)
+        self.matrix.has_canonical_format = True
+
+    def __call__(self, sigma):
+        S = self.matrix
+        values = sigma - self.diag
+        S.data[self.slots] = values
+        zero = values == 0.0
+        if not zero.any():
+            return S
+        keep = np.ones(S.nnz, dtype=bool)
+        keep[self.slots[zero]] = False
+        indptr = S.indptr - np.concatenate([[0], np.cumsum(zero)]).astype(
+            S.indptr.dtype)
+        return csc_matrix((S.data[keep], S.indices[keep], indptr),
+                          shape=S.shape)
+
+
+def _noda_step(shifted, psi, anchor_idx):
+    """Normalized solution of ``shifted x = psi``, or None."""
     try:
         x = splu(shifted).solve(psi)
     except RuntimeError:  # exactly singular factor
@@ -140,11 +189,17 @@ def _noda_step(M, sigma, psi, anchor_idx):
     return None
 
 
-def _exhausted(what, tol, max_iter, lo, hi):
-    return ConvergenceError(
-        f"{what} did not reach bracket width {tol:g} within {max_iter} "
-        f"iterations (last width {hi - lo:.3e})",
-        bracket=(lo, hi), iterations=max_iter)
+def _unclosed(what, tol, max_iter, lo, hi, steps):
+    """The error of a solve that stopped with its bracket ``[lo, hi]``
+    (unshifted) open after ``steps`` iterations: one that is not finite,
+    where no further step can close it, or the budget ``max_iter`` spent."""
+    if not math.isfinite(hi - lo):
+        message = (f"{what} stopped after {steps} iterations: the bracket "
+                   f"[{lo:.6g}, {hi:.6g}] is not finite")
+    else:
+        message = (f"{what} did not reach bracket width {tol:g} within "
+                   f"{max_iter} iterations (last width {hi - lo:.3e})")
+    return ConvergenceError(message, bracket=(lo, hi), iterations=steps)
 
 
 def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
@@ -178,8 +233,8 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
     M = (A.A + A.alpha * identity(n, format="csr")).tocsr()
     lo, hi, psi, its = _power_iterate(M, anchor_idx, tol, max_iter)
     if not hi - lo <= tol:
-        raise _exhausted("linear eigensolve", tol, max_iter,
-                         lo - A.alpha, hi - A.alpha)
+        raise _unclosed("linear eigensolve", tol, max_iter,
+                        lo - A.alpha, hi - A.alpha, its)
     mid = 0.5 * (lo + hi)
     resid = float(np.max(np.abs(M @ psi - mid * psi)) / np.max(np.abs(psi)))
     return EigenPair(rho=mid - A.alpha, psi=psi, residual=resid,
@@ -197,8 +252,8 @@ def _reducible_fallback(A, i0, tol, max_iter, labels, ncomp, notes):
         sub = csr_matrix(dense[np.ix_(idx, idx)] + A.alpha * np.eye(len(idx)))
         lo, hi, psi_sub, its = _power_iterate(sub, 0, tol, max_iter)
         if not hi - lo <= tol:
-            raise _exhausted("linear eigensolve", tol, max_iter,
-                             lo - A.alpha, hi - A.alpha)
+            raise _unclosed("linear eigensolve", tol, max_iter,
+                            lo - A.alpha, hi - A.alpha, its)
         mid = 0.5 * (lo + hi)
         if best is None or mid > best[0]:
             best = (mid, idx, psi_sub, (lo, hi), its)
@@ -320,9 +375,9 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
         hi = float(ratios.max())
         if hi - lo <= tol:
             break
-        if its >= max_iter:
-            raise _exhausted("best-response iteration", tol, max_iter,
-                             lo - op.alpha, hi - op.alpha)
+        if its >= max_iter or not math.isfinite(hi - lo):
+            raise _unclosed("best-response iteration", tol, max_iter,
+                            lo - op.alpha, hi - op.alpha, its)
         its += 1
         psi = y / y[anchor_idx]
         z = op.S @ psi
@@ -334,21 +389,7 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                      iterations=its, states=truncation.states,
                      anchor=model.anchor, bracket=(lo - op.alpha, hi - op.alpha),
                      warnings=tuple(notes))
-    selector = pure_strategy(model, player, _table_choice(truncation, sel))
-    return pair, selector
-
-
-def _table_choice(truncation, sel):
-    table = {s: int(a) for s, a in zip(truncation.states, sel)}
-
-    def choice(i):
-        try:
-            return table[i]
-        except KeyError:
-            raise ValueError(f"selector undefined outside truncation "
-                             f"(state {i})") from None
-
-    return choice
+    return pair, _selector(model, player, sel, op.counts)
 
 
 @dataclass(frozen=True)

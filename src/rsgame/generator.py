@@ -93,19 +93,13 @@ class PairTable:
     cost: np.ndarray
 
     def strategy_weights(self, strategy: StationaryStrategy) -> np.ndarray:
-        """Weight that ``strategy`` puts on its player's action of each pair."""
+        """Weight that ``strategy`` puts on its player's action of each
+        pair, read from the strategy's table of these states."""
         k = strategy.player
         sizes = self.m1 if k == 1 else self.m2
-        flat = []
-        for i, m in zip(self.states, sizes):
-            w = strategy.weights(i)
-            if len(w) != m:
-                raise ValueError(
-                    f"strategy vector for player {k} at state {i} has "
-                    f"{len(w)} entries but the action grid has {m}")
-            flat.append(w)
+        _, flat = strategy.table(self.states, sizes)
         action = self.a1 if k == 1 else self.a2
-        return np.concatenate(flat)[(np.cumsum(sizes) - sizes)[self.state] + action]
+        return flat[(np.cumsum(sizes) - sizes)[self.state] + action]
 
     def contract(self, weights, groups, n_groups: int, n: int | None = None):
         """Weighted sums of the pair rows, one per group.

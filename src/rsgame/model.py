@@ -683,6 +683,15 @@ class StationaryStrategy:
     Backed by a pure function ``i -> weights`` so that strategies remain
     defined on every state of a countable model; results are cached and
     validated (nonnegative, summing to one within ``1e-12``).
+
+    :meth:`table` gives the weights of a list of states as one flat array,
+    built once per list.  A strategy made from a ``weights_fn`` builds it
+    from :meth:`weights`, state by state.  The built-in strategies fill it
+    as arrays through a block producer ``_block(states) -> (sizes, flat)``:
+    each state's action count and the weights, state after state.  A state
+    it cannot fill gets no weights; their sum, zero, fails the check, and
+    :meth:`weights` then names the error.  The producer holds no reference
+    to the strategy, so that a strategy is freed as soon as it is dropped.
     """
 
     def __init__(self, player: int, weights_fn, name: str = ""):
@@ -691,7 +700,9 @@ class StationaryStrategy:
         self.player = player
         self.name = name
         self._fn = weights_fn
+        self._block = None
         self._cache: dict = {}
+        self._tables: dict = {}
 
     def weights(self, i: int) -> np.ndarray:
         w = self._cache.get(i)
@@ -709,17 +720,102 @@ class StationaryStrategy:
             self._cache[i] = w
         return w
 
+    def table(self, states: Iterable[int], sizes=None) -> tuple:
+        """``(sizes, flat)``: the action count of each of ``states`` and
+        their weights as one read-only array, state after state, equal to
+        :meth:`weights` state by state.  Raises the error that
+        :meth:`weights` raises at the first state that fails; given the
+        grid ``sizes`` the weights must fit, a state before it whose
+        vector has another length raises first, naming the state."""
+        states = tuple(states)
+        own, flat, stop, exc = self._table(states)
+        if sizes is not None:
+            wrong = np.flatnonzero(own != sizes[:stop])
+            if wrong.size:
+                k = int(wrong[0])
+                raise ValueError(
+                    f"strategy vector for player {self.player} at state "
+                    f"{states[k]} has {own[k]} entries but the action grid "
+                    f"has {sizes[k]}")
+        if exc is not None:
+            try:
+                raise exc
+            finally:
+                exc = None  # its traceback holds this frame
+        return own, flat
+
+    def _table(self, states: tuple) -> tuple:
+        """``(sizes, flat, stop, error)``: the table of ``states[:stop]``,
+        where ``stop`` is the first state whose weights fail and ``error``
+        what :meth:`weights` raises there (``len(states)`` and None when
+        none fails).  Whole tables are kept, by list of states."""
+        hit = self._tables.get(states)
+        if hit is not None:
+            return hit + (len(states), None)
+        if self._block is None:  # a weights_fn, read state by state
+            parts = []
+            for i in states:
+                try:
+                    parts.append(self.weights(i))
+                except Exception as exc:
+                    return _joined(parts) + (len(parts), exc)
+            sizes, flat = _joined(parts)
+        else:
+            sizes, flat = self._block(states)
+            bad = _off_simplex(sizes, flat)
+            if bad.any():
+                k = int(np.argmax(bad))
+                try:  # the per-state check names what is wrong
+                    self.weights(states[k])
+                except Exception as exc:
+                    return sizes[:k], flat[:int(sizes[:k].sum())], k, exc
+                raise AssertionError(f"strategy table and weights disagree "
+                                     f"at state {states[k]}")
+            flat = np.maximum(flat, 0.0)
+        flat.setflags(write=False)
+        self._tables[states] = (sizes, flat)
+        return sizes, flat, len(states), None
+
     def key(self, states: Iterable[int], quantum: float = 1e-12) -> tuple:
-        """Quantized, hashable snapshot over ``states`` (cycle detection)."""
-        parts = []
-        for i in states:
-            w = self.weights(i)
-            parts.append(tuple(int(round(x / quantum)) for x in w))
-        return tuple(parts)
+        """Quantized, hashable snapshot over ``states`` (cycle detection):
+        ``round(w / quantum)`` for every weight, one tuple per state.  The
+        states before the first that fails are rounded first, so a weight
+        that does not round (NaN) there raises first."""
+        sizes, flat, _, exc = self._table(tuple(states))
+        ints = list(map(int, np.rint(flat / quantum).tolist()))
+        if exc is not None:
+            try:
+                raise exc
+            finally:
+                exc = None  # its traceback holds this frame
+        return tuple(map(tuple, _split(ints, sizes)))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<StationaryStrategy player={self.player}{label}>"
+
+
+def _joined(parts) -> tuple:
+    """Sizes and concatenation of per-state weight vectors."""
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    return sizes, np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _split(values: list, sizes) -> list:
+    """``values`` cut into consecutive lists of ``sizes``."""
+    ends = np.cumsum(sizes).tolist()
+    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _off_simplex(sizes, flat) -> np.ndarray:
+    """States whose weights :meth:`StationaryStrategy.weights` rejects: a
+    weight below ``-SIMPLEX_TOL``, or a sum (``ndarray.sum``'s, bit for
+    bit) further than ``SIMPLEX_TOL`` from one.  A NaN passes, as there."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    negative = np.bincount(owner[flat < -SIMPLEX_TOL], minlength=sizes.size)
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return (negative > 0) | (np.abs(_row_sums(indptr, flat) - 1.0) > SIMPLEX_TOL)
 
 
 def pure_strategy(model: GameModel, player: int, choice) -> StationaryStrategy:
@@ -743,12 +839,52 @@ def pure_strategy(model: GameModel, player: int, choice) -> StationaryStrategy:
     return StationaryStrategy(player, fn, name="pure")
 
 
+def _selector(model: GameModel, player: int, sel, counts) -> StationaryStrategy:
+    """Pure strategy taking action ``sel[i - 1]`` at each state ``i`` of
+    ``1..len(sel)``, where the grid has ``counts[i - 1]`` actions, and
+    undefined elsewhere; its tables are filled from ``sel`` as arrays."""
+    n = len(sel)
+    table = dict(zip(range(1, n + 1), sel.tolist()))
+
+    def choice(i):
+        try:
+            return table[i]
+        except KeyError:
+            raise ValueError(f"selector undefined outside truncation "
+                             f"(state {i})") from None
+
+    def block(states):
+        s = np.asarray(states, dtype=np.int64)
+        inside = (s >= 1) & (s <= n)
+        at = np.where(inside, s - 1, 0)
+        sizes = np.where(inside, counts[at], 0)
+        flat = np.zeros(int(sizes.sum()))
+        flat[(np.cumsum(sizes) - sizes + sel[at])[inside]] = 1.0
+        return sizes, flat
+
+    strategy = pure_strategy(model, player, choice)
+    strategy._block = block
+    return strategy
+
+
 def uniform_strategy(model: GameModel, player: int) -> StationaryStrategy:
     def fn(i):
         m = model.n_actions(player, i)
         return np.full(m, 1.0 / m)
 
-    return StationaryStrategy(player, fn, name="uniform")
+    def block(states):
+        sizes = np.zeros(len(states), dtype=np.int64)
+        for k, i in enumerate(states):
+            try:
+                sizes[k] = model.n_actions(player, i)
+            except Exception:  # no weights here: the state's weights raise it
+                pass
+        with np.errstate(divide="ignore"):
+            return sizes, np.repeat(1.0 / sizes, sizes)
+
+    strategy = StationaryStrategy(player, fn, name="uniform")
+    strategy._block = block
+    return strategy
 
 
 def tabular_strategy(model: GameModel, player: int,
@@ -756,33 +892,78 @@ def tabular_strategy(model: GameModel, player: int,
                      name: str = "tabular") -> StationaryStrategy:
     """Strategy given by an explicit per-state table of weight vectors."""
     fixed = {i: np.asarray(w, dtype=float) for i, w in table.items()}
-    for i, w in fixed.items():
-        if w.size != model.n_actions(player, i):
+    entries = list(fixed.values())
+    return _tabular(model, player, list(fixed),
+                    np.fromiter((w.size for w in entries), np.int64,
+                                len(entries)),
+                    np.concatenate([w.ravel() for w in entries] or [[]]),
+                    {k: w for k, w in enumerate(entries) if w.ndim != 1}, name)
+
+
+def _tabular(model: GameModel, player: int, keys: list, sizes, flat,
+             odd: dict, name: str) -> StationaryStrategy:
+    """Strategy whose ``k``-th table entry, at state ``keys[k]``, is
+    ``flat[offs[k]:offs[k] + sizes[k]]``, or ``odd[k]`` when that entry is
+    not a vector.  The tables hold arrays only, not the model."""
+    for i, m in zip(keys, sizes.tolist()):
+        if m != model.n_actions(player, i):
             raise ValueError(
-                f"table entry at state {i} has {w.size} weights but the grid "
+                f"table entry at state {i} has {m} weights but the grid "
                 f"has {model.n_actions(player, i)} actions")
+    index = {i: k for k, i in enumerate(keys)}
+    # one more entry stands for the states not in the table; it, and the
+    # entries that are not vectors, fill no weights
+    offs = np.append(np.cumsum(sizes) - sizes, 0)
+    fill = np.append(sizes, 0)
+    fill[list(odd)] = 0
 
     def fn(i):
-        try:
-            return fixed[i]
-        except KeyError:
-            raise ValueError(f"strategy table has no entry for state {i}") from None
+        k = index.get(i)
+        if k is None:
+            raise ValueError(f"strategy table has no entry for state {i}")
+        if k in odd:
+            return odd[k]
+        return flat[offs[k]:offs[k] + sizes[k]]
 
-    return StationaryStrategy(player, fn, name=name)
+    def block(states):
+        at = np.fromiter((index.get(i, -1) for i in states), np.int64,
+                         len(states))
+        lo, own = offs[at], fill[at]
+        return own, flat[_ranges(lo, lo + own)]
+
+    strategy = StationaryStrategy(player, fn, name=name)
+    strategy._block = block
+    return strategy
 
 
 def mix_strategies(model: GameModel, a: StationaryStrategy,
                    b: StationaryStrategy, weight_a: float,
                    states: Iterable[int]) -> StationaryStrategy:
-    """Tabular convex combination ``weight_a * a + (1 - weight_a) * b``."""
+    """Tabular convex combination ``weight_a * a + (1 - weight_a) * b``,
+    mixed over the tables of ``states``.  Raises the first error of either
+    strategy in state order (``a``'s first at one state), or names the
+    first state where their vectors differ in length."""
     if a.player != b.player:
         raise ValueError("cannot mix strategies of different players")
     if not (0.0 <= weight_a <= 1.0):
         raise ValueError("mixing weight must lie in [0, 1]")
-    table = {}
-    for i in states:
-        table[i] = weight_a * a.weights(i) + (1.0 - weight_a) * b.weights(i)
-    return tabular_strategy(model, a.player, table, name="mixed")
+    states = tuple(states)
+    sa, wa, stop_a, exc_a = a._table(states)
+    sb, wb, stop_b, exc_b = b._table(states)
+    stop = min(stop_a, stop_b)
+    wrong = np.flatnonzero(sa[:stop] != sb[:stop])
+    if wrong.size:
+        k = int(wrong[0])
+        raise ValueError(f"cannot mix strategies whose vectors at state "
+                         f"{states[k]} have {sa[k]} and {sb[k]} entries")
+    exc = exc_a if stop_a <= stop_b else exc_b
+    if exc is not None:
+        try:
+            raise exc
+        finally:
+            exc = exc_a = exc_b = None
+    return _tabular(model, a.player, list(states), sa,
+                    weight_a * wa + (1.0 - weight_a) * wb, {}, "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -1226,20 +1407,44 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
     """Same model with a constant added to one player's cost rate.
 
     Rows do not depend on costs, so the shifted model shares the base
-    model's row store: a row built by either is built once.
+    model's row store, built by the base model's block producers: a row
+    built by either is built once.  Its costs are the base model's cost
+    array with ``kappa`` added, copied one block of states at a time.
     """
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
+    return _ShiftedGame(model, player, kappa)
 
-    def cost_fn(i, ia, ib):
-        c1, c2 = model.costs(i, ia, ib)
-        return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
 
-    shifted = GameModel(model._rate_fn, cost_fn, model._grids,
-                        n_states=model.n_states, anchor=model.anchor,
-                        name=model.name + f"+shift{player}", meta=None)
-    shifted._rows = model._rows
-    return shifted
+class _ShiftedGame(GameModel):
+    """A model whose costs are those of ``base`` with ``kappa`` added to
+    ``player``'s; ``cost_fn`` gives the same costs one pair at a time."""
+
+    def __init__(self, base: GameModel, player: int, kappa: float):
+        def cost_fn(i, ia, ib):
+            c1, c2 = base.costs(i, ia, ib)
+            return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
+
+        super().__init__(base._rate_fn, cost_fn, base._grids,
+                         n_states=base.n_states, anchor=base.anchor,
+                         name=base.name + f"+shift{player}", meta=None)
+        self._rows = base._rows
+        self._base = base
+        self._shift = (player, kappa)
+
+    def _row_blocks(self, lo: int, hi: int):
+        return self._base._row_blocks(lo, hi)
+
+    def _cost_block(self, lo: int, hi: int) -> tuple:
+        base = self._base
+        store = base._built(hi, costs=True)
+        a, b = int(store.starts[lo - 1]), int(store.starts[hi])
+        cost = base._costs.cost[a:b].copy()
+        player, kappa = self._shift
+        cost[:, player - 1] += kappa
+        failed = {p - a: exc for p, exc in base._costs.failed.items()
+                  if a <= p < b}
+        return cost, failed
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .model import (
     GameModel,
     StationaryStrategy,
     Truncation,
+    _split,
     mix_strategies,
     pure_strategy,
     uniform_strategy,
@@ -165,7 +166,9 @@ class NashCertificate:
     or below ``eps``), ``cycle_detected`` (a strategy pair repeated,
     detected by exact hash of quantized strategies), or ``max_iter``.
     The eigenpairs are the best-response pairs at the final strategies,
-    normalized to one at the anchor state.
+    normalized to one at the anchor state.  ``warnings`` gathers, once
+    each, the warnings of the four eigenpairs behind the gaps (the pair's
+    and the best responses'), such as a reducible operator.
     """
 
     v1: StationaryStrategy
@@ -180,6 +183,7 @@ class NashCertificate:
     status: str
     rounds: int
     trace: tuple
+    warnings: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -190,23 +194,43 @@ class NashCertificate:
         return max(self.delta1, self.delta2)
 
     def to_json_dict(self, truncation: Truncation) -> dict:
-        states = truncation.states
-        return {
+        """The certificate as JSON data; ``warnings`` is written only when
+        there are any."""
+        doc = {
             "status": self.status,
             "eps": self.eps,
             "rounds": self.rounds,
             "trace_length": len(self.trace),
             "rho": [self.rho1, self.rho2],
             "delta": [self.delta1, self.delta2],
-            "strategies": {
-                "1": [self.v1.weights(i).tolist() for i in states],
-                "2": [self.v2.weights(i).tolist() for i in states],
-            },
+            "strategies": {"1": _vectors(self.v1, truncation.states),
+                           "2": _vectors(self.v2, truncation.states)},
             "psi": {
                 "1": self.eigen1.psi.tolist(),
                 "2": self.eigen2.psi.tolist(),
             },
         }
+        if self.warnings:
+            doc["warnings"] = list(self.warnings)
+        return doc
+
+
+def _vectors(strategy: StationaryStrategy, states) -> list:
+    """The weight vector of each state, as lists, from one table."""
+    sizes, flat = strategy.table(states)
+    return _split(flat.tolist(), sizes)
+
+
+def _from_certify(v1, v2, cert: CertifyResult, eps, status, rounds,
+                  trace) -> NashCertificate:
+    eigenpairs = cert.pair_eigen + cert.br_eigen
+    return NashCertificate(
+        v1=v1, v2=v2, eigen1=cert.br_eigen[0], eigen2=cert.br_eigen[1],
+        rho1=cert.rho_pair[0], rho2=cert.rho_pair[1],
+        delta1=cert.delta1, delta2=cert.delta2, eps=eps, status=status,
+        rounds=rounds, trace=tuple(trace),
+        warnings=tuple(dict.fromkeys(w for ep in eigenpairs
+                                     for w in ep.warnings)))
 
 
 def _pair_key(v1, v2, states):
@@ -294,11 +318,7 @@ def nash_iterate(model: GameModel, truncation: Truncation,
         seen.add(key)
 
     v1, v2, cert = certified
-    return NashCertificate(
-        v1=v1, v2=v2, eigen1=cert.br_eigen[0], eigen2=cert.br_eigen[1],
-        rho1=cert.rho_pair[0], rho2=cert.rho_pair[1],
-        delta1=cert.delta1, delta2=cert.delta2, eps=eps, status=status,
-        rounds=rounds, trace=tuple(trace))
+    return _from_certify(v1, v2, cert, eps, status, rounds, trace)
 
 
 def profile_count(model: GameModel, truncation: Truncation,
@@ -361,13 +381,9 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
             except ConvergenceError:
                 continue
             if res.passed:
-                return NashCertificate(
-                    v1=p1, v2=p2, eigen1=res.br_eigen[0],
-                    eigen2=res.br_eigen[1], rho1=res.rho_pair[0],
-                    rho2=res.rho_pair[1], delta1=res.delta1,
-                    delta2=res.delta2, eps=eps, status="converged",
-                    rounds=0,
-                    trace=({"note": "exhaustive pure-profile search"},))
+                return _from_certify(
+                    p1, p2, res, eps, "converged", 0,
+                    ({"note": "exhaustive pure-profile search"},))
     return best
 
 
@@ -428,18 +444,28 @@ def converse_report(model: GameModel, truncation: Truncation,
     reports = []
     for player, own, opp, ep in ((1, v1, v2, eigenpairs[0]),
                                  (2, v2, v1, eigenpairs[1])):
-        values = response_values(model, truncation, opp, player, ep.psi)
-        defects = []
-        for i, vals in zip(truncation.states, values):
-            w = own.weights(i)
-            chosen = float(w @ vals)
-            defects.append((chosen - float(vals.min())) / ep.psi[i - 1])
-        defects = np.array(defects)
+        op = _ResponseOperator(model, truncation, opp, player)
+        z = op.S @ ep.psi - op.alpha * ep.psi[op.owner]
+        _, w = own.table(truncation.states, op.counts)
+        defects = (_segment_dots(w, z, op.starts, op.counts)
+                   - np.minimum.reduceat(z, op.starts)) / ep.psi
         worst = int(np.argmax(defects))
         threshold = tol * (1.0 + abs(ep.rho))
         reports.append(ConversePlayerReport(
             player=player, rho=ep.rho, worst_defect=float(defects[worst]),
             worst_state=truncation.states[worst], threshold=threshold,
             passed=bool(defects[worst] <= threshold),
-            defects=tuple(float(d) for d in defects)))
+            defects=tuple(defects.tolist())))
     return ConverseReport(players=tuple(reports))
+
+
+def _segment_dots(w, z, starts, counts) -> np.ndarray:
+    """``w[a:b] @ z[a:b]`` over each segment ``a = starts[s]``, ``b = a +
+    counts[s]``: the segments of one length go through one ``vecdot``,
+    which takes each segment's dot product as ``@`` does, bit for bit."""
+    out = np.empty(counts.size)
+    for m in np.unique(counts).tolist():
+        seg = np.flatnonzero(counts == m)
+        at = starts[seg, None] + np.arange(m)
+        out[seg] = np.vecdot(w[at], z[at])
+    return out

@@ -31,6 +31,7 @@ from .model import (
     Truncation,
     shop_drift_margin,
     shop_lyapunov_spec,
+    _exact_float,
     _shop_boundary_row,
     _shop_game,
 )
@@ -385,6 +386,25 @@ def _display(key, description, witnesses, margin):
                             margin=float(margin))
 
 
+def _least_payoffs(params: ShopParams, k: int, model: GameModel, table,
+                   own: np.ndarray) -> np.ndarray:
+    """``min(params.payoff(k, s, u) for u in grid)`` at each state ``s`` of
+    the pair table.  Default payoffs are one array over the pairs, whose
+    own actions are ``own``, in ``ShopParams.payoff``'s order of
+    operations; custom ones, and parameters that numpy would not compute
+    as Python does, are called once per state and action."""
+    fee = params.fee1 if k == 1 else params.fee2
+    if (params.payoff1 if k == 1 else params.payoff2) is None and all(
+            map(_exact_float, (fee, params.action_max))):
+        i = np.asarray(table.states)[table.state]
+        with np.errstate(all="ignore"):
+            payoff = fee * i * (0.25 + 0.5 * own / params.action_max)
+        return np.minimum.reduceat(payoff, table.starts)
+    return np.array([min(params.payoff(k, s, u)
+                         for u in model.action_values(k, s))
+                     for s in table.states])
+
+
 def shop_condition_report(params: ShopParams, states,
                           model: GameModel | None = None) -> ShopConditionReport:
     """Numerically reproduce every closed-form stability display of the
@@ -491,7 +511,7 @@ def shop_condition_report(params: ShopParams, states,
 
     cost_w = []
     cmargin = math.inf
-    for k, fee in ((1, params.fee1), (2, params.fee2)):
+    for k, fee, own in ((1, params.fee1, u1), (2, params.fee2, u2)):
         beta = margin - fee
         cmargin = min(cmargin, beta)
         if beta < 0:
@@ -499,9 +519,7 @@ def shop_condition_report(params: ShopParams, states,
                                   f"fee margin beta_{k} = {beta:.6g} < 0 "
                                   "(condition (IV))"))
         sup_cost = np.maximum.reduceat(table.cost[:, k - 1], table.starts)
-        inf_payoff = np.array([min(params.payoff(k, s, u)
-                                   for u in model.action_values(k, s))
-                               for s in states])
+        inf_payoff = _least_payoffs(params, k, model, table, own)
         lhs_s = ell_s - sup_cost
         rhs_s = np.asarray(states) * beta + inf_payoff
         gap = np.abs(lhs_s - rhs_s)

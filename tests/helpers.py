@@ -7,8 +7,11 @@ simulation references are scalar loops, one jump per iteration.
 """
 
 import hashlib
+import importlib.util
 import math
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -57,6 +60,18 @@ def random_game(rng, n_states=4, m1=2, m2=2, rate_scale=1.0, cost_scale=1.0,
                 costs[(i, ia, ib)] = (cost_scale * rng.random(),
                                       cost_scale * rng.random())
     return tabular_model(rates, costs, grids, n_states=n_states)
+
+
+def bench_inputs():
+    """The benchmark's input module, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    module = sys.modules.get("perfbench_inputs")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
 
 
 def digest_game():
@@ -206,6 +221,60 @@ def reference_pair_table(model: GameModel, states) -> PairTable:
             shape=(len(rows), width)),
         diag=np.fromiter((r.diag for r in rows), float, len(rows)),
         cost=np.array(costs).reshape(-1, 2))
+
+
+def reference_key(strategy, states, quantum=1e-12) -> tuple:
+    """``StationaryStrategy.key`` as a loop over states: each weight of
+    :meth:`weights` rounded by Python's ``round``."""
+    parts = []
+    for i in states:
+        w = strategy.weights(i)
+        parts.append(tuple(int(round(x / quantum)) for x in w))
+    return tuple(parts)
+
+
+def reference_strategy_weights(table: PairTable, strategy) -> np.ndarray:
+    """``PairTable.strategy_weights`` read state by state from
+    ``weights``, each vector's length checked as it is read."""
+    k = strategy.player
+    sizes = table.m1 if k == 1 else table.m2
+    flat = []
+    for i, m in zip(table.states, sizes):
+        w = strategy.weights(i)
+        if len(w) != m:
+            raise ValueError(
+                f"strategy vector for player {k} at state {i} has "
+                f"{len(w)} entries but the action grid has {m}")
+        flat.append(w)
+    action = table.a1 if k == 1 else table.a2
+    return np.concatenate(flat)[(np.cumsum(sizes) - sizes)[table.state] + action]
+
+
+def reference_mix(model: GameModel, a, b, weight_a, states):
+    """``mix_strategies`` as a loop over states, each mixed from
+    ``weights``."""
+    from rsgame.model import tabular_strategy
+
+    if a.player != b.player:
+        raise ValueError("cannot mix strategies of different players")
+    if not (0.0 <= weight_a <= 1.0):
+        raise ValueError("mixing weight must lie in [0, 1]")
+    table = {}
+    for i in states:
+        table[i] = weight_a * a.weights(i) + (1.0 - weight_a) * b.weights(i)
+    return tabular_strategy(model, a.player, table, name="mixed")
+
+
+def reference_strategy_table(strategy, states) -> tuple:
+    """Sizes and concatenated weights of ``states``, from ``weights``."""
+    parts = [strategy.weights(i) for i in states]
+    return (np.array([w.size for w in parts], dtype=np.int64),
+            np.concatenate(parts) if parts else np.zeros(0))
+
+
+def reference_noda_matrix(M, sigma):
+    """``sigma I - M`` as scipy's sparse arithmetic builds it."""
+    return (sigma * sparse.identity(M.shape[0], format="csc") - M).tocsc()
 
 
 def dense_tilted(model: GameModel, n, v1, v2, player):

@@ -18,7 +18,9 @@ from rsgame.model import (
     uniform_strategy,
 )
 
-from tests.helpers import digest_game, random_game
+from rsgame.model import birth_death_model
+
+from tests.helpers import bench_inputs, digest_game, random_game
 
 from tests.test_nash import decoupled_game, matching_pennies
 from tests.test_simulate import flip_flop_model
@@ -62,6 +64,53 @@ class TestSolve:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # sha256 of the solve artifacts of the benchmark's shop-solve and of its
+    # first wide-game input (perfbench/inputs.py), recorded with per-state
+    # strategy weights and scipy's sigma * identity - M in every Noda step
+    def test_shop_solve_bit_identical_to_recorded_digest(self, tmp_path):
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--builtin", "shop", "--trunc", "320",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f")
+
+    def test_wide_game_solve_bit_identical_to_recorded_digest(self, tmp_path):
+        path = tmp_path / "wide.json"
+        bench_inputs().wide_game(1, 0).save(path)
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--model", str(path), "--trunc", "300",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "066142cdaf7f4a842fd0c62f9fd44a490ca496a25e38a4b6518fa5091b420f32")
+
+    def test_reducible_operator_warnings_reported_exit_unchanged(
+            self, tmp_path, capsys):
+        # states 1 -> 2 -> 3, and 3 absorbs: every operator is reducible
+        model = birth_death_model(up=[1.0, 1.0, 0.0], down=[0.0, 0.0, 0.0],
+                                  cost1=[0.5, 0.2, 1.0], cost2=[0.1, 0.3, 0.2])
+        path = tmp_path / "chain.json"
+        save_model(model, path)
+        out = tmp_path / "cert.json"
+        with pytest.warns(UserWarning, match="reducible"):
+            code = main(["solve", "--model", str(path), "--trunc", "3",
+                         "--out", str(out)])
+        assert code == 0  # the certificate converges; warnings do not fail it
+        warned = json.loads(out.read_text())["certificate"]["warnings"]
+        assert any(w.startswith("operator is reducible") for w in warned)
+        assert any(w.startswith("action-intersection graph is reducible")
+                   for w in warned)
+        assert len(set(warned)) == len(warned)
+        stdout = capsys.readouterr().out
+        for w in warned:
+            assert f"solve: warning: {w}" in stdout
+
+    def test_irreducible_certificate_has_no_warnings_key(self, decoupled_path,
+                                                         tmp_path):
+        out = tmp_path / "cert.json"
+        assert main(["solve", "--model", decoupled_path, "--trunc", "3",
+                     "--out", str(out)]) == 0
+        assert "warnings" not in json.loads(out.read_text())["certificate"]
 
 
 def _count_solves(monkeypatch):
@@ -148,6 +197,17 @@ class TestLadder:
                      "--tol", "1e-14", "--out", str(out)])
         assert code == 1
         assert "did not reach" in out.read_text()
+
+    def test_non_finite_bracket_ends_rung_at_once(self, tmp_path, capsys):
+        # at 14000 states psi overflows under the uniform pair; the rung
+        # used to run all 1,410,000 steps of default_max_iter
+        out = tmp_path / "ladder.csv"
+        with np.errstate(all="ignore"):
+            code = main(["ladder", "--builtin", "shop", "--trunc", "14000",
+                         "--fixed-uniform", "--out", str(out)])
+        assert code == 1
+        assert "is not finite" in out.read_text()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -250,6 +310,18 @@ class TestSimulate:
     HIT_ARGS = ["simulate", "--builtin", "shop", "--horizon", "10",
                 "--paths", "400", "--trunc", "40", "--hitting",
                 "--hit-targets", "1,2,3,4,5", "--hit-starts", "6,7,8,9,10"]
+
+    def test_non_finite_bracket_in_hitting_check_exits_one(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "sim.csv"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--builtin", "shop", "--horizon", "1",
+                         "--paths", "20", "--batches", "10", "--trunc",
+                         "14000", "--hitting", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: linear eigensolve stopped after" in err
+        assert "Traceback" not in err
 
     def test_hitting_bound_is_family_wise_student_t(self):
         assert _hitting_z_bound(20, 5) == pytest.approx(4.5899, abs=1e-3)
@@ -391,6 +463,9 @@ class TestConfigHandling:
         code = main(["solve", "--config", str(conf), "--out", out])
         assert code == 0
         assert json.loads(open(out).read())["eps"] == 1e-6
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         conf = tmp_path / "run.json"

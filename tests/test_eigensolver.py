@@ -5,12 +5,15 @@ import pytest
 
 from rsgame.eigensolver import (
     ConvergenceError,
+    _NodaShift,
+    _ResponseOperator,
     best_response_eigenpair,
     principal_eigenpair,
     truncation_ladder,
 )
 from rsgame.generator import assemble
 from rsgame.model import (
+    model_from_dict,
     pure_strategy,
     shop_model,
     tabular_model,
@@ -18,13 +21,16 @@ from rsgame.model import (
     uniform_strategy,
     with_cost_shift,
 )
+from scipy.sparse import csr_matrix, identity
 
 from tests.helpers import (
+    bench_inputs,
     dense_principal,
     dense_tilted,
     enumerate_selectors,
     random_game,
     reference_best_response,
+    reference_noda_matrix,
     reference_power_eigenpair,
 )
 
@@ -345,3 +351,95 @@ class TestLadder:
         res = truncation_ladder(model, opp, 1, [5, 8], max_iter=3)
         assert all(r.error is not None for r in res.rungs)
         assert res.rho_values() == []
+
+
+def _shifted_operators():
+    """``(name, M)``: shifted operators as the solvers iterate on them."""
+    out = []
+    shop = shop_model()
+    trunc = truncate(shop, 320)
+    v1, v2 = fixed_pair(shop)
+    A = assemble(shop, trunc, v1, v2, 1)
+    out.append(("shop 320", (A.A + A.alpha * identity(320, format="csr")).tocsr()))
+    op = _ResponseOperator(shop, trunc, v2, 1)
+    out.append(("shop 320 best-response rows",
+                op.S[op.starts + op.segment_argmin(op.S @ np.ones(320))]))
+    for seed in range(4):
+        model = random_game(np.random.default_rng(seed), n_states=3 + 9 * seed,
+                            m1=2, m2=3)
+        t = truncate(model, model.n_states)
+        A = assemble(model, t, *fixed_pair(model), 2)
+        out.append((f"random game {seed}",
+                    (A.A + A.alpha * identity(t.n, format="csr")).tocsr()))
+    wide = model_from_dict(bench_inputs().wide_game(1, 0).to_json_dict())
+    t = truncate(wide, wide.n_states)
+    A = assemble(wide, t, *fixed_pair(wide), 1)
+    out.append(("wide game", (A.A + A.alpha * identity(t.n, format="csr")).tocsr()))
+    return out
+
+
+def _csc_fields(S):
+    return [S.shape, S.indptr.dtype.str, S.indptr.tobytes(),
+            S.indices.dtype.str, S.indices.tobytes(), S.data.dtype.str,
+            S.data.tobytes()]
+
+
+class TestNodaShift:
+    @pytest.mark.parametrize("name, M", _shifted_operators())
+    def test_matches_scipy_bit_for_bit(self, name, M):
+        shift = _NodaShift(M)
+        psi = np.ones(M.shape[0])
+        diag = M.diagonal()
+        k = int(np.argmax(diag))
+        sigmas = [float((M @ psi).max()), 1.5 * float(diag.max()),
+                  float(diag[k]),  # an exact zero on the diagonal
+                  float(diag.min()) + 0.25, float(diag[0])]
+        for sigma in sigmas:
+            assert _csc_fields(shift(sigma)) == _csc_fields(
+                reference_noda_matrix(M, sigma)), sigma
+        assert shift(float(diag[k])).nnz < shift(sigmas[0]).nnz
+
+    def test_missing_diagonal_and_explicit_zeros(self):
+        M = csr_matrix(np.array([[0.0, 2.0, 0.0], [1.0, 3.0, 0.5],
+                                 [0.25, 0.0, 1.0]]))
+        M.data[M.data == 0.5] = 0.0  # an explicit zero off the diagonal
+        M.data[M.data == 0.25] = np.nan  # kept, sign and all
+        shift = _NodaShift(M)
+        for sigma in (3.0, 4.0, 1.0, 0.0, np.nan):
+            assert _csc_fields(shift(sigma)) == _csc_fields(
+                reference_noda_matrix(M, sigma)), sigma
+
+
+class TestNonFiniteBracket:
+    def test_shop_linear_solve_stops_at_once_at_14000(self):
+        # psi leaves the double range near state 13,000: the bracket turns
+        # infinite after 275 steps, far below default_max_iter (1,410,000)
+        model = shop_model()
+        trunc = truncate(model, 14000)
+        A = assemble(model, trunc, *fixed_pair(model), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match="not finite") as info:
+                principal_eigenpair(A, i0=1)
+        exc = info.value
+        assert exc.iterations < 1000
+        assert f"stopped after {exc.iterations} iterations" in str(exc)
+        assert not np.isfinite(exc.bracket[1] - exc.bracket[0])
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_infinite_cost_stops_both_solvers_at_once(self, player):
+        rng = np.random.default_rng(31)
+        base = random_game(rng, n_states=4)
+        model = with_cost_shift(base, player, np.inf)
+        trunc = truncate(model, 4)
+        v1, v2 = fixed_pair(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match=(
+                    "linear eigensolve stopped after 0 iterations: the "
+                    r"bracket \[.*, inf\] is not finite")):
+                principal_eigenpair(assemble(model, trunc, v1, v2, player), 1)
+            with pytest.raises(ConvergenceError, match=(
+                    "best-response iteration stopped after 0 iterations")):
+                best_response_eigenpair(model, trunc, v2 if player == 1 else v1,
+                                        player)

@@ -33,13 +33,17 @@ from rsgame.model import (
     with_cost_shift,
 )
 
-from rsgame.model import _row_sums, _shop_game
+from rsgame.model import StationaryStrategy, _row_sums, _selector, _shop_game
 from tests.helpers import (
     digest_game,
     outcome,
     random_game,
     reference_costs,
+    reference_key,
+    reference_mix,
     reference_row,
+    reference_strategy_table,
+    reference_strategy_weights,
     reference_table,
     reference_validate,
     scalar_shop,
@@ -286,6 +290,38 @@ class TestCostShift:
         assert shifted.row(7, 1, 2) is model.row(7, 1, 2)
         assert shifted.costs(7, 1, 2) == (model.costs(7, 1, 2)[0],
                                           model.costs(7, 1, 2)[1] + 0.3)
+
+    @pytest.mark.parametrize("player, kappa", [(1, 0.3), (2, -0.7)])
+    def test_shifted_shop_uses_the_shop_blocks_and_costs(self, player, kappa):
+        base = _shop_game(ShopParams(coupled_states=frozenset({1, 3, 7})))
+        shifted = with_cost_shift(base, player, kappa)
+        calls = []
+        rate_fn, cost_fn = base._rate_fn, base._cost_fn
+        base._rate_fn = lambda i, ia, ib: calls.append(i) or rate_fn(i, ia, ib)
+        base._cost_fn = lambda i, ia, ib: calls.append(-i) or cost_fn(i, ia, ib)
+        shifted._built(1000, costs=True)
+        assert sorted(set(calls)) == [1, 3, 7]  # no cost_fn call at all
+        assert shifted._rows is base._rows
+        want = base._costs.cost.copy()
+        want[:, player - 1] += kappa
+        assert shifted._costs.cost.tobytes() == want.tobytes()
+        for key in ((1, 0, 0), (7, 2, 1), (1000, 1, 2)):
+            assert shifted.costs(*key) == shifted._cost_fn(*key)
+
+    def test_shift_keeps_the_base_cost_errors(self):
+        def cost_fn(i, ia, ib):
+            if (i, ia) == (3, 1):
+                raise KeyError((i, ia, ib))
+            return (0.5, 0.25)
+
+        base = GameModel(lambda i, a, b: {i + 1: 1.0, i: -1.0}, cost_fn,
+                         lambda player, i: [0.0, 1.0])
+        shifted = with_cost_shift(with_cost_shift(base, 1, 0.5), 2, 2.0)
+        assert shifted.costs(4, 1, 1) == (1.0, 2.25)
+        for model in (base, shifted):
+            with pytest.raises(KeyError, match="3, 1, 0"):
+                model.costs(3, 1, 0)
+        assert sorted(shifted._costs.failed) == sorted(base._costs.failed)
 
     def test_table_rate_fn_returns_the_cached_row(self, tmp_path):
         path = tmp_path / "game.json"
@@ -887,3 +923,220 @@ class TestJsonRoundTripProperty:
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert back.meta["shop_params"] == params
         assert _grown(back, [top]) == _grown(model, [top])
+
+
+def _grid_model(m1, m2):
+    """Finite model of absorbing states whose grids have ``m1[i - 1]`` and
+    ``m2[i - 1]`` actions."""
+    grids = {}
+    for k, sizes in ((1, m1), (2, m2)):
+        for i, m in enumerate(sizes, start=1):
+            grids[(k, i)] = np.linspace(0.0, 1.0, m)
+    return tabular_model({}, {}, grids, n_states=len(m1))
+
+
+def _entry(kind, m, rng):
+    """A table entry of ``m`` weights: a valid vector or one of the ways
+    ``weights`` rejects one."""
+    w = rng.dirichlet(np.ones(m)) if m > 1 else np.ones(1)
+    if kind == "negative":
+        w = np.append(1.5, np.zeros(m - 1))
+        w[-1] -= 0.5
+    elif kind == "sum":
+        w = w * 0.9
+    elif kind == "nan":
+        w[0] = np.nan
+    elif kind == "matrix":
+        w = w.reshape(1, m)
+    return w
+
+
+STRATEGY_KINDS = ["uniform", "pure", "selector", "tabular", "mixed", "user"]
+
+
+@st.composite
+def strategy_cases(draw, kind):
+    """A model with random grids, a maker of a fresh strategy of ``kind``
+    on it, and a list of states (some of them outside the model)."""
+    n = draw(st.integers(1, 6))
+    m1 = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    m2 = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    player = draw(st.sampled_from((1, 2)))
+    sizes = m1 if player == 1 else m2
+    # entry kinds come from a seeded generator: hypothesis would favour the
+    # first of a list
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entry_kinds = dict(zip(range(1, n + 1), rng.choice(
+        ["valid"] * 3 + ["negative", "sum", "nan", "matrix"], n)))
+    keys = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    choices = {i: draw(st.integers(-1, 4)) for i in draw(
+        st.lists(st.integers(1, n), unique=True, max_size=n))}
+    sel = np.array([draw(st.integers(0, m - 1)) for m in sizes], dtype=np.int64)
+    weight = draw(st.floats(0.0, 1.0))
+
+    def tabular(model, keys):
+        return tabular_strategy(model, player, {
+            i: _entry(entry_kinds[i], sizes[i - 1], np.random.default_rng(i))
+            for i in keys})
+
+    def make(model, reference=False):
+        if kind == "uniform":
+            return uniform_strategy(model, player)
+        if kind == "pure":
+            return pure_strategy(model, player, lambda i: choices[i])
+        if kind == "selector":
+            return _selector(model, player, sel, np.array(sizes, np.int64))
+        if kind == "tabular":
+            return tabular(model, keys)
+        if kind == "mixed":
+            other = (uniform_strategy(model, player) if weight < 0.5 else
+                     _selector(model, player, sel, np.array(sizes, np.int64)))
+            mix = reference_mix if reference else mix_strategies
+            return mix(model, tabular(model, range(1, n + 1)), other, weight,
+                       keys)
+        return StationaryStrategy(player, lambda i: _entry(
+            entry_kinds.get(i, "valid"), sizes[(i - 1) % n],
+            np.random.default_rng(i)))
+
+    states = draw(st.lists(st.integers(1, n + 1), max_size=10))
+    return _grid_model(m1, m2), make, states
+
+
+def _table_outcome(fn):
+    result = outcome(fn)
+    if result[0] == "ok":
+        sizes, flat = result[1]
+        return "ok", sizes.tolist(), flat.dtype.str, flat.tobytes()
+    return result
+
+
+class TestStrategyTables:
+    """``StationaryStrategy.table`` and its readers against the state by
+    state path of ``weights`` (each strategy is made twice, so the two
+    paths share no cache)."""
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_table_key_and_pair_weights_match_the_per_state_path(self, kind,
+                                                                 data):
+        model, make, states = data.draw(strategy_cases(kind))
+        made = outcome(lambda: make(model))
+        if kind == "mixed":
+            want = outcome(lambda: make(model, reference=True))
+            assert made[0] == want[0] and made[1:] == want[1:] or (
+                made[0] == want[0] == "ok")
+        if made[0] == "raised":  # a mix of an invalid table
+            return
+        assert _table_outcome(lambda: make(model).table(states)) == (
+            _table_outcome(lambda: reference_strategy_table(make(model),
+                                                            states)))
+        assert outcome(lambda: make(model).key(states)) == outcome(
+            lambda: reference_key(make(model), states))
+        inside = [i for i in states if i <= model.n_states]
+        if inside:
+            table = pair_table(model, inside)
+            got = outcome(lambda: table.strategy_weights(make(model)))
+            want = outcome(lambda: reference_strategy_weights(
+                table, make(model)))
+            if got[0] == "ok":
+                assert want[0] == "ok"
+                assert got[1].tobytes() == want[1].tobytes()
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("quantum", [1e-12, 0.3, 0.25, 1e-19])
+    def test_key_rounds_like_python(self, quantum):
+        model = _grid_model([3, 2, 4], [1, 1, 1])
+        table = {1: [0.125, 0.375, 0.5], 2: [0.5, 0.5],
+                 3: [1 / 3, 1 / 6, 0.25, 0.25]}
+        s = tabular_strategy(model, 1, table)
+        assert s.key([1, 2, 3, 1], quantum) == reference_key(
+            tabular_strategy(model, 1, table), [1, 2, 3, 1], quantum)
+        assert all(type(x) is int for part in s.key([1, 3], quantum)
+                   for x in part)
+
+    def test_table_is_built_once_per_list_of_states(self):
+        model = _grid_model([2, 3], [2, 2])
+        calls = []
+        s = StationaryStrategy(1, lambda i: calls.append(i) or [1.0] + [0.0] * i)
+        sizes, flat = s.table([1, 2])
+        assert s.table((1, 2))[1] is flat
+        assert calls == [1, 2]
+        assert sizes.tolist() == [2, 3] and not flat.flags.writeable
+        u = uniform_strategy(model, 2)
+        assert u.table(range(1, 3))[1] is u.table([1, 2])[1]
+
+    def test_grid_mismatch_and_invalid_weights_raise_in_state_order(self):
+        model = _grid_model([2, 2], [1, 1])
+        table = pair_table(model, [1, 2])
+        bad_first = StationaryStrategy(1, lambda i: [0.5, 0.6] if i == 1
+                                       else [1.0])
+        short_first = StationaryStrategy(1, lambda i: [1.0] if i == 1
+                                         else [0.5, 0.6])
+        for s, match in ((bad_first, "sum to"), (short_first, "1 entries")):
+            with pytest.raises(ValueError, match=match):
+                table.strategy_weights(s)
+
+    def test_selector_undefined_outside_its_states(self):
+        model = _grid_model([2, 2, 2], [1, 1, 1])
+        sel = _selector(model, 1, np.array([1, 0]), np.array([2, 2]))
+        assert sel.table([2, 1])[1].tolist() == [1.0, 0.0, 0.0, 1.0]
+        for states, state in (([1, 3], 3), ([0, 1], 0)):
+            with pytest.raises(ValueError, match="selector undefined outside "
+                               rf"truncation \(state {state}\)"):
+                sel.table(states)
+
+    def test_partial_table_names_the_missing_state(self):
+        model = _grid_model([2, 2, 2], [1, 1, 1])
+        s = tabular_strategy(model, 1, {1: [1.0, 0.0], 3: [0.0, 1.0]})
+        assert s.table([3, 1])[1].tolist() == [0.0, 1.0, 1.0, 0.0]
+        with pytest.raises(ValueError, match="no entry for state 2"):
+            s.table([1, 2, 3])
+
+    def test_mix_raises_the_first_error_of_either_strategy(self):
+        model = _grid_model([2, 2, 2], [1, 1, 1])
+        a = tabular_strategy(model, 1, {1: [1.0, 0.0], 2: [1.0, 0.0],
+                                        3: [0.7, 0.7]})
+        b = tabular_strategy(model, 1, {1: [1.0, 0.0], 2: [0.5, 0.6]})
+        with pytest.raises(ValueError, match="at state 2 sum to"):
+            mix_strategies(model, a, b, 0.5, [1, 2, 3])
+        with pytest.raises(ValueError, match="at state 3 sum to"):
+            mix_strategies(model, a, b, 0.5, [1, 3, 2])
+        c = tabular_strategy(model, 1, {3: [1.5, -0.5]})
+        with pytest.raises(ValueError, match="at state 3 sum to"):
+            mix_strategies(model, a, c, 0.5, [3])
+        with pytest.raises(ValueError, match="negative strategy weight"):
+            mix_strategies(model, c, a, 0.5, [3])
+        short = StationaryStrategy(1, lambda i: [1.0])
+        with pytest.raises(ValueError, match="at state 1 have 2 and 1"):
+            mix_strategies(model, a, short, 0.5, [1])
+
+    @pytest.mark.parametrize("make", ["uniform", "selector", "tabular",
+                                      "mixed"])
+    def test_strategies_with_tables_freed_without_the_cycle_collector(self,
+                                                                      make):
+        model = shop_model()
+        states = tuple(range(1, 41))
+        counts = np.array([model.n_actions(1, i) for i in states])
+        strategies = {
+            "uniform": lambda: uniform_strategy(model, 1),
+            "selector": lambda: _selector(model, 1, counts - 1, counts),
+            "tabular": lambda: tabular_strategy(model, 1, {
+                i: np.eye(m)[0] for i, m in zip(states, counts.tolist())}),
+            "mixed": lambda: mix_strategies(
+                model, uniform_strategy(model, 1),
+                _selector(model, 1, counts - 1, counts), 0.5, states),
+        }
+        s = strategies[make]()
+        s.table(states)
+        s.key(states)
+        pair_table(model, states).strategy_weights(s)
+        refs = [weakref.ref(x) for x in (model, s)]
+        gc.disable()
+        try:
+            del model, strategies, s
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()

@@ -376,3 +376,25 @@ class TestConverseCheck:
         assert sel1.key(trunc.states) == cert.v1.key(trunc.states)
         assert sel2.key(trunc.states) == cert.v2.key(trunc.states)
         assert certify(model, trunc, cert.v1, cert.v2, eps=10 * tol).passed
+
+    @pytest.mark.parametrize("seed, m1, m2", [(47, 2, 2), (48, 3, 5),
+                                              (49, 17, 2)])
+    def test_defects_match_the_per_state_dot_products(self, seed, m1, m2):
+        # mixed strategies: each defect is w @ values of its state, as the
+        # per-state loop took it, bit for bit
+        rng = np.random.default_rng(seed)
+        model = random_game(rng, n_states=5, m1=m1, m2=m2)
+        trunc = truncate(model, 5)
+        cert = nash_iterate(model, trunc, damping=0.3, max_rounds=2,
+                            eps=1e-12)
+        report = converse_report(model, trunc, cert.v1, cert.v2,
+                                 (cert.eigen1, cert.eigen2))
+        for p, own, opp, ep in ((report.players[0], cert.v1, cert.v2,
+                                 cert.eigen1),
+                                (report.players[1], cert.v2, cert.v1,
+                                 cert.eigen2)):
+            values = nash.response_values(model, trunc, opp, p.player, ep.psi)
+            want = tuple(
+                (float(own.weights(i) @ vals) - float(vals.min())) / ep.psi[i - 1]
+                for i, vals in zip(trunc.states, values))
+            assert np.array(p.defects).tobytes() == np.array(want).tobytes()

@@ -19,6 +19,7 @@ from rsgame.model import (
     uniform_strategy,
     _shop_game,
 )
+from rsgame.generator import pair_table
 from rsgame.verify import (
     HOLDS,
     NEEDS_TAIL,
@@ -29,6 +30,7 @@ from rsgame.verify import (
     check_irreducibility,
     check_killed_drift,
     shop_condition_report,
+    _least_payoffs,
 )
 
 from tests.helpers import random_game
@@ -354,6 +356,42 @@ class TestShopConditionReport:
         assert not doc["all_pass"]
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()
                               ).hexdigest() == digest
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"n_actions": 5, "action_max": 2.5}, {"fee1": 0, "fee2": 1},
+        {"fee1": 0.3, "theta": 0.6, "coupled_states": frozenset({1, 4})},
+        {"fee2": float("nan")}, {"action_max": 1e-300, "fee1": 1e300}])
+    def test_default_payoffs_as_arrays_match_payoff_calls(self, kwargs):
+        # the same payoffs given as functions take the per-pair path
+        params = ShopParams(**kwargs)
+        calls = ShopParams(**kwargs, **{
+            f"payoff{k}": lambda i, u, k=k: params.payoff(k, i, u)
+            for k in (1, 2)})
+        states = range(1, 150)
+        with np.errstate(all="ignore"):
+            want = shop_condition_report(calls, states).to_json_dict()
+            got = shop_condition_report(params, states).to_json_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                             sort_keys=True)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fee1": -0.37, "fee2": 0.1 / 3, "action_max": 2.7, "n_actions": 5},
+        {"fee1": 1e-3, "fee2": 7.3, "action_max": 0.3, "n_actions": 7},
+        {"fee1": 3, "fee2": -2, "action_max": 3}])
+    def test_least_payoffs_bit_identical_to_payoff_calls(self, kwargs):
+        params = ShopParams(**kwargs)
+        model = _shop_game(params)
+        table = pair_table(model, range(1, 700))
+        for k, a in ((1, table.a1), (2, table.a2)):
+            grid = np.concatenate([model.action_values(k, s)
+                                   for s in table.states])
+            own = grid[(np.cumsum(table.m1 if k == 1 else table.m2)
+                        - (table.m1 if k == 1 else table.m2))[table.state] + a]
+            want = [min(params.payoff(k, s, u)
+                        for u in model.action_values(k, s))
+                    for s in table.states]
+            got = _least_payoffs(params, k, model, table, own)
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_reads_the_given_model(self):
         params = ShopParams()
