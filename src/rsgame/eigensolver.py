@@ -389,7 +389,7 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                      iterations=its, states=truncation.states,
                      anchor=model.anchor, bracket=(lo - op.alpha, hi - op.alpha),
                      warnings=tuple(notes))
-    return pair, _selector(model, player, sel, op.counts)
+    return pair, _selector(player, sel, op.counts)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -685,13 +686,14 @@ class StationaryStrategy:
     validated (nonnegative, summing to one within ``1e-12``).
 
     :meth:`table` gives the weights of a list of states as one flat array,
-    built once per list.  A strategy made from a ``weights_fn`` builds it
-    from :meth:`weights`, state by state.  The built-in strategies fill it
-    as arrays through a block producer ``_block(states) -> (sizes, flat)``:
-    each state's action count and the weights, state after state.  A state
-    it cannot fill gets no weights; their sum, zero, fails the check, and
-    :meth:`weights` then names the error.  The producer holds no reference
-    to the strategy, so that a strategy is freed as soon as it is dropped.
+    built once per list, and :meth:`weights` is the table of one state.
+    Tables come from a producer ``states -> (sizes, flat, error)``: each
+    state's action count and the weights, state after state, up to the
+    first state it cannot fill, and that state's error (None when it
+    fills them all).  A ``weights_fn`` is read state by state; the
+    built-in strategies fill their tables as arrays.  The producer holds
+    no reference to the strategy, so that a strategy is freed as soon as
+    it is dropped, and keeps its errors without their tracebacks.
     """
 
     def __init__(self, player: int, weights_fn, name: str = ""):
@@ -699,38 +701,43 @@ class StationaryStrategy:
             raise ValueError("player must be 1 or 2")
         self.player = player
         self.name = name
-        self._fn = weights_fn
-        self._block = None
-        self._cache: dict = {}
+        self._block = partial(_read, weights_fn)
         self._tables: dict = {}
+        self._weights: dict = {}
+
+    @classmethod
+    def _from_block(cls, player: int, block, name: str) -> "StationaryStrategy":
+        """A built-in strategy, whose tables come from ``block``."""
+        strategy = cls(player, None, name)
+        strategy._block = block
+        return strategy
 
     def weights(self, i: int) -> np.ndarray:
-        w = self._cache.get(i)
+        """The weights at state ``i``: a view into a table already built
+        that holds ``i`` (the table is cut into its states once), or else
+        the table of ``i`` alone."""
+        w = self._weights.get(i)
         if w is None:
-            w = np.asarray(self._fn(i), dtype=float)
-            if w.ndim != 1:
-                raise ValueError(f"strategy weights at state {i} must be a vector")
-            if np.any(w < -SIMPLEX_TOL):
-                raise ValueError(f"negative strategy weight at state {i}")
-            if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-                raise ValueError(
-                    f"strategy weights at state {i} sum to {w.sum()!r}, not 1")
-            w = np.maximum(w, 0.0)
-            w.setflags(write=False)
-            self._cache[i] = w
+            states = next((s for s in self._tables if i in s), None)
+            if states is None:
+                w = self._weights[i] = self.table((i,))[1]
+            else:
+                sizes, flat = self._tables[states]
+                self._weights.update(
+                    zip(states, np.split(flat, np.cumsum(sizes)[:-1])))
+                w = self._weights[i]
         return w
 
     def table(self, states: Iterable[int], sizes=None) -> tuple:
         """``(sizes, flat)``: the action count of each of ``states`` and
-        their weights as one read-only array, state after state, equal to
-        :meth:`weights` state by state.  Raises the error that
-        :meth:`weights` raises at the first state that fails; given the
-        grid ``sizes`` the weights must fit, a state before it whose
-        vector has another length raises first, naming the state."""
+        their weights as one read-only array, state after state.  Raises
+        the error of the first state whose weights fail; given the grid
+        ``sizes`` the weights must fit, a state before it whose vector has
+        another length raises first, naming the state."""
         states = tuple(states)
-        own, flat, stop, exc = self._table(states)
+        own, flat, exc = self._table(states)
         if sizes is not None:
-            wrong = np.flatnonzero(own != sizes[:stop])
+            wrong = np.flatnonzero(own != sizes[:own.size])
             if wrong.size:
                 k = int(wrong[0])
                 raise ValueError(
@@ -738,61 +745,58 @@ class StationaryStrategy:
                     f"{states[k]} has {own[k]} entries but the action grid "
                     f"has {sizes[k]}")
         if exc is not None:
-            try:
-                raise exc
-            finally:
-                exc = None  # its traceback holds this frame
+            _raise(exc)
         return own, flat
 
     def _table(self, states: tuple) -> tuple:
-        """``(sizes, flat, stop, error)``: the table of ``states[:stop]``,
-        where ``stop`` is the first state whose weights fail and ``error``
-        what :meth:`weights` raises there (``len(states)`` and None when
-        none fails).  Whole tables are kept, by list of states."""
+        """``(sizes, flat, error)``: the table of the states before the
+        first whose weights fail, and that state's error (None when none
+        fails).  Whole tables of more than one state are kept, by list of
+        states; :meth:`weights` keeps single states."""
         hit = self._tables.get(states)
         if hit is not None:
-            return hit + (len(states), None)
-        if self._block is None:  # a weights_fn, read state by state
-            parts = []
-            for i in states:
-                try:
-                    parts.append(self.weights(i))
-                except Exception as exc:
-                    return _joined(parts) + (len(parts), exc)
-            sizes, flat = _joined(parts)
-        else:
-            sizes, flat = self._block(states)
-            bad = _off_simplex(sizes, flat)
-            if bad.any():
-                k = int(np.argmax(bad))
-                try:  # the per-state check names what is wrong
-                    self.weights(states[k])
-                except Exception as exc:
-                    return sizes[:k], flat[:int(sizes[:k].sum())], k, exc
-                raise AssertionError(f"strategy table and weights disagree "
-                                     f"at state {states[k]}")
-            flat = np.maximum(flat, 0.0)
+            return hit + (None,)
+        sizes, flat, exc = self._block(states)
+        bad = _off_simplex(sizes, flat)
+        if bad.any():
+            k = int(bad.argmax())
+            lo = int(sizes[:k].sum())
+            exc = _simplex_error(states[k], flat[lo:lo + sizes[k]])
+            sizes, flat = sizes[:k], flat[:lo]
+        flat = np.maximum(flat, 0.0)
         flat.setflags(write=False)
-        self._tables[states] = (sizes, flat)
-        return sizes, flat, len(states), None
+        if exc is None and len(states) > 1:
+            self._tables[states] = (sizes, flat)
+        return sizes, flat, exc
 
     def key(self, states: Iterable[int], quantum: float = 1e-12) -> tuple:
         """Quantized, hashable snapshot over ``states`` (cycle detection):
         ``round(w / quantum)`` for every weight, one tuple per state.  The
         states before the first that fails are rounded first, so a weight
         that does not round (NaN) there raises first."""
-        sizes, flat, _, exc = self._table(tuple(states))
+        sizes, flat, exc = self._table(tuple(states))
         ints = list(map(int, np.rint(flat / quantum).tolist()))
         if exc is not None:
-            try:
-                raise exc
-            finally:
-                exc = None  # its traceback holds this frame
+            _raise(exc)
         return tuple(map(tuple, _split(ints, sizes)))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<StationaryStrategy player={self.player}{label}>"
+
+
+def _read(weights_fn, states: tuple) -> tuple:
+    """The table producer of a ``weights_fn``: one call per state."""
+    parts = []
+    for i in states:
+        try:
+            w = np.asarray(weights_fn(i), dtype=float)
+            if w.ndim != 1:
+                raise _not_a_vector(i)
+        except Exception as exc:
+            return _joined(parts) + (_kept(exc),)
+        parts.append(w)
+    return _joined(parts) + (None,)
 
 
 def _joined(parts) -> tuple:
@@ -807,15 +811,29 @@ def _split(values: list, sizes) -> list:
     return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
+def _not_a_vector(i) -> ValueError:
+    return ValueError(f"strategy weights at state {i} must be a vector")
+
+
 def _off_simplex(sizes, flat) -> np.ndarray:
-    """States whose weights :meth:`StationaryStrategy.weights` rejects: a
-    weight below ``-SIMPLEX_TOL``, or a sum (``ndarray.sum``'s, bit for
-    bit) further than ``SIMPLEX_TOL`` from one.  A NaN passes, as there."""
+    """States whose weights are not a probability vector: a weight below
+    ``-SIMPLEX_TOL``, or a sum (``ndarray.sum``'s, bit for bit) further
+    than ``SIMPLEX_TOL`` from one.  A NaN passes."""
+    if sizes.size == 1:  # one state, as weights(i) asks for
+        return np.array([bool((flat < -SIMPLEX_TOL).any())
+                         or abs(flat.sum() - 1.0) > SIMPLEX_TOL])
     owner = np.repeat(np.arange(sizes.size), sizes)
     negative = np.bincount(owner[flat < -SIMPLEX_TOL], minlength=sizes.size)
     indptr = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return (negative > 0) | (np.abs(_row_sums(indptr, flat) - 1.0) > SIMPLEX_TOL)
+
+
+def _simplex_error(i, w: np.ndarray) -> ValueError:
+    """The error of the weights ``w`` at state ``i``, off the simplex."""
+    if np.any(w < -SIMPLEX_TOL):
+        return ValueError(f"negative strategy weight at state {i}")
+    return ValueError(f"strategy weights at state {i} sum to {w.sum()!r}, not 1")
 
 
 def pure_strategy(model: GameModel, player: int, choice) -> StationaryStrategy:
@@ -839,52 +857,41 @@ def pure_strategy(model: GameModel, player: int, choice) -> StationaryStrategy:
     return StationaryStrategy(player, fn, name="pure")
 
 
-def _selector(model: GameModel, player: int, sel, counts) -> StationaryStrategy:
+def _selector(player: int, sel, counts) -> StationaryStrategy:
     """Pure strategy taking action ``sel[i - 1]`` at each state ``i`` of
     ``1..len(sel)``, where the grid has ``counts[i - 1]`` actions, and
-    undefined elsewhere; its tables are filled from ``sel`` as arrays."""
+    undefined elsewhere."""
     n = len(sel)
-    table = dict(zip(range(1, n + 1), sel.tolist()))
-
-    def choice(i):
-        try:
-            return table[i]
-        except KeyError:
-            raise ValueError(f"selector undefined outside truncation "
-                             f"(state {i})") from None
 
     def block(states):
-        s = np.asarray(states, dtype=np.int64)
-        inside = (s >= 1) & (s <= n)
-        at = np.where(inside, s - 1, 0)
-        sizes = np.where(inside, counts[at], 0)
+        exc = None
+        if states and not 1 <= min(states) <= max(states) <= n:
+            stop = next(k for k, i in enumerate(states) if not 1 <= i <= n)
+            exc = ValueError(f"selector undefined outside truncation "
+                             f"(state {states[stop]})")
+            states = states[:stop]
+        at = np.asarray(states, dtype=np.int64) - 1
+        sizes = counts[at]
         flat = np.zeros(int(sizes.sum()))
-        flat[(np.cumsum(sizes) - sizes + sel[at])[inside]] = 1.0
-        return sizes, flat
+        flat[np.cumsum(sizes) - sizes + sel[at]] = 1.0
+        return sizes, flat, exc
 
-    strategy = pure_strategy(model, player, choice)
-    strategy._block = block
-    return strategy
+    return StationaryStrategy._from_block(player, block, "pure")
 
 
 def uniform_strategy(model: GameModel, player: int) -> StationaryStrategy:
-    def fn(i):
-        m = model.n_actions(player, i)
-        return np.full(m, 1.0 / m)
-
     def block(states):
-        sizes = np.zeros(len(states), dtype=np.int64)
-        for k, i in enumerate(states):
+        sizes, exc = [], None
+        for i in states:
             try:
-                sizes[k] = model.n_actions(player, i)
-            except Exception:  # no weights here: the state's weights raise it
-                pass
-        with np.errstate(divide="ignore"):
-            return sizes, np.repeat(1.0 / sizes, sizes)
+                sizes.append(model.n_actions(player, i))
+            except Exception as err:
+                exc = _kept(err)
+                break
+        sizes = np.array(sizes, dtype=np.int64)
+        return sizes, np.repeat(1.0 / sizes, sizes), exc
 
-    strategy = StationaryStrategy(player, fn, name="uniform")
-    strategy._block = block
-    return strategy
+    return StationaryStrategy._from_block(player, block, "uniform")
 
 
 def tabular_strategy(model: GameModel, player: int,
@@ -897,43 +904,42 @@ def tabular_strategy(model: GameModel, player: int,
                     np.fromiter((w.size for w in entries), np.int64,
                                 len(entries)),
                     np.concatenate([w.ravel() for w in entries] or [[]]),
-                    {k: w for k, w in enumerate(entries) if w.ndim != 1}, name)
+                    [k for k, w in enumerate(entries) if w.ndim != 1], name)
 
 
 def _tabular(model: GameModel, player: int, keys: list, sizes, flat,
-             odd: dict, name: str) -> StationaryStrategy:
+             odd: list, name: str) -> StationaryStrategy:
     """Strategy whose ``k``-th table entry, at state ``keys[k]``, is
-    ``flat[offs[k]:offs[k] + sizes[k]]``, or ``odd[k]`` when that entry is
-    not a vector.  The tables hold arrays only, not the model."""
+    ``flat[offs[k]:offs[k] + sizes[k]]``, unless ``k`` is one of the
+    entries in ``odd`` that are not vectors.  The tables hold arrays only,
+    not the model."""
     for i, m in zip(keys, sizes.tolist()):
         if m != model.n_actions(player, i):
             raise ValueError(
                 f"table entry at state {i} has {m} weights but the grid "
                 f"has {model.n_actions(player, i)} actions")
     index = {i: k for k, i in enumerate(keys)}
-    # one more entry stands for the states not in the table; it, and the
-    # entries that are not vectors, fill no weights
-    offs = np.append(np.cumsum(sizes) - sizes, 0)
-    fill = np.append(sizes, 0)
-    fill[list(odd)] = 0
-
-    def fn(i):
-        k = index.get(i)
-        if k is None:
-            raise ValueError(f"strategy table has no entry for state {i}")
-        if k in odd:
-            return odd[k]
-        return flat[offs[k]:offs[k] + sizes[k]]
+    offs = np.cumsum(sizes) - sizes
+    # entry -1 stands for the states not in the table; it, and the entries
+    # that are not vectors, fill no weights
+    unfilled = np.zeros(len(keys) + 1, dtype=bool)
+    unfilled[odd + [-1]] = True
 
     def block(states):
         at = np.fromiter((index.get(i, -1) for i in states), np.int64,
                          len(states))
-        lo, own = offs[at], fill[at]
-        return own, flat[_ranges(lo, lo + own)]
+        bad = np.flatnonzero(unfilled[at])
+        exc = None
+        if bad.size:
+            k = int(bad[0])
+            exc = (ValueError(f"strategy table has no entry for state "
+                              f"{states[k]}") if at[k] < 0
+                   else _not_a_vector(states[k]))
+            at = at[:k]
+        lo, own = offs[at], sizes[at]
+        return own, flat[_ranges(lo, lo + own)], exc
 
-    strategy = StationaryStrategy(player, fn, name=name)
-    strategy._block = block
-    return strategy
+    return StationaryStrategy._from_block(player, block, name)
 
 
 def mix_strategies(model: GameModel, a: StationaryStrategy,
@@ -948,22 +954,18 @@ def mix_strategies(model: GameModel, a: StationaryStrategy,
     if not (0.0 <= weight_a <= 1.0):
         raise ValueError("mixing weight must lie in [0, 1]")
     states = tuple(states)
-    sa, wa, stop_a, exc_a = a._table(states)
-    sb, wb, stop_b, exc_b = b._table(states)
-    stop = min(stop_a, stop_b)
+    sa, wa, exc_a = a._table(states)
+    sb, wb, exc_b = b._table(states)
+    stop = min(sa.size, sb.size)
     wrong = np.flatnonzero(sa[:stop] != sb[:stop])
     if wrong.size:
         k = int(wrong[0])
         raise ValueError(f"cannot mix strategies whose vectors at state "
                          f"{states[k]} have {sa[k]} and {sb[k]} entries")
-    exc = exc_a if stop_a <= stop_b else exc_b
-    if exc is not None:
-        try:
-            raise exc
-        finally:
-            exc = exc_a = exc_b = None
+    if stop < len(states):
+        _raise(exc_a if sa.size == stop else exc_b)
     return _tabular(model, a.player, list(states), sa,
-                    weight_a * wa + (1.0 - weight_a) * wb, {}, "mixed")
+                    weight_a * wa + (1.0 - weight_a) * wb, [], "mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -1418,15 +1420,11 @@ def with_cost_shift(model: GameModel, player: int, kappa: float) -> GameModel:
 
 class _ShiftedGame(GameModel):
     """A model whose costs are those of ``base`` with ``kappa`` added to
-    ``player``'s; ``cost_fn`` gives the same costs one pair at a time."""
+    ``player``'s, and whose rows are ``base``'s."""
 
     def __init__(self, base: GameModel, player: int, kappa: float):
-        def cost_fn(i, ia, ib):
-            c1, c2 = base.costs(i, ia, ib)
-            return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
-
-        super().__init__(base._rate_fn, cost_fn, base._grids,
-                         n_states=base.n_states, anchor=base.anchor,
+        super().__init__(None, None, base._grids, n_states=base.n_states,
+                         anchor=base.anchor,
                          name=base.name + f"+shift{player}", meta=None)
         self._rows = base._rows
         self._base = base

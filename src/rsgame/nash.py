@@ -80,10 +80,18 @@ def response_values(model: GameModel, truncation: Truncation,
     opponent averaged out, the full-space diagonal kept, and ``psi``
     extended by zero outside the truncation.
     """
-    op = _ResponseOperator(model, truncation, opponent_strategy, player)
-    z = op.S @ psi - op.alpha * psi[op.owner]
+    op, z = _objective(model, truncation, opponent_strategy, player, psi)
     return [z[op.starts[i]:op.starts[i] + op.counts[i]]
             for i in range(truncation.n)]
+
+
+def _objective(model: GameModel, truncation: Truncation,
+               opponent_strategy: StationaryStrategy, player: int,
+               psi: np.ndarray) -> tuple:
+    """The frozen-opponent operator and the objective of
+    :func:`response_values` over all of its state-action rows at once."""
+    op = _ResponseOperator(model, truncation, opponent_strategy, player)
+    return op, op.S @ psi - op.alpha * psi[op.owner]
 
 
 def argmin_sets(model: GameModel, truncation: Truncation,
@@ -444,8 +452,7 @@ def converse_report(model: GameModel, truncation: Truncation,
     reports = []
     for player, own, opp, ep in ((1, v1, v2, eigenpairs[0]),
                                  (2, v2, v1, eigenpairs[1])):
-        op = _ResponseOperator(model, truncation, opp, player)
-        z = op.S @ ep.psi - op.alpha * ep.psi[op.owner]
+        op, z = _objective(model, truncation, opp, player, ep.psi)
         _, w = own.table(truncation.states, op.counts)
         defects = (_segment_dots(w, z, op.starts, op.counts)
                    - np.minimum.reduceat(z, op.starts)) / ep.psi

@@ -22,6 +22,7 @@ from scipy import sparse
 from rsgame.generator import PairTable
 from rsgame.model import (
     ROW_SUM_TOL,
+    SIMPLEX_TOL,
     GameModel,
     Row,
     ValidationReport,
@@ -124,7 +125,10 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
     """Row of pair ``(i, ia, ib)`` built on its own from the model's
     ``rate_fn``, the way ``GameModel.row`` built each row before the pair
     store: targets sorted, zero rates dropped, numpy conversions, and a
-    countable model's row checked for conservativeness."""
+    countable model's row checked for conservativeness.  A model made by
+    ``with_cost_shift`` has its base model's rows."""
+    while hasattr(model, "_base"):
+        model = model._base
     raw = model._rate_fn(i, ia, ib)
     if i not in raw:
         raise ValueError(f"row at state {i} is missing its diagonal entry")
@@ -142,7 +146,13 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
 
 
 def reference_costs(model: GameModel, i, ia, ib) -> tuple:
-    """Costs of pair ``(i, ia, ib)`` straight from the model's ``cost_fn``."""
+    """Costs of pair ``(i, ia, ib)`` straight from the model's ``cost_fn``;
+    those of a model made by ``with_cost_shift``, its base model's with the
+    shift added."""
+    if hasattr(model, "_base"):
+        c1, c2 = reference_costs(model._base, i, ia, ib)
+        player, kappa = model._shift
+        return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
     c1, c2 = model._cost_fn(i, ia, ib)
     return float(c1), float(c2)
 
@@ -250,11 +260,90 @@ def reference_strategy_weights(table: PairTable, strategy) -> np.ndarray:
     return np.concatenate(flat)[(np.cumsum(sizes) - sizes)[table.state] + action]
 
 
+class PerStateStrategy:
+    """A stationary strategy read state by state: ``weights_fn(i)`` checked
+    and cached one state at a time, with the errors of
+    ``StationaryStrategy.weights``.  The reference for strategy tables."""
+
+    def __init__(self, player: int, weights_fn):
+        self.player = player
+        self._fn = weights_fn
+        self._cache = {}
+
+    def weights(self, i: int) -> np.ndarray:
+        w = self._cache.get(i)
+        if w is None:
+            w = np.asarray(self._fn(i), dtype=float)
+            if w.ndim != 1:
+                raise ValueError(f"strategy weights at state {i} must be a vector")
+            if np.any(w < -SIMPLEX_TOL):
+                raise ValueError(f"negative strategy weight at state {i}")
+            if abs(w.sum() - 1.0) > SIMPLEX_TOL:
+                raise ValueError(
+                    f"strategy weights at state {i} sum to {w.sum()!r}, not 1")
+            w = np.maximum(w, 0.0)
+            self._cache[i] = w
+        return w
+
+
+def reference_uniform(model: GameModel, player: int) -> PerStateStrategy:
+    """``uniform_strategy`` state by state."""
+    def fn(i):
+        m = model.n_actions(player, i)
+        return np.full(m, 1.0 / m)
+
+    return PerStateStrategy(player, fn)
+
+
+def reference_pure(model: GameModel, player: int, choice) -> PerStateStrategy:
+    """``pure_strategy`` state by state."""
+    def fn(i):
+        k = choice(i)
+        m = model.n_actions(player, i)
+        if not (0 <= k < m):
+            raise ValueError(
+                f"pure strategy for player {player} picks action index {k} "
+                f"at state {i}, but the grid has {m} actions")
+        w = np.zeros(m)
+        w[k] = 1.0
+        return w
+
+    return PerStateStrategy(player, fn)
+
+
+def reference_selector(model: GameModel, player: int, sel) -> PerStateStrategy:
+    """A best-response selector (``sel[i - 1]`` at state ``i``) state by
+    state."""
+    def choice(i):
+        if not 1 <= i <= len(sel):
+            raise ValueError(f"selector undefined outside truncation "
+                             f"(state {i})")
+        return int(sel[i - 1])
+
+    return reference_pure(model, player, choice)
+
+
+def reference_tabular(model: GameModel, player: int, table) -> PerStateStrategy:
+    """``tabular_strategy`` state by state."""
+    fixed = {i: np.asarray(w, dtype=float) for i, w in table.items()}
+    for i, w in fixed.items():
+        if w.size != model.n_actions(player, i):
+            raise ValueError(
+                f"table entry at state {i} has {w.size} weights but the grid "
+                f"has {model.n_actions(player, i)} actions")
+
+    def fn(i):
+        try:
+            return fixed[i]
+        except KeyError:
+            raise ValueError(f"strategy table has no entry for state {i}") from None
+
+    return PerStateStrategy(player, fn)
+
+
 def reference_mix(model: GameModel, a, b, weight_a, states):
     """``mix_strategies`` as a loop over states, each mixed from
     ``weights``."""
-    from rsgame.model import tabular_strategy
-
     if a.player != b.player:
         raise ValueError("cannot mix strategies of different players")
     if not (0.0 <= weight_a <= 1.0):
@@ -262,7 +351,7 @@ def reference_mix(model: GameModel, a, b, weight_a, states):
     table = {}
     for i in states:
         table[i] = weight_a * a.weights(i) + (1.0 - weight_a) * b.weights(i)
-    return tabular_strategy(model, a.player, table, name="mixed")
+    return reference_tabular(model, a.player, table)
 
 
 def reference_strategy_table(strategy, states) -> tuple:

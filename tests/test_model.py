@@ -35,15 +35,20 @@ from rsgame.model import (
 
 from rsgame.model import StationaryStrategy, _row_sums, _selector, _shop_game
 from tests.helpers import (
+    PerStateStrategy,
     digest_game,
     outcome,
     random_game,
     reference_costs,
     reference_key,
     reference_mix,
+    reference_pure,
+    reference_selector,
     reference_row,
     reference_strategy_table,
     reference_strategy_weights,
+    reference_tabular,
+    reference_uniform,
     reference_table,
     reference_validate,
     scalar_shop,
@@ -284,7 +289,7 @@ class TestCostShift:
         def rebuild(i, ia, ib):
             raise AssertionError(f"row ({i}, {ia}, {ib}) rebuilt")
 
-        shifted._rate_fn = rebuild
+        model._rate_fn = rebuild
         table = pair_table(shifted, shifted.states())
         assert table.rows.nnz == pair_table(model, model.states()).rows.nnz
         assert shifted.row(7, 1, 2) is model.row(7, 1, 2)
@@ -305,8 +310,6 @@ class TestCostShift:
         want = base._costs.cost.copy()
         want[:, player - 1] += kappa
         assert shifted._costs.cost.tobytes() == want.tobytes()
-        for key in ((1, 0, 0), (7, 2, 1), (1000, 1, 2)):
-            assert shifted.costs(*key) == shifted._cost_fn(*key)
 
     def test_shift_keeps_the_base_cost_errors(self):
         def cost_fn(i, ia, ib):
@@ -974,29 +977,42 @@ def strategy_cases(draw, kind):
     sel = np.array([draw(st.integers(0, m - 1)) for m in sizes], dtype=np.int64)
     weight = draw(st.floats(0.0, 1.0))
 
-    def tabular(model, keys):
-        return tabular_strategy(model, player, {
+    def tabular(model, keys, reference):
+        make_table = reference_tabular if reference else tabular_strategy
+        return make_table(model, player, {
             i: _entry(entry_kinds[i], sizes[i - 1], np.random.default_rng(i))
             for i in keys})
 
+    def selector(model, reference):
+        if reference:
+            return reference_selector(model, player, sel)
+        return _selector(player, sel, np.array(sizes, np.int64))
+
     def make(model, reference=False):
+        """A fresh strategy of ``kind``, or its state by state reference."""
+        uniform = reference_uniform if reference else uniform_strategy
         if kind == "uniform":
-            return uniform_strategy(model, player)
+            return uniform(model, player)
         if kind == "pure":
-            return pure_strategy(model, player, lambda i: choices[i])
+            pure = reference_pure if reference else pure_strategy
+            return pure(model, player, lambda i: choices[i])
         if kind == "selector":
-            return _selector(model, player, sel, np.array(sizes, np.int64))
+            return selector(model, reference)
         if kind == "tabular":
-            return tabular(model, keys)
+            return tabular(model, keys, reference)
         if kind == "mixed":
-            other = (uniform_strategy(model, player) if weight < 0.5 else
-                     _selector(model, player, sel, np.array(sizes, np.int64)))
+            other = (uniform(model, player) if weight < 0.5 else
+                     selector(model, reference))
             mix = reference_mix if reference else mix_strategies
-            return mix(model, tabular(model, range(1, n + 1)), other, weight,
-                       keys)
-        return StationaryStrategy(player, lambda i: _entry(
-            entry_kinds.get(i, "valid"), sizes[(i - 1) % n],
-            np.random.default_rng(i)))
+            return mix(model, tabular(model, range(1, n + 1), reference),
+                       other, weight, keys)
+
+        def fn(i):
+            return _entry(entry_kinds.get(i, "valid"), sizes[(i - 1) % n],
+                          np.random.default_rng(i))
+
+        return (PerStateStrategy if reference else StationaryStrategy)(player,
+                                                                       fn)
 
     states = draw(st.lists(st.integers(1, n + 1), max_size=10))
     return _grid_model(m1, m2), make, states
@@ -1011,9 +1027,8 @@ def _table_outcome(fn):
 
 
 class TestStrategyTables:
-    """``StationaryStrategy.table`` and its readers against the state by
-    state path of ``weights`` (each strategy is made twice, so the two
-    paths share no cache)."""
+    """``StationaryStrategy.table`` and its readers against the same
+    strategy read state by state (:class:`PerStateStrategy`)."""
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     @settings(max_examples=120, deadline=None,
@@ -1030,16 +1045,16 @@ class TestStrategyTables:
         if made[0] == "raised":  # a mix of an invalid table
             return
         assert _table_outcome(lambda: make(model).table(states)) == (
-            _table_outcome(lambda: reference_strategy_table(make(model),
-                                                            states)))
+            _table_outcome(lambda: reference_strategy_table(
+                make(model, reference=True), states)))
         assert outcome(lambda: make(model).key(states)) == outcome(
-            lambda: reference_key(make(model), states))
+            lambda: reference_key(make(model, reference=True), states))
         inside = [i for i in states if i <= model.n_states]
         if inside:
             table = pair_table(model, inside)
             got = outcome(lambda: table.strategy_weights(make(model)))
             want = outcome(lambda: reference_strategy_weights(
-                table, make(model)))
+                table, make(model, reference=True)))
             if got[0] == "ok":
                 assert want[0] == "ok"
                 assert got[1].tobytes() == want[1].tobytes()
@@ -1081,12 +1096,20 @@ class TestStrategyTables:
 
     def test_selector_undefined_outside_its_states(self):
         model = _grid_model([2, 2, 2], [1, 1, 1])
-        sel = _selector(model, 1, np.array([1, 0]), np.array([2, 2]))
+        sel = _selector(1, np.array([1, 0]), np.array([2, 2]))
         assert sel.table([2, 1])[1].tolist() == [1.0, 0.0, 0.0, 1.0]
         for states, state in (([1, 3], 3), ([0, 1], 0)):
             with pytest.raises(ValueError, match="selector undefined outside "
                                rf"truncation \(state {state}\)"):
                 sel.table(states)
+
+    def test_uniform_table_stops_at_the_first_state_without_a_grid(self):
+        model = _grid_model([2, 3], [1, 1])
+        u = uniform_strategy(model, 1)
+        want = outcome(lambda: model.n_actions(1, 3))
+        assert want[0] == "raised"
+        # the grid sizes given are checked up to that state only
+        assert outcome(lambda: u.table([1, 3, 2], np.array([2, 0, 3]))) == want
 
     def test_partial_table_names_the_missing_state(self):
         model = _grid_model([2, 2, 2], [1, 1, 1])
@@ -1113,6 +1136,30 @@ class TestStrategyTables:
         with pytest.raises(ValueError, match="at state 1 have 2 and 1"):
             mix_strategies(model, a, short, 0.5, [1])
 
+    def test_table_errors_hold_no_frame_of_their_strategy(self):
+        model = _grid_model([2, 2], [1, 1])
+        a = tabular_strategy(model, 1, {1: [1.0, 0.0]})
+        b = StationaryStrategy(1, lambda i: [0.5, 0.6] if i == 2
+                               else [1.0, 0.0])
+        c = StationaryStrategy(1, lambda i: {}[i])
+        calls = [lambda: a.table([1, 2]), lambda: a.key([1, 2]),
+                 lambda: b.table([1, 2]), lambda: c.weights(1),
+                 lambda: mix_strategies(model, b, c, 0.5, [1, 2])]
+        refs = [weakref.ref(x) for x in (a, b, c)]
+        gc.disable()
+        try:
+            for call in calls:
+                try:
+                    call()
+                except (KeyError, ValueError):
+                    pass
+                else:
+                    raise AssertionError("no error")
+            del a, b, c, calls, call
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("make", ["uniform", "selector", "tabular",
                                       "mixed"])
     def test_strategies_with_tables_freed_without_the_cycle_collector(self,
@@ -1122,12 +1169,12 @@ class TestStrategyTables:
         counts = np.array([model.n_actions(1, i) for i in states])
         strategies = {
             "uniform": lambda: uniform_strategy(model, 1),
-            "selector": lambda: _selector(model, 1, counts - 1, counts),
+            "selector": lambda: _selector(1, counts - 1, counts),
             "tabular": lambda: tabular_strategy(model, 1, {
                 i: np.eye(m)[0] for i, m in zip(states, counts.tolist())}),
             "mixed": lambda: mix_strategies(
                 model, uniform_strategy(model, 1),
-                _selector(model, 1, counts - 1, counts), 0.5, states),
+                _selector(1, counts - 1, counts), 0.5, states),
         }
         s = strategies[make]()
         s.table(states)
