@@ -90,12 +90,6 @@ def default_max_iter(n: int) -> int:
 POWER_STEPS = 100
 
 
-def _strong_components(pattern: csr_matrix):
-    ncomp, labels = csgraph.connected_components(pattern, directed=True,
-                                                 connection="strong")
-    return ncomp, labels
-
-
 def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
     """Principal eigenvector of a shifted operator, bracket-certified.
 
@@ -207,34 +201,49 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
                         max_iter: int | None = None) -> EigenPair:
     """Principal eigenpair of the tilted operator under fixed strategies.
 
-    Runs ``_power_iterate`` on ``A + alpha I``; the reported eigenvalue is
-    the bracket midpoint minus the shift, and ``iterations`` counts power
-    steps plus Noda solves.  A reducible operator triggers a warning and a
-    component-wise fallback whose eigenvector may vanish off the dominant
-    component (and at the anchor, in which case the normalization falls
-    back to the maximum entry).
+    Runs ``_power_iterate`` on ``M = A + alpha I``; the reported eigenvalue
+    is the bracket midpoint minus the shift, and ``iterations`` counts
+    power steps plus Noda solves.  A reducible operator triggers a warning
+    and is solved on the states from which its dominant strong component
+    (the first one of largest block eigenvalue) is reachable: ``M``
+    restricted to them has a positive principal eigenvector, and that
+    vector, zero elsewhere, is an eigenvector of ``M``.  Where it vanishes
+    at the anchor it is normalized by its maximum entry instead.
     """
     n = A.n
     if max_iter is None:
         max_iter = default_max_iter(n)
     anchor_idx = A.index(i0)
-    pattern = csr_matrix((A.A > 0).astype(np.int8))
-    pattern.setdiag(0)
-    pattern.eliminate_zeros()
-    ncomp, labels = _strong_components(pattern)
+    M = (A.A + A.alpha * identity(n, format="csr")).tocsr()
+    pattern = M > 0
+    ncomp, labels = csgraph.connected_components(pattern, directed=True,
+                                                 connection="strong")
     notes: list = []
-    if ncomp > 1 and n > 1:
+    its = 0
+    sub, sub_anchor = M, anchor_idx
+    if ncomp > 1:
         msg = (f"operator is reducible ({ncomp} strongly connected "
-               "components); falling back to component-wise solves")
+               "components); solved on the states that reach its dominant "
+               "component")
         warnings.warn(msg)
         notes.append(msg)
-        return _reducible_fallback(A, i0, tol, max_iter, labels, ncomp, notes)
-
-    M = (A.A + A.alpha * identity(n, format="csr")).tocsr()
-    lo, hi, psi, its = _power_iterate(M, anchor_idx, tol, max_iter)
+        keep, its = _reaching_dominant(M, pattern, A.alpha, labels, tol,
+                                       max_iter)
+        sub = M[keep][:, keep]
+        inside = keep == anchor_idx
+        sub_anchor = int(np.argmax(inside))  # the first kept state if none
+    lo, hi, psi, steps = _power_iterate(sub, sub_anchor, tol, max_iter - its)
+    its += steps
     if not hi - lo <= tol:
         raise _unclosed("linear eigensolve", tol, max_iter,
                         lo - A.alpha, hi - A.alpha, its)
+    if ncomp > 1:
+        psi, kept = np.zeros(n), psi
+        psi[keep] = kept
+        if not inside.any():
+            psi /= kept.max()
+            notes.append("eigenvector vanishes at the anchor state; "
+                         "normalized by its maximum instead")
     mid = 0.5 * (lo + hi)
     resid = float(np.max(np.abs(M @ psi - mid * psi)) / np.max(np.abs(psi)))
     return EigenPair(rho=mid - A.alpha, psi=psi, residual=resid,
@@ -243,35 +252,30 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
                      warnings=tuple(notes))
 
 
-def _reducible_fallback(A, i0, tol, max_iter, labels, ncomp, notes):
-    n = A.n
-    dense = A.A.toarray()
-    best = None
-    for comp in range(ncomp):
+def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
+    """The states (sorted indices) from which the first strong component
+    of largest block eigenvalue is reachable, and the steps taken to find
+    those eigenvalues: a one-state block's is its diagonal entry, a larger
+    block's comes from ``_power_iterate`` on its slice of ``M``."""
+    sizes = np.bincount(labels)
+    block = np.empty(sizes.size)
+    single = sizes[labels] == 1
+    block[labels[single]] = M.diagonal()[single]
+    its = 0
+    for comp in np.flatnonzero(sizes > 1).tolist():
         idx = np.flatnonzero(labels == comp)
-        sub = csr_matrix(dense[np.ix_(idx, idx)] + A.alpha * np.eye(len(idx)))
-        lo, hi, psi_sub, its = _power_iterate(sub, 0, tol, max_iter)
+        lo, hi, _, steps = _power_iterate(M[idx][:, idx], 0, tol,
+                                          max_iter - its)
+        its += steps
         if not hi - lo <= tol:
             raise _unclosed("linear eigensolve", tol, max_iter,
-                            lo - A.alpha, hi - A.alpha, its)
-        mid = 0.5 * (lo + hi)
-        if best is None or mid > best[0]:
-            best = (mid, idx, psi_sub, (lo, hi), its)
-    mid, idx, psi_sub, (lo, hi), its = best
-    psi = np.zeros(n)
-    psi[idx] = psi_sub / psi_sub.max()
-    anchor_idx = A.index(i0)
-    if psi[anchor_idx] > 0:
-        psi /= psi[anchor_idx]
-    else:
-        notes.append("eigenvector vanishes at the anchor state; normalized "
-                     "by its maximum instead")
-    resid = float(np.max(np.abs(dense @ psi + A.alpha * psi - mid * psi))
-                  / np.max(np.abs(psi)))
-    return EigenPair(rho=mid - A.alpha, psi=psi, residual=resid,
-                     iterations=its, states=A.states, anchor=i0,
-                     bracket=(lo - A.alpha, hi - A.alpha),
-                     warnings=tuple(notes))
+                            lo - alpha, hi - alpha, its)
+        block[comp] = 0.5 * (lo + hi)
+    source = int(np.flatnonzero(labels == int(np.argmax(block)))[0])
+    keep = csgraph.breadth_first_order(pattern.T, source, directed=True,
+                                       return_predecessors=False)
+    keep.sort()
+    return keep, its
 
 
 class _ResponseOperator:
@@ -282,7 +286,7 @@ class _ResponseOperator:
     minimum then yields the nonlinear operator image in one matvec.
     """
 
-    def __init__(self, model, truncation, opponent, player, alpha=None):
+    def __init__(self, model, truncation, opponent, player):
         if opponent.player == player:
             raise ValueError("opponent strategy belongs to the responding player")
         n = truncation.n
@@ -293,8 +297,7 @@ class _ResponseOperator:
         own = table.a1 if player == 1 else table.a2
         R, diag, cost = table.contract(table.strategy_weights(opponent),
                                        starts[table.state] + own, owner.size, n)
-        if alpha is None:
-            alpha = max(0.0, (-diag).max()) + 1.0
+        alpha = max(0.0, (-diag).max()) + 1.0
         # fold diagonal + cost + shift into the stacked matrix
         fold = csr_matrix((diag + cost[:, player - 1] + alpha,
                            (np.arange(owner.size), owner)), shape=R.shape)
@@ -346,7 +349,8 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
     anchor_idx = truncation.index(model.anchor)
 
     notes = []
-    ncomp, _ = _strong_components(op.intersection_pattern())
+    ncomp, _ = csgraph.connected_components(op.intersection_pattern(),
+                                            directed=True, connection="strong")
     if ncomp > 1 and n > 1:
         msg = (f"action-intersection graph is reducible ({ncomp} strong "
                "components); nonlinear iteration may find a non-minimal pair")

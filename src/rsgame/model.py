@@ -1490,28 +1490,13 @@ def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
                        rates, diag)
     costs = _CostStore(n, cost)
 
-    # the callables read the stores, not the model, so that a model is
-    # freed as soon as it is dropped (no reference cycle)
-    def rate_fn(i, ia, ib):
-        try:
-            p = store.index(i, ia, ib)
-        except ValueError:  # outside the table: absorbing, like an absent row
-            return {i: 0.0}
-        a, b = store.indptr[p], store.indptr[p + 1]
-        full = dict(zip(store.cols[a:b].tolist(), store.rates[a:b].tolist()))
-        full[i] = float(store.diag[p])
-        return full
-
-    def cost_fn(i, ia, ib):
-        try:
-            return tuple(costs.cost[store.index(i, ia, ib)].tolist())
-        except ValueError:
-            return (0.0, 0.0)
-
+    # the grids come from a dict, not from the model, so that a model is
+    # freed as soon as it is dropped (no reference cycle); the stores are
+    # complete, so the model needs no rate or cost callables
     def grid_fn(player, i):
         return grids[(player, i)]
 
-    model = GameModel(rate_fn, cost_fn, grid_fn, n_states=n, anchor=anchor,
+    model = GameModel(None, None, grid_fn, n_states=n, anchor=anchor,
                       name=name)
     model._rows, model._costs = store, costs
     for i in np.flatnonzero(per == 0).tolist():

@@ -526,7 +526,9 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     eigenfunction, which makes the identity exact for the truncated
     eigenpair.  Paths outliving ``tau_cap`` are flagged and contribute
     zero (a capped path hints at non-integrability).  Starts inside the
-    target set return ``psi(start)`` exactly with zero spread.
+    target set return ``psi(start)`` exactly with zero spread.  A hit where
+    psi is zero contributes zero too; at a start where psi is zero the
+    relative deviation is 0 if the estimate is 0 as well and inf if not.
     """
     if not target_set:
         raise ValueError("target set must be nonempty")
@@ -553,7 +555,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
         hit = halted & np.isin(end, target_list)
         logs = np.full(n_paths, -np.inf)
         hit_states, where = np.unique(end[hit], return_inverse=True)
-        log_psi = np.array([math.log(psi[i]) for i in hit_states.tolist()])
+        log_psi = np.array([math.log(psi[i]) if psi[i] != 0.0 else -math.inf
+                            for i in hit_states.tolist()])
         logs[hit] = z[hit] + log_psi[where]
         n_hit = int(hit.sum())
         n_killed = int(halted.sum()) - n_hit
@@ -566,7 +569,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
         se = _batch_se(np.where(np.isfinite(batch_logs), batch_logs,
                                 -745.0), 1.0)
         se *= estimate  # delta method back to the natural scale
-        rel = abs(estimate - ref) / ref
+        rel = abs(estimate - ref) / ref if ref else (
+            0.0 if estimate == 0.0 else math.inf)
         z_score = abs(estimate - ref) / se if se > 0 else (
             0.0 if estimate == ref else math.inf)
         rows.append(HittingCheckRow(

@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import math
 import sys
+import weakref
 from bisect import bisect_right
 from pathlib import Path
 
@@ -60,7 +61,25 @@ def random_game(rng, n_states=4, m1=2, m2=2, rate_scale=1.0, cost_scale=1.0,
                 rates[(i, ia, ib)] = row
                 costs[(i, ia, ib)] = (cost_scale * rng.random(),
                                       cost_scale * rng.random())
-    return tabular_model(rates, costs, grids, n_states=n_states)
+    return recorded_tabular(rates, costs, grids, n_states=n_states)
+
+
+# the rows and costs of each model built by recorded_tabular, by model
+_TABLE_SOURCES = weakref.WeakKeyDictionary()
+
+
+def recorded_tabular(rates, costs, grids, n_states):
+    """``tabular_model`` over the given tables, with the rows and costs
+    :func:`reference_table` builds from the same entries recorded for
+    :func:`reference_row` and :func:`reference_costs` (a table model keeps
+    no callables to rebuild a row from)."""
+    model = tabular_model(rates, costs, grids, n_states=n_states)
+    _TABLE_SOURCES[model] = reference_table({
+        "rates": [[*key, j, r] for key, row in rates.items()
+                  for j, r in row.items()],
+        "costs": [[k, *key, c] for key, pair in costs.items()
+                  for k, c in zip((1, 2), pair)]})
+    return model
 
 
 def bench_inputs():
@@ -126,9 +145,16 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
     ``rate_fn``, the way ``GameModel.row`` built each row before the pair
     store: targets sorted, zero rates dropped, numpy conversions, and a
     countable model's row checked for conservativeness.  A model made by
-    ``with_cost_shift`` has its base model's rows."""
+    ``with_cost_shift`` has its base model's rows, and one made by
+    :func:`recorded_tabular` the rows of its entries (absorbing where it
+    has none)."""
     while hasattr(model, "_base"):
         model = model._base
+    if model in _TABLE_SOURCES:
+        cols, rates, diag = _TABLE_SOURCES[model][0].get((i, ia, ib),
+                                                         ([], [], 0.0))
+        return Row(cols=np.array(cols, dtype=np.int64),
+                   rates=np.array(rates, dtype=float), diag=float(diag))
     raw = model._rate_fn(i, ia, ib)
     if i not in raw:
         raise ValueError(f"row at state {i} is missing its diagonal entry")
@@ -148,11 +174,14 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
 def reference_costs(model: GameModel, i, ia, ib) -> tuple:
     """Costs of pair ``(i, ia, ib)`` straight from the model's ``cost_fn``;
     those of a model made by ``with_cost_shift``, its base model's with the
-    shift added."""
+    shift added, and those of one made by :func:`recorded_tabular`, its
+    entries' (zero where it has none)."""
     if hasattr(model, "_base"):
         c1, c2 = reference_costs(model._base, i, ia, ib)
         player, kappa = model._shift
         return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
+    if model in _TABLE_SOURCES:
+        return _TABLE_SOURCES[model][1].get((i, ia, ib), (0.0, 0.0))
     c1, c2 = model._cost_fn(i, ia, ib)
     return float(c1), float(c2)
 
@@ -709,7 +738,7 @@ def _bad_values_model():
     rates[(6, 0, 0)][6] = -1.0  # explicit diagonal that does not conserve
     costs[(7, 0, 1)] = (float("nan"), -2.0)
     costs[(8, 1, 1)] = (float("inf"), 0.0)
-    return tabular_model(rates, costs, grids, n_states=50)
+    return recorded_tabular(rates, costs, grids, n_states=50)
 
 
 def scalar_shop(model: GameModel) -> GameModel:

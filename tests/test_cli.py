@@ -13,6 +13,7 @@ from rsgame.model import (
     load_model,
     save_model,
     shop_model,
+    tabular_model,
     tabular_strategy,
     truncate,
     uniform_strategy,
@@ -322,6 +323,63 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: linear eigensolve stopped after" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _hitting_rows(tmp_path, model, targets, starts, *extra):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        out = tmp_path / "sim.csv"
+        with pytest.warns(UserWarning, match="operator is reducible"):
+            code = main(["simulate", "--model", str(path), "--trunc",
+                         str(model.n_states), "--hitting", "--hit-targets",
+                         targets, "--hit-starts", starts, "--out", str(out),
+                         *extra])
+        lines = (tmp_path / "sim.csv.hitting.csv").read_text().splitlines()
+        return code, [dict(zip(lines[0].split(","), line.split(",")))
+                      for line in lines[1:]]
+
+    def test_hitting_check_on_reducible_chain_passes(self, tmp_path):
+        # 1 -> 2 -> 3, and 3 absorbs: psi is positive on every state
+        chain = birth_death_model(up=[1.0, 1.0, 0.0], down=[0.0, 0.0, 0.0],
+                                  cost1=[0.5, 0.2, 1.0], cost2=[0.1, 0.3, 0.2])
+        code, rows = self._hitting_rows(tmp_path, chain, "3", "1,2",
+                                        "--paths", "2000")
+        assert code == 0
+        assert [float(r["psi"]) for r in rows] == pytest.approx([1.0, 1.5])
+
+    def test_hitting_check_at_a_start_where_psi_is_zero(self, tmp_path,
+                                                        capsys):
+        # states 1 and 2 absorb; state 2 dominates, so psi(1) = 0, and no
+        # path from 1 hits 2
+        grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2)}
+        two = tabular_model({(1, 0, 0): {1: 0.0}, (2, 0, 0): {2: 0.0}},
+                            {(1, 0, 0): (1.0, 0.0), (2, 0, 0): (3.0, 0.0)},
+                            grids, n_states=2)
+        code, rows = self._hitting_rows(tmp_path, two, "2", "1", "--paths",
+                                        "200", "--horizon", "5")
+        assert code == 1  # no path hit the target: the check is not valid
+        assert [(r["psi"], r["estimate"], r["rel_deviation"], r["z"],
+                 r["hits"]) for r in rows] == [("0.0", "0.0", "0.0", "0.0",
+                                                "0")]
+        assert "every z <= " in capsys.readouterr().out
+
+    def test_hitting_check_with_a_target_where_psi_is_zero(self, tmp_path,
+                                                           capsys):
+        # state 2 jumps to 1 or 3, both absorbing; state 3 dominates, so
+        # psi(1) = 0 and a hit of target 1 is worth nothing
+        grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2, 3)}
+        three = tabular_model(
+            {(1, 0, 0): {1: 0.0}, (2, 0, 0): {1: 1.0, 3: 1.0},
+             (3, 0, 0): {3: 0.0}},
+            {(1, 0, 0): (0.1, 0.0), (2, 0, 0): (0.5, 0.0),
+             (3, 0, 0): (1.0, 0.0)}, grids, n_states=3)
+        code, rows = self._hitting_rows(tmp_path, three, "1", "2", "--paths",
+                                        "1000")
+        assert code == 1  # psi(2) > 0 is not carried by hits of state 1
+        (row,) = rows
+        assert float(row["estimate"]) == 0.0 and int(row["hits"]) > 0
+        assert float(row["rel_deviation"]) == 1.0
+        assert "every z <= " in capsys.readouterr().out
 
     def test_hitting_bound_is_family_wise_student_t(self):
         assert _hitting_z_bound(20, 5) == pytest.approx(4.5899, abs=1e-3)

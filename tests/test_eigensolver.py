@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from rsgame.eigensolver import (
 )
 from rsgame.generator import assemble
 from rsgame.model import (
+    birth_death_model,
     model_from_dict,
     pure_strategy,
     shop_model,
@@ -106,6 +108,135 @@ class TestPrincipalEigenpair:
             principal_eigenpair(A, i0=1, tol=1e-14, max_iter=2)
         lo, hi = err.value.bracket
         assert np.isfinite(lo) and np.isfinite(hi) and lo <= hi
+
+
+def reducible_game(seed):
+    """Single-action game whose operator has 2-4 strong components.
+
+    Components take consecutive states, each a cycle (or one state), and
+    rates lead only from a component to later ones.  The component
+    ``dominant`` (never the first) carries costs 5 higher than the others,
+    which keeps its block eigenvalue the largest; the component before it
+    has a rate into it.  Returns ``(model, labels, dominant)`` with
+    ``labels[i - 1]`` the component of state ``i``.
+    """
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    sizes = rng.integers(1, 5, k)
+    ends = np.cumsum(sizes)
+    n = int(ends[-1])
+    labels = np.repeat(np.arange(k), sizes)
+    dominant = int(rng.integers(1, k))
+    rates, costs = {}, {}
+    for i in range(1, n + 1):
+        c = labels[i - 1]
+        first = int(ends[c] - sizes[c]) + 1
+        row = {}
+        if sizes[c] > 1:
+            row[first + (i - first + 1) % int(sizes[c])] = 0.5 + rng.random()
+        for j in range(int(ends[c]) + 1, n + 1):
+            if rng.random() < 0.3:
+                row[j] = 0.3 * rng.random()
+        if c == dominant - 1 and i == ends[c]:
+            row[int(ends[c]) + 1] = 0.2 + rng.random()
+        row[i] = -sum(row.values())
+        rates[(i, 0, 0)] = row
+        costs[(i, 0, 0)] = (rng.random() + 5.0 * (c == dominant), 0.0)
+    grids = {(p, i): [0.0] for p in (1, 2) for i in range(1, n + 1)}
+    return tabular_model(rates, costs, grids, n_states=n), labels, dominant
+
+
+def reaching(dense, targets):
+    """Indices from which one of ``targets`` is reachable along the
+    positive off-diagonal entries of ``dense``."""
+    found = set(targets)
+    while True:
+        more = {i for i in range(len(dense)) for j in found
+                if i not in found and dense[i, j] > 0}
+        if not more:
+            return sorted(found)
+        found |= more
+
+
+class TestReducibleOperator:
+    """Reducible operators against the dense oracle of tests.helpers."""
+
+    def test_block_triangular_family_matches_dense_perron_vector(self):
+        anchor_outside = non_reaching = 0
+        for seed in range(12):
+            model, labels, dominant = reducible_game(seed)
+            n = model.n_states
+            i0 = 1 if seed % 2 else n  # the last state reaches no other
+            v1, v2 = fixed_pair(model)
+            with pytest.warns(UserWarning, match="operator is reducible"):
+                ep = principal_eigenpair(
+                    assemble(model, truncate(model, n), v1, v2, 1), i0=i0)
+            dense = dense_tilted(model, n, v1, v2, 1)
+            keep = reaching(dense, np.flatnonzero(labels == dominant))
+            rho_d = float(np.linalg.eigvals(dense).real.max())
+            inside = i0 - 1 in keep
+            rho_k, psi_k = dense_principal(dense[np.ix_(keep, keep)],
+                                           keep.index(i0 - 1) if inside else 0)
+            if not inside:
+                psi_k = psi_k / psi_k.max()
+            want = np.zeros(n)
+            want[keep] = psi_k
+            assert ep.rho == pytest.approx(rho_d, abs=1e-9)
+            assert rho_k == pytest.approx(rho_d, abs=1e-9)
+            assert np.max(np.abs(ep.psi - want)) <= 1e-7 * np.max(want)
+            assert ep.residual <= 1e-9
+            assert any(w.startswith("eigenvector vanishes at the anchor")
+                       for w in ep.warnings) == (not inside)
+            anchor_outside += not inside
+            non_reaching += len(keep) < n
+        assert anchor_outside and non_reaching  # the family covers both
+
+    def test_tied_blocks_give_an_eigenvector_or_an_error(self):
+        # states 1, 2 feed states 3, 4; both blocks are [[-0.8, 1], [1, -0.7]]
+        # up to rounding, state 2's cost repaying its exit to state 3
+        rates = {(1, 0, 0): {2: 1.0, 1: -1.0},
+                 (2, 0, 0): {1: 1.0, 3: 0.5, 2: -1.5},
+                 (3, 0, 0): {4: 1.0, 3: -1.0},
+                 (4, 0, 0): {3: 1.0, 4: -1.0}}
+        costs = {(1, 0, 0): (0.2, 0.0), (2, 0, 0): (0.8, 0.0),
+                 (3, 0, 0): (0.2, 0.0), (4, 0, 0): (0.3, 0.0)}
+        grids = {(p, i): [0.0] for p in (1, 2) for i in range(1, 5)}
+        model = tabular_model(rates, costs, grids, n_states=4)
+        v1, v2 = fixed_pair(model)
+        A = assemble(model, truncate(model, 4), v1, v2, 1)
+        dense = dense_tilted(model, 4, v1, v2, 1)
+        rho = float(np.linalg.eigvalsh(dense[2:, 2:]).max())
+        for i0 in (1, 3):
+            with pytest.warns(UserWarning, match="operator is reducible"):
+                try:
+                    ep = principal_eigenpair(A, i0=i0)
+                except ConvergenceError:
+                    continue
+            assert ep.rho == pytest.approx(rho, abs=1e-9)
+            assert ep.psi.min() >= 0.0
+            defect = np.max(np.abs(dense @ ep.psi - ep.rho * ep.psi))
+            assert defect <= 1e-8 * np.max(ep.psi)
+
+    def test_long_birth_chain_solves_in_little_memory(self):
+        # every state is its own component and the top one, which absorbs,
+        # dominates; psi_{i+1} = (1 + c_n - c_i) psi_i
+        n = 2000
+        cost = np.linspace(0.95, 1.0, n)
+        model = birth_death_model([1.0] * n, [0.0] * n, cost, [0.0] * n)
+        v1, v2 = fixed_pair(model)
+        A = assemble(model, truncate(model, n), v1, v2, 1)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="operator is reducible"):
+                ep = principal_eigenpair(A, i0=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        want = np.cumprod(np.concatenate([[1.0], 1.0 + cost[-1] - cost[:-1]]))
+        assert ep.rho == pytest.approx(cost[-1], abs=1e-9)
+        assert np.max(np.abs(ep.psi - want) / want) <= 1e-8
+        assert ep.residual <= 1e-9
 
 
 class TestBestResponseEigenpair:

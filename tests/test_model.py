@@ -326,20 +326,6 @@ class TestCostShift:
                 model.costs(3, 1, 0)
         assert sorted(shifted._costs.failed) == sorted(base._costs.failed)
 
-    def test_table_rate_fn_returns_the_cached_row(self, tmp_path):
-        path = tmp_path / "game.json"
-        save_model(digest_game(), path)
-        model = load_model(path)
-        fresh = GameModel(model._rate_fn, model._cost_fn, model._grids,
-                          n_states=model.n_states)
-        for key in ((i, ia, ib) for i in model.states()
-                    for ia in range(model.n_actions(1, i))
-                    for ib in range(model.n_actions(2, i))):
-            row, again = model.row(*key), fresh.row(*key)
-            assert again.cols.tolist() == row.cols.tolist()
-            assert again.rates.tolist() == row.rates.tolist()
-            assert again.diag == row.diag
-
 
 class TestJsonFormat:
     def test_round_trip_preserves_rows_and_costs(self, tmp_path):
