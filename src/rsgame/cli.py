@@ -234,7 +234,7 @@ def _run_simulate(config: RunConfig) -> int:
     start = config.start if config.start is not None else model.anchor
     est = estimate_risk_cost(model, v1, v2, config.player, start,
                              config.horizon, config.paths, config.batches,
-                             config.seed)
+                             config.seed, workers=config.workers)
     with open(config.out, "w") as fh:
         fh.write("batch,rho,se\n")
         for k, rho_b in enumerate(est.batch_rho):
@@ -254,7 +254,7 @@ def _run_simulate(config: RunConfig) -> int:
         report = hitting_representation_check(
             model, v1, v2, config.player, ep.psi_map(), ep.rho,
             set(targets), list(starts), config.paths, config.seed,
-            batches=config.batches, kill_outside=n)
+            batches=config.batches, kill_outside=n, workers=config.workers)
         hit_path = config.out + ".hitting.csv"
         with open(hit_path, "w") as fh:
             fh.write("start,psi,estimate,se,rel_deviation,z,hits,killed,"
@@ -385,8 +385,9 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--batches", type=int, default=None)
         q.add_argument("--out", default=None, help="artifact path")
         q.add_argument("--workers", type=int, default=None,
-                       help="accepted and ignored: every subcommand runs "
-                            "in one thread")
+                       help="simulate: processes sharing the paths (capped "
+                            "at the usable cores); solve, ladder and verify "
+                            "ignore it")
         q.add_argument("--damping", type=float, default=None)
         q.add_argument("--max-rounds", dest="max_rounds", type=int,
                        default=None)

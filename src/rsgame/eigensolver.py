@@ -205,7 +205,7 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
     is the bracket midpoint minus the shift, and ``iterations`` counts
     power steps plus Noda solves.  A reducible operator triggers a warning
     and is solved on the states from which its dominant strong component
-    (the first one of largest block eigenvalue) is reachable: ``M``
+    (see ``_reaching_dominant``) is reachable: ``M``
     restricted to them has a positive principal eigenvector, and that
     vector, zero elsewhere, is an eigenvector of ``M``.  Where it vanishes
     at the anchor it is normalized by its maximum entry instead.
@@ -253,10 +253,15 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
 
 
 def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
-    """The states (sorted indices) from which the first strong component
-    of largest block eigenvalue is reachable, and the steps taken to find
-    those eigenvalues: a one-state block's is its diagonal entry, a larger
-    block's comes from ``_power_iterate`` on its slice of ``M``."""
+    """The states (sorted indices) from which the dominant strong
+    component is reachable, and the steps taken to find the block
+    eigenvalues: a one-state block's is its diagonal entry, a larger
+    block's comes from ``_power_iterate`` on its slice of ``M``.
+
+    The dominant component is the first of largest block eigenvalue that
+    no other component of that eigenvalue (within ``tol``) reaches.  A
+    component reached from a tying one carries no positive eigenvector:
+    the exact vector of the tie is zero on it and on what it reaches."""
     sizes = np.bincount(labels)
     block = np.empty(sizes.size)
     single = sizes[labels] == 1
@@ -271,9 +276,13 @@ def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
             raise _unclosed("linear eigensolve", tol, max_iter,
                             lo - alpha, hi - alpha, its)
         block[comp] = 0.5 * (lo + hi)
-    source = int(np.flatnonzero(labels == int(np.argmax(block)))[0])
-    keep = csgraph.breadth_first_order(pattern.T, source, directed=True,
-                                       return_predecessors=False)
+    tied = block >= block.max() - tol
+    for comp in sorted(np.flatnonzero(tied).tolist(), key=lambda c: -block[c]):
+        source = int(np.flatnonzero(labels == comp)[0])
+        keep = csgraph.breadth_first_order(pattern.T, source, directed=True,
+                                           return_predecessors=False)
+        if np.all(labels[keep][tied[labels[keep]]] == comp):
+            break
     keep.sort()
     return keep, its
 

@@ -1680,7 +1680,8 @@ def _sequential_sums(groups, values, n_groups: int) -> np.ndarray:
 # Countable shop models:
 #   {"lazy": "shop", "anchor": 1, "shop_params": {...}}
 #
-# Unknown keys are rejected at every level.  Rows absent from "rates" are
+# "states" and "anchor" are JSON integers, at most _MAX_STATES.  Unknown
+# keys are rejected at every level.  Rows absent from "rates" are
 # absorbing; a missing diagonal entry is derived so the row is conservative.
 # Repeated entries keep their last value (see ``_table_model``).
 
@@ -1690,6 +1691,22 @@ _ACTION_KEYS = {"default", "per_state"}
 _SHOP_KEYS = {"sell_rate", "buy_rate", "theta", "action_max", "fee1", "fee2",
               "n_actions", "coupled_states", "boundary_row",
               "boundary_tail_tol"}
+
+
+# the most states a finite model document may declare: every state costs
+# a Python step while loading, and no eigensolve reaches this size
+_MAX_STATES = 1_000_000
+
+
+def _state_field(doc, key, default=None):
+    """``doc[key]`` (``default`` when absent): a JSON integer in
+    ``1.._MAX_STATES``; floats, bools and strings are rejected."""
+    value = doc.get(key, default)
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not 1 <= value <= _MAX_STATES):
+        raise ValueError(f"model field {key!r} must be an integer from 1 to "
+                         f"{_MAX_STATES}, not {value!r}")
+    return int(value)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -1736,12 +1753,12 @@ def model_from_dict(doc: Mapping) -> GameModel:
             raise ValueError(f"unknown lazy model kind {doc['lazy']!r}")
         params = _shop_params_from_dict(doc.get("shop_params", {}))
         model = shop_model(params)
-        if "anchor" in doc and int(doc["anchor"]) != model.anchor:
+        if "anchor" in doc and _state_field(doc, "anchor") != model.anchor:
             raise ValueError("shop model anchor is fixed at state 1")
         return model
 
-    n = int(doc["states"])
-    anchor = int(doc.get("anchor", 1))
+    n = _state_field(doc, "states")
+    anchor = _state_field(doc, "anchor", 1)
     grids = {}
     for player in (1, 2):
         spec = doc.get("actions", {}).get(str(player), {"default": [0.0]})

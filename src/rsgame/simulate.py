@@ -14,7 +14,18 @@ exactly two uniforms, first the holding time (by inversion,
 Absorbing states consume nothing.  The estimators advance a block of paths
 in lockstep, one jump per step, so every path reads the same uniforms as
 the one-path loop of :func:`sample_path`; reductions run in path-index
-order, so the block size never changes a digit.
+order, so the block size never changes a digit.  With ``workers`` above
+1 the estimators hand contiguous ranges of path indices to processes
+forked from the caller; a path keeps its ``(seed, p)`` stream in whichever
+process runs it and the results are joined in path order, so the worker
+count never changes a digit either.
+
+Forking copies the caller's memory copy-on-write and needs no pickling of
+models or strategies; only the per-path results come back, pickled through
+a pipe.  The children make no BLAS or LAPACK call.  On Python 3.12 and
+later ``os.fork`` warns (``DeprecationWarning``) in a process that runs
+other OS threads, which numpy's OpenBLAS thread pool does once
+``rsgame.cli`` is imported.
 
 The risk-sensitive estimator exponentiates path costs, so everything is
 kept in log space: the point estimate is ``(logsumexp(X) - log N) / T``
@@ -25,6 +36,9 @@ the delta method for the log.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -306,6 +320,78 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
     return acc_out, state_out, top_out, halted
 
 
+def _process_count(workers: int, jobs: int) -> int:
+    """``workers`` capped at the usable cores and at ``jobs``; 1 where
+    the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(workers, cores, jobs))
+
+
+def _fan_out(run, jobs, workers: int) -> list:
+    """``run(share)`` for each of up to ``workers`` contiguous shares of
+    the sequence ``jobs``, in share order.
+
+    The first share runs here and every other one in a process forked
+    from this one, which sends its pickled result, or the exception it
+    raised, through a pipe and exits.  The first share to fail raises its
+    exception here with the same type and message.  Every child is reaped
+    before this returns or raises, and killed first when this process
+    fails or stops waiting.
+    """
+    count = _process_count(workers, len(jobs))
+    cuts = [len(jobs) * k // count for k in range(count + 1)]
+    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(run, share, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [run(shares[0])]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                blob = fh.read()
+            try:
+                ok, value = pickle.loads(blob)
+            except Exception:
+                raise ChildProcessError(f"simulation process {pid} ended "
+                                        "without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)  # a child that has exited is a
+            os.waitpid(pid, 0)            # zombie until reaped: no-op
+
+
+def _child(run, share, write):
+    """Body of a forked process: send ``(True, run(share))`` or
+    ``(False, exception)`` and exit without the parent's clean-up."""
+    try:
+        try:
+            payload = (True, run(share))
+        except BaseException as exc:
+            payload = (False, exc)
+        try:
+            blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle
+            blob = pickle.dumps((False, RuntimeError(
+                f"{type(payload[1]).__name__}: {payload[1]}")))
+        with open(write, "wb") as fh:
+            fh.write(blob)
+    finally:
+        os._exit(0)
+
+
 @dataclass(frozen=True)
 class TrajectorySample:
     """One jump path up to a fixed horizon.
@@ -427,14 +513,17 @@ def _batch_se(batch_logs, horizon):
 def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
                        v2: StationaryStrategy, player: int, start: int,
                        horizon: float, paths: int, batches: int, seed: int,
-                       box: int | None = None) -> RiskCostEstimate:
+                       box: int | None = None,
+                       workers: int = 1) -> RiskCostEstimate:
     """Estimate the long-run growth rate of the exponentiated cost.
 
     Reproducible by construction: path ``p`` draws only from the stream
     keyed ``(seed, p)`` and the reduction runs in path order; each path's
     cost integral equals ``sample_path(..., (seed, p))``'s bit for bit.
     When a diagnostic ``box`` is given, paths leaving it are counted and
-    the estimate is marked invalid if every path escaped.
+    the estimate is marked invalid if every path escaped.  ``workers``
+    above 1 splits the paths into contiguous ranges run in forked
+    processes (see the module notes); the result is the same.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -443,8 +532,14 @@ def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
     if paths % batches:
         raise ValueError("batches must divide the path count")
     chain = _AveragedChain(model, v1, v2)
-    X, _, top, _ = _lockstep(chain, seed, 0, paths, start, player, 0.0,
-                             float(horizon), tail=True)
+
+    def run(share):
+        X, _, top, _ = _lockstep(chain, seed, share.start, len(share), start,
+                                 player, 0.0, float(horizon), tail=True)
+        return X, top
+
+    X, top = (np.concatenate(a)
+              for a in zip(*_fan_out(run, range(paths), workers)))
 
     rho_hat = float((logsumexp(X) - math.log(paths)) / horizon)
     per = paths // batches
@@ -516,8 +611,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
                                  psi, rho: float, target_set, starts,
                                  n_paths: int, seed: int, batches: int = 20,
                                  tau_cap: float = 1e6,
-                                 kill_outside: int | None = None
-                                 ) -> HittingReport:
+                                 kill_outside: int | None = None,
+                                 workers: int = 1) -> HittingReport:
     """Monte-Carlo check of the hitting-time representation of psi.
 
     ``psi`` maps states to eigenfunction values (it must cover the target
@@ -529,6 +624,11 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     target set return ``psi(start)`` exactly with zero spread.  A hit where
     psi is zero contributes zero too; at a start where psi is zero the
     relative deviation is 0 if the estimate is 0 as well and inf if not.
+
+    The ``k``-th start runs paths ``k * n_paths`` onwards.  ``workers``
+    above 1 splits the paths of the starts outside the target set, taken
+    in order, into contiguous ranges run in forked processes (see the
+    module notes); the report is the same.
     """
     if not target_set:
         raise ValueError("target set must be nonempty")
@@ -540,8 +640,27 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     target_list = sorted(targets)
     halt = _halt_mask(target_list, kill_outside)
     chain = _AveragedChain(model, v1, v2)
+    tested = [(k, s) for k, s in enumerate(starts) if s not in targets]
+
+    def run(share):
+        # paths j * n_paths + q of ``share`` belong to tested start j
+        parts = []
+        for j in range(share.start // n_paths, (share.stop - 1) // n_paths + 1):
+            lo = max(share.start - j * n_paths, 0)
+            hi = min(share.stop - j * n_paths, n_paths)
+            k, start = tested[j]
+            z, end, _, halted = _lockstep(
+                chain, seed, k * n_paths + lo, hi - lo, start, player, rho,
+                float(tau_cap), tail=False, halt=halt)
+            parts.append((z, end, halted))
+        return [np.concatenate(a) for a in zip(*parts)]
+
+    if tested:
+        z_all, end_all, halted_all = (np.concatenate(a) for a in zip(
+            *_fan_out(run, range(len(tested) * n_paths), workers)))
     rows = []
-    for k_start, start in enumerate(starts):
+    j = 0
+    for start in starts:
         ref = float(psi[start])
         if start in targets:
             rows.append(HittingCheckRow(
@@ -549,9 +668,9 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
                 rel_deviation=0.0, z_score=0.0, n_hit=n_paths, n_killed=0,
                 n_capped=0, valid=True))
             continue
-        z, end, _, halted = _lockstep(chain, seed, k_start * n_paths, n_paths,
-                                      start, player, rho, float(tau_cap),
-                                      tail=False, halt=halt)
+        own = slice(j * n_paths, (j + 1) * n_paths)
+        j += 1
+        z, end, halted = z_all[own], end_all[own], halted_all[own]
         hit = halted & np.isin(end, target_list)
         logs = np.full(n_paths, -np.inf)
         hit_states, where = np.unique(end[hit], return_inverse=True)

@@ -192,7 +192,8 @@ def test_criterion_6_monte_carlo_eigenvalue_consistency():
                                   tol=1e-11).rho
         assert abs(rho - rho_dense) <= 1e-9
         est = estimate_risk_cost(model, v1, v2, 1, start, horizon=200.0,
-                                 paths=100_000, batches=20, seed=2000 + k)
+                                 paths=100_000, batches=20, seed=2000 + k,
+                                 workers=2)
         z = abs(est.rho_hat - rho) / est.se
         details.append(f"{z:.2f}")
         hits += z <= 3.0
@@ -216,7 +217,7 @@ def test_criterion_7_hitting_representation_self_consistency():
     report = hitting_representation_check(
         model, v1, v2, 1, psi=ep.psi_map(), rho=ep.rho, target_set=targets,
         starts=list(range(6, 16)), n_paths=4000, seed=1007, batches=20,
-        kill_outside=40)
+        kill_outside=40, workers=2)
     assert report.valid
     zs = [r.z_score for r in report.rows]
     assert all(z <= 3.0 for z in zs)

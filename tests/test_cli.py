@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from rsgame.model import birth_death_model
 from tests.helpers import bench_inputs, digest_game, random_game
 
 from tests.test_nash import decoupled_game, matching_pennies
-from tests.test_simulate import flip_flop_model
+from tests.test_simulate import flip_flop_model, gap_model
 
 
 @pytest.fixture
@@ -241,6 +243,31 @@ class TestSimulate:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_invalid_rate_in_a_worker_process_exits_two(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # start 3's paths run in the forked process; its error reads as
+        # with one worker, and no process is left (psi's operator, with
+        # state 3 on its own, is reducible)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        model_path = tmp_path / "gap.json"
+        save_model(gap_model(), model_path)
+        errors = []
+        for w in ("1", "2"):
+            out = tmp_path / f"sim{w}.csv"
+            with pytest.warns(UserWarning, match="reducible"):
+                assert main(["simulate", "--model", str(model_path),
+                             "--trunc", "3", "--horizon", "5", "--paths",
+                             "20", "--batches", "10", "--hitting",
+                             "--hit-targets", "1", "--hit-starts", "2,3",
+                             "--workers", w, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert "error: invalid averaged rate at state 3" in errors[1]
+        assert "Traceback" not in errors[1]
+        assert errors[0] == errors[1]
 
     def test_hitting_check_on_shop(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -510,6 +537,30 @@ class TestTableModelFiles:
             assert main(["solve", "--model", str(model), "--trunc", "3",
                          "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"states": 2.7}, "states"), ({"states": "2"}, "states"),
+        ({"states": 2.0}, "states"), ({"states": True}, "states"),
+        ({"states": None}, "states"), ({}, "states"),
+        ({"states": 10**29}, "states"),
+        ({"states": 2, "anchor": 1.0}, "anchor"),
+        ({"states": 2, "anchor": "1"}, "anchor"),
+        ({"states": 2, "anchor": False}, "anchor"),
+        ({"lazy": "shop", "anchor": 1.0}, "anchor"),
+    ])
+    def test_non_integer_or_huge_state_fields_exit_two(self, doc, field,
+                                                       tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, "rates": [], "costs": []}
+                                   if "lazy" not in doc else doc))
+        out = tmp_path / "out.json"
+        start = time.monotonic()
+        assert main(["verify", "--model", str(path), "--out", str(out)]) == 2
+        assert time.monotonic() - start < 1.0  # 10**29 states: no state loop
+        err = capsys.readouterr().err
+        assert f"model field '{field}' must be an integer" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigHandling:

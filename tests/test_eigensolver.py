@@ -216,6 +216,14 @@ class TestReducibleOperator:
             assert ep.psi.min() >= 0.0
             defect = np.max(np.abs(dense @ ep.psi - ep.rho * ep.psi))
             assert defect <= 1e-8 * np.max(ep.psi)
+            # the exact vector is zero on states 3, 4 (their block is
+            # reached from the tying one): an anchor there is reported, and
+            # psi is scaled by its maximum, not by a residue near 1e-10
+            noted = any(w.startswith("eigenvector vanishes at the anchor")
+                        for w in ep.warnings)
+            assert noted == (i0 == 3)
+            assert ep.psi.max() == 1.0 if noted else ep.psi[i0 - 1] == 1.0
+            assert not ep.psi[2:].any()
 
     def test_long_birth_chain_solves_in_little_memory(self):
         # every state is its own component and the top one, which absorbs,

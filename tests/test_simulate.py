@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import weakref
 
 import numpy as np
@@ -447,6 +448,156 @@ class TestLockstepKernel:
         with pytest.raises(ValueError, match="invalid averaged rate at state 3"):
             sample_path(model, v1, v2, 3, 10.0, (1, 0))
         assert sample_path(model, v1, v2, 2, 10.0, (1, 1)).cost1 == 0.0
+
+
+def gap_model():
+    """1 <-> 2, and state 3 with a tiny exit rate and no target: rows
+    conservative within the model check's 1e-12, but a path that reaches
+    state 3 has nowhere to jump."""
+    grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2, 3)}
+    rates = {(1, 0, 0): {2: 1.0, 1: -1.0}, (2, 0, 0): {1: 1.0, 2: -1.0},
+             (3, 0, 0): {3: -1e-13}}
+    costs = {(1, 0, 0): (0.05, 0.2), (2, 0, 0): (0.12, 0.1)}
+    return tabular_model(rates, costs, grids, n_states=3)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Pretend the process may use ``k`` cores, so that the worker count
+    and not this machine decides how many processes share the paths."""
+    def use(k):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(k)), raising=False)
+    return use
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the forks this process makes (a child's count stays in the
+    child)."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+class TestFanOut:
+    """Paths shared among forked processes give the serial results bit for
+    bit, and no process outlives the call."""
+
+    @pytest.mark.parametrize("paths", [60, 70, 610])
+    def test_growth_estimate_identical_for_any_worker_count(self, paths,
+                                                            cores, forks):
+        # 70 and 610 paths split unevenly over 2 and 3 processes
+        cores(4)
+        model = shop_model()
+        v1, v2 = pair(model)
+        for player in (1, 2):
+            runs = [estimate_risk_cost(model, v1, v2, player, 3, 8.0,
+                                       paths=paths, batches=10, seed=41,
+                                       box=6, workers=w) for w in (1, 2, 3)]
+            base = runs[0]
+            assert 0 < base.escaped < paths
+            for est in runs[1:]:
+                assert same_bits(est.log_weights, base.log_weights)
+                assert same_bits(est.batch_rho, base.batch_rho)
+                assert same_bits([est.rho_hat, est.se],
+                                 [base.rho_hat, base.se])
+                assert est.escaped == base.escaped
+        assert len(forks) == 2 * (1 + 2)
+        assert_no_child_left()
+
+    def test_more_workers_than_paths(self, cores, forks):
+        cores(64)
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        base = estimate_risk_cost(model, v1, v2, 1, 1, 30.0, paths=10,
+                                  batches=10, seed=7)
+        est = estimate_risk_cost(model, v1, v2, 1, 1, 30.0, paths=10,
+                                 batches=10, seed=7, workers=50)
+        assert len(forks) == 9  # one path per process
+        assert same_bits(est.log_weights, base.log_weights)
+        report = hitting_representation_check(
+            model, v1, v2, 2, {1: 2.0, 2: 3.0}, rho=0.05, target_set={1},
+            starts=[2], n_paths=2, seed=7, batches=2, workers=50)
+        assert len(forks) == 10
+        assert repr(report.rows) == repr(hitting_representation_check(
+            model, v1, v2, 2, {1: 2.0, 2: 3.0}, rho=0.05, target_set={1},
+            starts=[2], n_paths=2, seed=7, batches=2).rows)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_hitting_rows_identical_for_any_worker_count(self, player,
+                                                          cores):
+        # start 1 is a target; 2 x 50 tested paths split 50/50 or 33/33/34
+        cores(4)
+        model = shop_model()
+        v1, v2 = pair(model)
+        psi = {i: 1.0 + 0.1 * i for i in range(1, 11)}
+        rows = [hitting_representation_check(
+            model, v1, v2, player, psi, rho=0.3, target_set={1, 2},
+            starts=[5, 1, 8], n_paths=50, seed=19, batches=10, tau_cap=0.4,
+            kill_outside=9, workers=w).rows for w in (1, 2, 3)]
+        assert rows[0][1].n_hit == 50
+        assert sum(r.n_hit for r in rows[0]) > 50
+        assert repr(rows[0]) == repr(rows[1]) == repr(rows[2])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("starts", [[2, 3], [3, 2]])
+    def test_invalid_rate_raised_from_either_side(self, starts, cores):
+        # the paths from state 3 run in the child ([2, 3]) or here ([3, 2])
+        cores(2)
+        model = gap_model()
+        v1, v2 = pair(model)
+        messages = []
+        for w in (1, 2):
+            with pytest.raises(ValueError) as info:
+                hitting_representation_check(
+                    model, v1, v2, 1, {1: 1.0, 2: 1.0, 3: 1.0}, rho=0.0,
+                    target_set={1}, starts=starts, n_paths=20, seed=3,
+                    batches=10, workers=w)
+            messages.append(str(info.value))
+            assert_no_child_left()
+        assert messages[0].startswith("invalid averaged rate at state 3")
+        assert messages[0] == messages[1]
+        report = hitting_representation_check(
+            model, v1, v2, 1, {1: 1.0, 2: 1.0, 3: 1.0}, rho=0.0,
+            target_set={1}, starts=[2, 1], n_paths=20, seed=3, batches=10,
+            workers=2)
+        assert report.rows[0].n_hit == 20
+        assert_no_child_left()
+
+    def test_worker_count_capped_at_the_usable_cores(self, cores, forks):
+        cores(2)
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        estimate_risk_cost(model, v1, v2, 1, 1, 5.0, paths=100, batches=10,
+                           seed=1, workers=10**6)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_serial_where_the_platform_cannot_fork(self, cores, monkeypatch):
+        cores(4)
+        monkeypatch.delattr(os, "fork")
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        est = estimate_risk_cost(model, v1, v2, 1, 1, 5.0, paths=100,
+                                 batches=10, seed=1, workers=4)
+        ref = [sample_path(model, v1, v2, 1, 5.0, (1, p)).cost1
+               for p in range(100)]
+        assert same_bits(est.log_weights, ref)
 
 
 class TestStreams:
