@@ -626,9 +626,10 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     relative deviation is 0 if the estimate is 0 as well and inf if not.
 
     The ``k``-th start runs paths ``k * n_paths`` onwards.  ``workers``
-    above 1 splits the paths of the starts outside the target set, taken
-    in order, into contiguous ranges run in forked processes (see the
-    module notes); the report is the same.
+    above 1 shares the starts outside the target set, in contiguous runs,
+    among forked processes (see the module notes); the report is the
+    same.  A start's paths stay in one process: splitting them would run
+    the slow tail of the hitting times, where few paths are left, twice.
     """
     if not target_set:
         raise ValueError("target set must be nonempty")
@@ -643,23 +644,13 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     tested = [(k, s) for k, s in enumerate(starts) if s not in targets]
 
     def run(share):
-        # paths j * n_paths + q of ``share`` belong to tested start j
-        parts = []
-        for j in range(share.start // n_paths, (share.stop - 1) // n_paths + 1):
-            lo = max(share.start - j * n_paths, 0)
-            hi = min(share.stop - j * n_paths, n_paths)
-            k, start = tested[j]
-            z, end, _, halted = _lockstep(
-                chain, seed, k * n_paths + lo, hi - lo, start, player, rho,
-                float(tau_cap), tail=False, halt=halt)
-            parts.append((z, end, halted))
-        return [np.concatenate(a) for a in zip(*parts)]
+        return [_lockstep(chain, seed, k * n_paths, n_paths, start, player,
+                          rho, float(tau_cap), tail=False, halt=halt)
+                for k, start in share]
 
-    if tested:
-        z_all, end_all, halted_all = (np.concatenate(a) for a in zip(
-            *_fan_out(run, range(len(tested) * n_paths), workers)))
+    outcomes = iter([out for part in _fan_out(run, tested, workers)
+                     for out in part])
     rows = []
-    j = 0
     for start in starts:
         ref = float(psi[start])
         if start in targets:
@@ -668,9 +659,7 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
                 rel_deviation=0.0, z_score=0.0, n_hit=n_paths, n_killed=0,
                 n_capped=0, valid=True))
             continue
-        own = slice(j * n_paths, (j + 1) * n_paths)
-        j += 1
-        z, end, halted = z_all[own], end_all[own], halted_all[own]
+        z, end, _, halted = next(outcomes)
         hit = halted & np.isin(end, target_list)
         logs = np.full(n_paths, -np.inf)
         hit_states, where = np.unique(end[hit], return_inverse=True)

@@ -531,25 +531,25 @@ class TestFanOut:
         assert same_bits(est.log_weights, base.log_weights)
         report = hitting_representation_check(
             model, v1, v2, 2, {1: 2.0, 2: 3.0}, rho=0.05, target_set={1},
-            starts=[2], n_paths=2, seed=7, batches=2, workers=50)
-        assert len(forks) == 10
+            starts=[2, 1, 2], n_paths=2, seed=7, batches=2, workers=50)
+        assert len(forks) == 10  # one tested start per process
         assert repr(report.rows) == repr(hitting_representation_check(
             model, v1, v2, 2, {1: 2.0, 2: 3.0}, rho=0.05, target_set={1},
-            starts=[2], n_paths=2, seed=7, batches=2).rows)
+            starts=[2, 1, 2], n_paths=2, seed=7, batches=2).rows)
         assert_no_child_left()
 
     @pytest.mark.parametrize("player", [1, 2])
     def test_hitting_rows_identical_for_any_worker_count(self, player,
                                                           cores):
-        # start 1 is a target; 2 x 50 tested paths split 50/50 or 33/33/34
+        # start 1 is a target; the four tested starts go 2/2 or 1/1/2
         cores(4)
         model = shop_model()
         v1, v2 = pair(model)
         psi = {i: 1.0 + 0.1 * i for i in range(1, 11)}
         rows = [hitting_representation_check(
             model, v1, v2, player, psi, rho=0.3, target_set={1, 2},
-            starts=[5, 1, 8], n_paths=50, seed=19, batches=10, tau_cap=0.4,
-            kill_outside=9, workers=w).rows for w in (1, 2, 3)]
+            starts=[5, 1, 8, 3, 6], n_paths=50, seed=19, batches=10,
+            tau_cap=0.4, kill_outside=9, workers=w).rows for w in (1, 2, 3)]
         assert rows[0][1].n_hit == 50
         assert sum(r.n_hit for r in rows[0]) > 50
         assert repr(rows[0]) == repr(rows[1]) == repr(rows[2])
