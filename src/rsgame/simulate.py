@@ -348,7 +348,12 @@ def _fan_out(run, jobs, workers: int) -> list:
     try:
         for share in shares[1:]:
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 _child(run, share, write)
             os.close(write)

@@ -579,6 +579,39 @@ class TestFanOut:
         assert report.rows[0].n_hit == 20
         assert_no_child_left()
 
+    def test_failed_fork_kills_the_children_made(self, cores, monkeypatch):
+        # the second fork fails: the first child is killed and reaped, and
+        # no pipe is left open
+        cores(4)
+        real = os.fork
+        made = []
+
+        def fork():
+            if made:
+                raise OSError(11, "Resource temporarily unavailable")
+            made.append(real())
+            return made[-1]
+
+        pipes = []
+        real_pipe = os.pipe
+
+        def pipe():
+            pipes.extend(real_pipe())
+            return pipes[-2:]
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "pipe", pipe)
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        with pytest.raises(OSError, match="Resource temporarily"):
+            estimate_risk_cost(model, v1, v2, 1, 1, 5.0, paths=30,
+                               batches=10, seed=1, workers=3)
+        assert len(made) == 1 and len(pipes) == 4
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert_no_child_left()
+
     def test_worker_count_capped_at_the_usable_cores(self, cores, forks):
         cores(2)
         model = flip_flop_model()
