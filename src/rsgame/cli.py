@@ -12,6 +12,11 @@ A JSON config file can mirror every flag (``--config run.json``); flags
 given on the command line override the file.  Artifacts are deterministic:
 same config and seed, byte-identical files, regardless of worker count.
 
+In one process (``main`` called again and again), consecutive commands
+reuse the model when its source is unchanged: the built-in shop, or a
+model file whose bytes have the same sha256.  Only the loading is saved;
+artifacts are the same as from a fresh process.
+
 Exit codes: 0 when the requested checks pass, 1 on numerical
 non-convergence or failed checks (diagnostic artifacts are still
 written), 2 on configuration errors.
@@ -21,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -122,10 +129,47 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _load(config: RunConfig):
+# The last model ``_load`` returned, as ``(source key, model)``.
+_session = None
+
+
+def _source_key(config: RunConfig):
+    """``"shop"`` for the built-in shop, the sha256 of a model file's bytes
+    (read in 64 KiB chunks, so the file is never held whole), or None when
+    the model is not a regular file: a pipe can be read only once, and a
+    missing file gets ``load_model``'s own error."""
     if config.builtin == "shop":
-        return shop_model(ShopParams())
-    return load_model(config.model)
+        return "shop"
+    if not os.path.isfile(config.model):
+        return None
+    digest = hashlib.sha256()
+    with open(config.model, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _load(config: RunConfig):
+    """The command's model, reused from the previous command in this
+    process while its source is unchanged.
+
+    On a miss the previous model is dropped before the new one loads, so
+    at most one is held.  The new one is kept only when its source still
+    has the key it had before the load (a file rewritten meanwhile is
+    not).  Sharing is safe: a model's caches are deterministic fills.
+    """
+    global _session
+    key = _source_key(config)
+    if _session is not None and _session[0] == key:
+        return _session[1]
+    _session = None
+    if config.builtin == "shop":
+        model = shop_model(ShopParams())
+    else:
+        model = load_model(config.model)
+    if key is not None and _source_key(config) == key:
+        _session = (key, model)
+    return model
 
 
 def _check_model(model, top):

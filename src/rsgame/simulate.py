@@ -281,10 +281,9 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
         top = s.copy()
         step = 0
         while rows.size:
-            held = (np.zeros(rows.size, dtype=bool) if halt is None
-                    else halt[np.minimum(s, halt.size - 1)])
+            held = None if halt is None else halt[np.minimum(s, halt.size - 1)]
             if chain.any_invalid:
-                chain.check(s[~held])
+                chain.check(s if held is None else s[~held])
             col = 2 * (step % jumps_per_draw)
             if col == 0:
                 streams.fill(uniforms, rows, first + lo,
@@ -294,17 +293,21 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
             log_hold = np.fromiter(
                 map(math.log1p, (-uniforms[rows, col]).tolist()), float,
                 rows.size)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_next = t + -log_hold / rate
-            stop = held | (rate == 0.0) | (
-                t_next >= limit if tail else t_next > limit)
+            # a zero exit rate never jumps: its path stops below
+            wait = np.divide(-log_hold, rate, out=np.full(rows.size, np.inf),
+                             where=rate > 0.0)
+            t_next = t + wait
+            stop = (rate == 0.0) | (t_next >= limit if tail else t_next > limit)
+            if held is not None:
+                stop |= held
             if stop.any():
                 done = lo + rows[stop]
                 acc_out[done] = (acc[stop] + (limit - t[stop]) * c[stop]
                                  if tail else acc[stop])
                 state_out[done] = s[stop]
                 top_out[done] = top[stop]
-                halted[done] = held[stop]
+                if held is not None:
+                    halted[done] = held[stop]
                 go = ~stop
                 rows, s, t, acc, top, t_next, c = (
                     rows[go], s[go], t[go], acc[go], top[go], t_next[go],

@@ -454,11 +454,16 @@ def shop_condition_report(params: ShopParams, states,
     i = np.asarray(states)[table.state]
     w = w[table.state]
 
-    def actions(k, m, a):
-        grid = np.concatenate([model.action_values(k, s) for s in states])
-        return grid[(np.cumsum(m) - m)[table.state] + a]
+    # the shop's grids differ only at state 1 (see ShopParams.grid), so
+    # each player's two grids are read once
+    at_one = i == 1
 
-    u1, u2 = actions(1, table.m1, table.a1), actions(2, table.m2, table.a2)
+    def actions(k, a):
+        u = model.action_values(k, 2)[np.where(at_one, 0, a)]
+        u[at_one] = model.action_values(k, 1)[a[at_one]]
+        return u
+
+    u1, u2 = actions(1, table.a1), actions(2, table.a2)
     kappa = np.array([s in params.coupled_states for s in states])[table.state]
     ell_s = np.array([ell(s) for s in states])
 

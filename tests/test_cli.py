@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from rsgame.eigensolver import principal_eigenpair
 from rsgame.generator import assemble
 from rsgame.model import (
     load_model,
+    model_to_dict,
     save_model,
     shop_model,
     tabular_model,
@@ -561,6 +564,182 @@ class TestTableModelFiles:
         assert f"model field '{field}' must be an integer" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.fixture
+def session(monkeypatch):
+    """An empty session slot, and the models that ``load_model`` returns
+    while the test runs, in call order."""
+    monkeypatch.setattr(cli, "_session", None)
+    loaded = []
+
+    def counting_load(path):
+        loaded.append(load_model(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_model", counting_load)
+    return loaded
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSessionModel:
+    """Consecutive commands in one process reuse the model of an unchanged
+    source and write the bytes of a fresh process."""
+
+    # the golden digests of TestSolve, TestVerify and TestTableModelFiles
+    WIDE_SOLVE = "066142cdaf7f4a842fd0c62f9fd44a490ca496a25e38a4b6518fa5091b420f32"
+    SHOP_SOLVE = "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f"
+    SHOP_VERIFY = "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e"
+    DIGEST_GAME = TestTableModelFiles.DIGESTS
+
+    def test_verify_then_solve_wide_game_loads_once(self, session, tmp_path):
+        path = tmp_path / "wide.json"
+        bench_inputs().wide_game(1, 0).save(path)
+        out = tmp_path / "out.json"
+        assert main(["verify", "--model", str(path), "--range", "300",
+                     "--trunc", "300", "--out", str(out)]) == 0
+        assert main(["solve", "--model", str(path), "--trunc", "300",
+                     "--out", str(out)]) == 0
+        assert _sha(out) == self.WIDE_SOLVE
+        assert len(session) == 1
+        assert cli._session[1] is session[0]
+
+    def test_same_size_rewrite_loads_the_new_model(self, session, tmp_path):
+        doc = {"states": 2, "rates": [[1, 0, 0, 2, 1.0], [2, 0, 0, 1, 2.0]],
+               "costs": [[1, 1, 0, 0, 0.2], [2, 1, 0, 0, 0.5]]}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        stamp = os.stat(path)
+        outs = [tmp_path / f"{k}.json" for k in range(3)]
+        assert main(["solve", "--model", str(path), "--trunc", "2",
+                     "--out", str(outs[0])]) == 0
+        text = path.read_text()
+        path.write_text(text.replace("0.2", "0.7"))
+        assert len(path.read_text()) == len(text)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert main(["solve", "--model", str(path), "--trunc", "2",
+                     "--out", str(outs[1])]) == 0
+        assert len(session) == 2
+        cli._session = None  # a fresh session on the rewritten file
+        assert main(["solve", "--model", str(path), "--trunc", "2",
+                     "--out", str(outs[2])]) == 0
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        '{"states": 2, "rates": [',
+        json.dumps({"states": 2, "rates": [[1, 0, 0, 2, 1.0],
+                                           [2, 0, float("nan"), 1, 1.0]]}),
+    ], ids=["bad json", "bad index"])
+    def test_failed_load_leaves_no_entry(self, bad, session, tmp_path):
+        good, broken = tmp_path / "game.json", tmp_path / "bad.json"
+        save_model(digest_game(), good)
+        broken.write_text(bad)
+        out = tmp_path / "out.json"
+        args = TestTableModelFiles.GOLDEN
+        assert main(["verify", "--model", str(good), "--out", str(out)]
+                    + args["verify"]) == 1
+        assert cli._session is not None
+        assert main(["solve", "--model", str(broken), "--trunc", "2",
+                     "--out", str(out)]) == 2
+        assert cli._session is None
+        assert main(["solve", "--model", str(good), "--out", str(out)]
+                    + args["solve"]) == 1
+        assert _sha(out) == self.DIGEST_GAME["solve"]
+        assert len(session) == 2  # the good file was loaded again
+
+    def test_file_rewritten_during_the_load_is_not_kept(self, monkeypatch,
+                                                        tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        first = path.read_bytes()
+        monkeypatch.setattr(cli, "_session", None)
+
+        def load_then_rewrite(p):
+            model = load_model(p)
+            path.write_bytes(first.replace(b"1", b"2", 1))
+            return model
+
+        monkeypatch.setattr(cli, "load_model", load_then_rewrite)
+        assert main(["verify", "--model", str(path), "--out",
+                     str(tmp_path / "out.json"),
+                     *TestTableModelFiles.GOLDEN["verify"]]) == 1
+        assert cli._session is None
+
+    def test_builtin_and_model_files_alternate(self, session, tmp_path):
+        game = tmp_path / "game.json"
+        save_model(digest_game(), game)
+        out = tmp_path / "out.json"
+        shop = ["--builtin", "shop", "--out", str(out)]
+        args = TestTableModelFiles.GOLDEN
+        runs = [
+            (["verify", *shop, "--range", "1000", "--trunc", "320"], 0,
+             self.SHOP_VERIFY),
+            (["verify", "--model", str(game), "--out", str(out),
+              *args["verify"]], 1, self.DIGEST_GAME["verify"]),
+            (["solve", *shop, "--trunc", "320"], 0,
+             self.SHOP_SOLVE),
+            (["solve", "--model", str(game), "--out", str(out),
+              *args["solve"]], 1, self.DIGEST_GAME["solve"]),
+        ]
+        for argv, code, digest in runs:
+            assert main(argv) == code
+            assert _sha(out) == digest
+        assert len(session) == 2
+        assert cli._session[0] != "shop"
+
+    def test_pipe_is_read_once_and_not_kept(self, session, tmp_path):
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        text = json.dumps(model_to_dict(matching_pennies())).encode()
+        path = tmp_path / "pennies.json"
+        path.write_bytes(text)
+        outs = [tmp_path / "file.json", tmp_path / "pipe.json"]
+        args = ["solve", "--trunc", "1", "--out"]
+        assert main([*args, str(outs[0]), "--model", str(path)]) == 1
+        read, write = os.pipe()
+        with open(write, "wb") as fh:
+            fh.write(text)  # fits in the pipe's buffer
+        try:
+            assert main([*args, str(outs[1]), "--model",
+                         f"/dev/fd/{read}"]) == 1
+        finally:
+            os.close(read)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert cli._session is None
+        assert len(session) == 2
+
+    @pytest.mark.parametrize("previous", ["shop", "file"])
+    def test_previous_model_gone_before_the_next_load(self, previous,
+                                                      monkeypatch, tmp_path):
+        # freed by reference counting alone: no collector runs in between
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(digest_game(), a)
+        save_model(matching_pennies(), b)
+        monkeypatch.setattr(cli, "_session", None)
+        first = (["--builtin", "shop"] if previous == "shop"
+                 else ["--model", str(a)])
+        out = str(tmp_path / "out.json")
+        assert main(["verify", *first, "--range", "20", "--trunc", "20",
+                     "--out", out]) in (0, 1)
+        held = weakref.ref(cli._session[1])
+        alive = []
+
+        def load(path):
+            alive.append(held() is not None)
+            return load_model(path)
+
+        monkeypatch.setattr(cli, "load_model", load)
+        gc.disable()
+        try:
+            assert main(["solve", "--model", str(b), "--trunc", "1",
+                         "--out", out]) == 1
+        finally:
+            gc.enable()
+        assert alive == [False]
 
 
 class TestConfigHandling:

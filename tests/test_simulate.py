@@ -356,6 +356,21 @@ class TestLockstepKernel:
         ends = {int(r.states[-1]) for r in ref}
         assert 3 in ends and len(ends) > 1
 
+    def test_zero_exit_rates_divide_nothing(self):
+        # absorbing states never enter the holding-time division, so the
+        # kernel runs with division errors raising
+        model = trap_model()
+        v1, v2 = pair(model)
+        with np.errstate(divide="raise", invalid="raise"):
+            est = estimate_risk_cost(model, v1, v2, 1, 3, 8.0, paths=40,
+                                     batches=10, seed=17)
+            report = hitting_representation_check(
+                model, v1, v2, 2, {1: 2.0, 2: 3.0, 3: 1.0}, rho=0.05,
+                target_set={1}, starts=[2, 3], n_paths=40, seed=23,
+                batches=10)
+        assert est.rho_hat == pytest.approx(0.02)
+        assert report.rows[1].n_capped == 40
+
     def test_random_game_rows_of_every_width(self):
         # rows with one to four targets under mixed strategies
         rng = np.random.default_rng(2)

@@ -403,6 +403,18 @@ class TestShopConditionReport:
         with pytest.raises(ValueError, match="not the shop model"):
             shop_condition_report(ShopParams(theta=0.3), range(1, 5), model)
 
+    def test_each_distinct_grid_read_once(self):
+        # every state but 1 has the same grids (ShopParams.grid)
+        params = ShopParams()
+        model = shop_model(params)
+        want = shop_condition_report(params, range(1, 1001), model)
+        reads = []
+        values = model.action_values
+        model.action_values = lambda k, s: reads.append((k, s)) or values(k, s)
+        got = shop_condition_report(params, range(1, 1001), model)
+        assert sorted(reads) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert got.to_json_dict() == want.to_json_dict()
+
     def test_json_rendering(self):
         report = shop_condition_report(ShopParams(), range(1, 10))
         doc = report.to_json_dict()
