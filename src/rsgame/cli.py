@@ -252,6 +252,9 @@ def _run_ladder(config: RunConfig) -> int:
     rhos = result.rho_values()
     print(f"ladder ({result.mode}): {len(rhos)}/{len(result.rungs)} rungs, "
           f"monotone={result.monotone}, limit~{result.limit_estimate}")
+    for note in dict.fromkeys(w for rung in result.rungs if rung.eigenpair
+                              for w in rung.eigenpair.warnings):
+        print(f"ladder: warning: {note}")
     return 0 if len(rhos) == len(result.rungs) else 1
 
 
@@ -292,6 +295,8 @@ def _run_simulate(config: RunConfig) -> int:
         ep = principal_eigenpair(
             assemble(model, trunc, v1, v2, config.player), model.anchor,
             config.tol)
+        for note in ep.warnings:
+            print(f"simulate: warning: {note}")
         targets = config.hit_targets or tuple(range(1, min(5, n) + 1))
         starts = config.hit_starts or tuple(
             s for s in range(max(targets) + 1, max(targets) + 6) if s <= n)

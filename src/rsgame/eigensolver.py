@@ -19,7 +19,6 @@ eigenvalue as the state space grows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,9 @@ class EigenPair:
     ``psi`` is indexed like ``states`` and normalized to one at the anchor
     state; ``bracket`` holds the final Collatz-Wielandt bounds on ``rho``
     and ``residual`` the sup-norm eigen-equation defect relative to
-    ``max |psi|``.
+    ``max |psi|``.  ``warnings`` holds the solver's notes (a reducible
+    operator, an eigenvector that vanishes at the anchor); they are data
+    for the caller to report, not Python warnings.
     """
 
     rho: float
@@ -203,9 +204,9 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
 
     Runs ``_power_iterate`` on ``M = A + alpha I``; the reported eigenvalue
     is the bracket midpoint minus the shift, and ``iterations`` counts
-    power steps plus Noda solves.  A reducible operator triggers a warning
-    and is solved on the states from which its dominant strong component
-    (see ``_reaching_dominant``) is reachable: ``M``
+    power steps plus Noda solves.  A reducible operator is noted in
+    ``warnings`` and solved on the states from which its dominant strong
+    component (see ``_reaching_dominant``) is reachable: ``M``
     restricted to them has a positive principal eigenvector, and that
     vector, zero elsewhere, is an eigenvector of ``M``.  Where it vanishes
     at the anchor it is normalized by its maximum entry instead.
@@ -225,7 +226,6 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
         msg = (f"operator is reducible ({ncomp} strongly connected "
                "components); solved on the states that reach its dominant "
                "component")
-        warnings.warn(msg)
         notes.append(msg)
         keep, its = _reaching_dominant(M, pattern, A.alpha, labels, tol,
                                        max_iter)
@@ -363,7 +363,6 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
     if ncomp > 1 and n > 1:
         msg = (f"action-intersection graph is reducible ({ncomp} strong "
                "components); nonlinear iteration may find a non-minimal pair")
-        warnings.warn(msg)
         notes.append(msg)
 
     psi = np.ones(n)

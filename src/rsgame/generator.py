@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .model import GameModel, StationaryStrategy, Truncation, ROW_SUM_TOL
+from .model import GameModel, StationaryStrategy, Truncation
 
 __all__ = [
     "PairTable",
@@ -41,15 +41,13 @@ class TwistedMatrix:
     makes power iteration on the shifted matrix aperiodic.  ``alpha`` never
     enters reported eigenvalues.  Diagonals keep their full-space values
     while off-diagonal mass leaving the truncation is dropped, so boundary
-    rows may carry a strict deficit; ``conservative`` is True when no row
-    of ``Q`` does.
+    rows may carry a strict deficit.
     """
 
     A: sparse.csr_matrix
     alpha: float
     states: tuple
     player: int
-    conservative: bool
 
     @property
     def n(self) -> int:
@@ -169,9 +167,7 @@ def assemble(model: GameModel, truncation: Truncation,
     table = pair_table(model, truncation.states)
     weights = table.strategy_weights(v1) * table.strategy_weights(v2)
     R, diag, cost = table.contract(weights, table.state, n, n)
-    row_sums = np.asarray(R.sum(axis=1)).ravel() + diag
     alpha = float(max(0.0, (-diag).max()) + 1.0)
     A = (R + sparse.diags(diag + cost[:, player - 1])).tocsr()
     return TwistedMatrix(A=A, alpha=alpha, states=truncation.states,
-                         player=player,
-                         conservative=bool(np.all(np.abs(row_sums) <= ROW_SUM_TOL)))
+                         player=player)

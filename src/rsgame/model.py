@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
@@ -80,8 +81,10 @@ class Row:
         return -self.diag
 
     def total(self) -> float:
-        """Row sum; zero (to rounding) for a conservative row."""
-        return float(self.rates.sum() + self.diag)
+        """Row sum by the rule of :func:`_row_totals`; zero (to rounding)
+        for a conservative row."""
+        return float(_row_totals(np.array([0, self.rates.size]), self.rates,
+                                 np.array([self.diag]))[0])
 
 
 class GameModel:
@@ -174,19 +177,13 @@ class GameModel:
         build (a missing diagonal, an error from ``rate_fn``, or, on a
         countable model, a row that is not conservative).
         """
-        row = self._rows.views.get((i, ia, ib))
-        if row is None:
-            row = self._rows.view(self._pair(i, ia, ib), (i, ia, ib))
-        return row
+        return self._rows.view(self._pair(i, ia, ib))
 
     def costs(self, i: int, ia: int, ib: int) -> tuple:
         """Both players' cost rates at pair ``(i, ia, ib)``.  Like
         :meth:`row`, the first call at state ``i`` builds the rows and costs
         of every state ``1..i`` not built yet."""
-        c = self._costs.values.get((i, ia, ib))
-        if c is None:
-            c = self._costs.value(self._pair(i, ia, ib, costs=True), (i, ia, ib))
-        return c
+        return self._costs.value(self._pair(i, ia, ib, costs=True))
 
     def _built(self, top: int, costs: bool = False) -> "_PairStore":
         """The pair store with the rows of states ``1..top`` built, and
@@ -346,9 +343,9 @@ class _PairStore(_Columns):
     has ``m1[i - 1] x m2[i - 1]`` actions and owns pairs
     ``starts[i - 1]:starts[i]``; pair ``p`` owns entries
     ``indptr[p]:indptr[p + 1]`` of ``cols`` (target states, ascending) and
-    ``rates``, with diagonal ``diag[p]`` and row total ``total[p]``
-    (``Row.total()`` bit for bit).  A row that failed to build is empty,
-    with a NaN diagonal, and ``failed[p]`` keeps its error; ``empty[i]``
+    ``rates``, with diagonal ``diag[p]`` and row total ``total[p]`` (by
+    :func:`_row_totals`, as ``Row.total()``).  A row that failed to build
+    is empty, with a NaN diagonal, and ``failed[p]`` keeps its error; ``empty[i]``
     holds the errors of the empty action grids of state ``i``, which then
     owns no pairs.  Errors are kept without a traceback and raised as
     fresh copies (see :func:`_kept` and :func:`_raise`), so they never tie
@@ -356,7 +353,7 @@ class _PairStore(_Columns):
 
     A table model hands its arrays over complete.  A lazy model's store is
     filled one block of requested states at a time; rows handed out are
-    read-only views into it, memoized in ``views`` by pair.
+    read-only views into it.
     """
 
     def __init__(self, top=0, m1=None, m2=None, starts=None, indptr=None,
@@ -374,7 +371,6 @@ class _PairStore(_Columns):
         self.total = _row_totals(self.indptr, self.rates, self.diag)
         self.failed: dict = {}
         self.empty: dict = {}
-        self.views: dict = {}
 
     def fill(self, model: GameModel, top: int) -> None:
         """Build the rows of states ``self.top + 1 .. top`` from the blocks
@@ -422,17 +418,15 @@ class _PairStore(_Columns):
         ia, ib = divmod(p - int(self.starts[i - 1]), int(self.m2[i - 1]))
         return i, ia, ib
 
-    def view(self, p: int, key: tuple) -> Row:
-        """Read-only row of pair ``p``, memoized under ``key``."""
+    def view(self, p: int) -> Row:
+        """Read-only row of pair ``p``."""
         if p in self.failed:
             _raise(self.failed[p])
         a, b = self.indptr[p], self.indptr[p + 1]
         cols, rates = self.cols[a:b], self.rates[a:b]
         cols.setflags(write=False)
         rates.setflags(write=False)
-        row = self.views[key] = Row(cols=cols, rates=rates,
-                                    diag=float(self.diag[p]))
-        return row
+        return Row(cols=cols, rates=rates, diag=float(self.diag[p]))
 
     def entries(self, pairs):
         """Index array of the entries of ``pairs`` (an index array) and
@@ -460,14 +454,13 @@ class _CostStore(_Columns):
     """Both players' cost rates of the pairs of states ``1..top``, in the
     pair order of the model's :class:`_PairStore`.  An error from
     ``cost_fn`` is kept in ``failed`` and raised when the pair's costs are
-    read; ``values`` memoizes the tuples handed out."""
+    read."""
 
     def __init__(self, top=0, cost=None):
         super().__init__()
         self.top = top
         self.cost = np.zeros((0, 2)) if cost is None else cost
         self.failed: dict = {}
-        self.values: dict = {}
 
     def fill(self, model: GameModel, top: int) -> None:
         """Costs of states ``self.top + 1 .. top``, whose rows are built,
@@ -478,11 +471,10 @@ class _CostStore(_Columns):
         self.failed.update((first + k, exc) for k, exc in failed.items())
         self.top = top
 
-    def value(self, p: int, key: tuple) -> tuple:
+    def value(self, p: int) -> tuple:
         if p in self.failed:
             _raise(self.failed[p])
-        c = self.values[key] = tuple(self.cost[p].tolist())
-        return c
+        return tuple(self.cost[p].tolist())
 
 
 def _kept(exc: Exception) -> Exception:
@@ -525,46 +517,15 @@ def _ranges(lo, hi) -> np.ndarray:
         int(ends[-1]) if size.size else 0)
 
 
-def _row_totals(indptr, rates, diag) -> np.ndarray:
-    """``Row.total()`` of every row: the ``ndarray.sum`` of its rates plus
-    its diagonal (NaN, without a warning, where infinities cancel).  The
-    scalar sum in ``Row.total`` keeps the diagonal's NaN when both terms
-    are NaN, while numpy's vector loops keep either one's, by the row's
-    place in the array; so a NaN diagonal is the total as it is."""
+def _row_totals(indptr, values, diag) -> np.ndarray:
+    """Row sum of every row of a CSR: its values added one by one, in
+    order, from 0.0 (``np.bincount`` adds its weights in array order),
+    plus its diagonal.  The total is NaN, without a warning, where
+    infinities cancel, and a NaN diagonal is the total as it is."""
+    owner = np.repeat(np.arange(diag.size), np.diff(indptr))
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(np.isnan(diag), diag, diag + _row_sums(indptr, rates))
-
-
-def _row_sums(indptr, values) -> np.ndarray:
-    """``values[indptr[p]:indptr[p + 1]].sum()`` for every row ``p``, bit
-    for bit.  ``ndarray.sum`` adds fewer than 8 values one by one from 0.0,
-    up to 128 values in eight interleaved partial sums (position ``k`` of
-    every block of eight) that it combines pairwise before adding the
-    remainder one by one, and splits longer runs in two; those few rows
-    are summed by ``ndarray.sum`` itself."""
-    start, size = indptr[:-1], np.diff(indptr)
-    total = np.zeros(size.size)
-    short = np.flatnonzero(size < 8)
-    for t in range(7):
-        short = short[size[short] > t]
-        total[short] += values[start[short] + t]
-    mid = np.flatnonzero((size >= 8) & (size <= 128))
-    if mid.size:
-        first, blocks = start[mid], size[mid] // 8
-        acc = values[first[:, None] + np.arange(8)]
-        for b in range(1, int(blocks.max())):
-            live = np.flatnonzero(blocks > b)
-            acc[live] += values[first[live, None] + 8 * b + np.arange(8)]
-        res = (((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3]))
-               + ((acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])))
-        tail, rest = first + 8 * blocks, size[mid] % 8
-        for t in range(7):
-            live = np.flatnonzero(rest > t)
-            res[live] += values[tail[live] + t]
-        total[mid] = 0.0 + res  # the reduction's initial value
-    for p in np.flatnonzero(size > 128).tolist():
-        total[p] = values[indptr[p]:indptr[p + 1]].sum()
-    return total
+        return np.where(np.isnan(diag), diag,
+                        diag + np.bincount(owner, values, diag.size))
 
 
 # ---------------------------------------------------------------------------
@@ -817,16 +778,12 @@ def _not_a_vector(i) -> ValueError:
 
 def _off_simplex(sizes, flat) -> np.ndarray:
     """States whose weights are not a probability vector: a weight below
-    ``-SIMPLEX_TOL``, or a sum (``ndarray.sum``'s, bit for bit) further
-    than ``SIMPLEX_TOL`` from one.  A NaN passes."""
-    if sizes.size == 1:  # one state, as weights(i) asks for
-        return np.array([bool((flat < -SIMPLEX_TOL).any())
-                         or abs(flat.sum() - 1.0) > SIMPLEX_TOL])
+    ``-SIMPLEX_TOL``, or a sum (the weights added one by one, in order,
+    from 0.0) further than ``SIMPLEX_TOL`` from one.  A NaN passes."""
     owner = np.repeat(np.arange(sizes.size), sizes)
     negative = np.bincount(owner[flat < -SIMPLEX_TOL], minlength=sizes.size)
-    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return (negative > 0) | (np.abs(_row_sums(indptr, flat) - 1.0) > SIMPLEX_TOL)
+    total = np.bincount(owner, flat, sizes.size)
+    return (negative > 0) | (np.abs(total - 1.0) > SIMPLEX_TOL)
 
 
 def _simplex_error(i, w: np.ndarray) -> ValueError:
@@ -1112,7 +1069,11 @@ def shop_drift_margin(params: ShopParams) -> float:
     against.
     """
     th = params.theta
-    return params.sell_rate * (1.0 - math.exp(-th)) - params.buy_rate * (math.exp(th) - 1.0)
+    try:
+        return (params.sell_rate * (1.0 - math.exp(-th))
+                - params.buy_rate * (math.exp(th) - 1.0))
+    except OverflowError:  # |theta| past about 709.8: no inward drift
+        return -math.inf
 
 
 def shop_boundary_cut(params: ShopParams) -> int:
@@ -1144,6 +1105,13 @@ def validate_shop_params(params: ShopParams) -> list:
         if margin <= fee:
             bad.append(("(IV)", f"drift margin {margin:.6g} must exceed "
                                 f"fee{k} = {fee}"))
+    th2, tol = 2.0 * params.theta, params.boundary_tail_tol
+    # the default row's cutoff is about -log(tol (1 - exp(-th2))) / th2
+    if params.boundary_row is None and th2 > 0 and not (
+            tol > 0 and -(math.log(tol) + math.log(-math.expm1(-th2))) / th2
+            <= _MAX_STATES):
+        bad.append(("boundary row", "need boundary_tail_tol > 0 and a "
+                                    f"cutoff at most {_MAX_STATES}"))
     if params.boundary_row is not None:
         for j, r in params.boundary_row.items():
             if j < 2:
@@ -1470,8 +1438,11 @@ def _table_model(n: int, action_grids: Mapping, rate_entries, cost_entries,
             if (player, i) not in action_grids:
                 raise ValueError(
                     f"no action grid for player {player} at state {i}")
-            grid = np.asarray(action_grids[(player, i)], dtype=float)
-            if grid.ndim != 1:
+            try:
+                grid = np.asarray(action_grids[(player, i)], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                grid = None
+            if grid is None or grid.ndim != 1:
                 raise ValueError(f"action grid for player {player} at state "
                                  f"{i} is not a list of numbers")
             grids[(player, i)] = grid
@@ -1533,11 +1504,11 @@ def _stacked_rows(entries, n, m1, m2, starts, state):
     rates.setflags(write=False)
     del off_col, keep
     # derived diagonals: each row's values in order of first entry
-    by_entry = np.lexsort((first, off_pair))
+    by_entry = np.argsort(first)
     del first
     diag = np.where(np.bincount(off_pair, minlength=n_pairs) > 0,
-                    -_sequential_sums(off_pair[by_entry], off_value[by_entry],
-                                      n_pairs), 0.0)
+                    -np.bincount(off_pair[by_entry], off_value[by_entry],
+                                 n_pairs), 0.0)
     diag[given] = given_value
     return indptr, cols, rates, diag
 
@@ -1648,24 +1619,6 @@ def _last_by_key(key, values, base, position):
     return key // base, key % base, values[order[tail]], position[order[head]]
 
 
-def _sequential_sums(groups, values, n_groups: int) -> np.ndarray:
-    """Sum of each group's ``values``, added one by one in the given order
-    from 0.0.  ``groups`` must be sorted; the sum runs one column of the
-    padded ``(group, position)`` layout at a time, so a group's additions
-    happen in order, and never pairwise."""
-    size = np.bincount(groups, minlength=n_groups)
-    rank = np.arange(groups.size)
-    rank -= (np.cumsum(size) - size)[groups]
-    by_rank = np.argsort(rank, kind="stable")
-    ends = np.cumsum(np.bincount(rank)).tolist()
-    del rank
-    total = np.zeros(n_groups)
-    for a, b in zip([0, *ends], ends):
-        at = by_rank[a:b]
-        total[groups[at]] += values[at]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # JSON model format
 # ---------------------------------------------------------------------------
@@ -1680,10 +1633,12 @@ def _sequential_sums(groups, values, n_groups: int) -> np.ndarray:
 # Countable shop models:
 #   {"lazy": "shop", "anchor": 1, "shop_params": {...}}
 #
-# "states" and "anchor" are JSON integers, at most _MAX_STATES.  Unknown
-# keys are rejected at every level.  Rows absent from "rates" are
-# absorbing; a missing diagonal entry is derived so the row is conservative.
-# Repeated entries keep their last value (see ``_table_model``).
+# "states" and "anchor" are JSON integers, at most _MAX_STATES, and the
+# shop parameters finite numbers.  A field of the wrong JSON type, and an
+# unknown key at any level, is a ValueError naming it.  Rows absent from
+# "rates" are absorbing; a missing diagonal entry is derived so the row is
+# conservative.  Repeated entries keep their last value (see
+# ``_table_model``).
 
 _TOP_KEYS = {"states", "lazy", "anchor", "actions", "rates", "costs",
              "shop_params"}
@@ -1709,20 +1664,42 @@ def _state_field(doc, key, default=None):
     return int(value)
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+def _object(value, where: str, allowed=None) -> Mapping:
+    """``value``, which must be a JSON object, with keys in ``allowed``
+    (any keys when it is None)."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where} must be a JSON object, not "
+                         f"{type(value).__name__}")
+    unknown = set(value) - allowed if allowed is not None else ()
     if unknown:
         raise ValueError(f"unknown field(s) {sorted(unknown)} in {where}")
+    return value
 
 
-def _shop_params_from_dict(d: Mapping) -> ShopParams:
-    _reject_unknown(d, _SHOP_KEYS, "shop_params")
-    kwargs = dict(d)
-    if "coupled_states" in kwargs:
-        kwargs["coupled_states"] = frozenset(int(i) for i in kwargs["coupled_states"])
-    if kwargs.get("boundary_row") is not None:
-        kwargs["boundary_row"] = {int(j): float(r)
-                                  for j, r in kwargs["boundary_row"].items()}
+def _number(value, where: str, kinds=(int, float)):
+    """``value``, which must be a finite JSON number of ``kinds``."""
+    if (not isinstance(value, kinds) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        kind = "integer" if kinds is int else "number"
+        raise ValueError(f"{where} must be a finite {kind}, not {value!r}")
+    return value
+
+
+def _shop_params_from_dict(d) -> ShopParams:
+    kwargs = dict(_object(d, "shop_params", _SHOP_KEYS))
+    for key, value in kwargs.items():
+        where = f"shop_params field {key!r}"
+        if key == "coupled_states":
+            if not isinstance(value, list):
+                raise ValueError(f"{where} must be a list, not "
+                                 f"{type(value).__name__}")
+            kwargs[key] = frozenset(_number(i, f"{where} entry", int)
+                                    for i in value)
+        elif key == "boundary_row" and value is not None:
+            kwargs[key] = {int(j): float(_number(r, f"{where} at {j}"))
+                           for j, r in _object(value, where).items()}
+        elif key != "boundary_row":
+            _number(value, where, int if key == "n_actions" else (int, float))
     return ShopParams(**kwargs)
 
 
@@ -1747,7 +1724,9 @@ def _shop_params_to_dict(p: ShopParams) -> dict:
 
 
 def model_from_dict(doc: Mapping) -> GameModel:
-    _reject_unknown(doc, _TOP_KEYS, "model document")
+    """The model of a JSON document (see the format above); a
+    ``ValueError`` naming the field when the document does not fit it."""
+    _object(doc, "model document", _TOP_KEYS)
     if "lazy" in doc:
         if doc["lazy"] != "shop":
             raise ValueError(f"unknown lazy model kind {doc['lazy']!r}")
@@ -1760,11 +1739,14 @@ def model_from_dict(doc: Mapping) -> GameModel:
     n = _state_field(doc, "states")
     anchor = _state_field(doc, "anchor", 1)
     grids = {}
+    actions = _object(doc.get("actions", {}), "actions", {"1", "2"})
     for player in (1, 2):
-        spec = doc.get("actions", {}).get(str(player), {"default": [0.0]})
-        _reject_unknown(spec, _ACTION_KEYS, f"actions for player {player}")
+        where = f"actions for player {player}"
+        spec = _object(actions.get(str(player), {"default": [0.0]}), where,
+                       _ACTION_KEYS)
         default = spec.get("default")
-        per_state = {int(i): v for i, v in spec.get("per_state", {}).items()}
+        per_state = {int(i): v for i, v in _object(
+            spec.get("per_state", {}), f"per_state of {where}").items()}
         for i in range(1, n + 1):
             g = per_state.get(i, default)
             if g is not None:

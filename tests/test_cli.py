@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rsgame import cli, nash
 from rsgame.cli import _hitting_z_bound, main
@@ -98,9 +100,8 @@ class TestSolve:
         path = tmp_path / "chain.json"
         save_model(model, path)
         out = tmp_path / "cert.json"
-        with pytest.warns(UserWarning, match="reducible"):
-            code = main(["solve", "--model", str(path), "--trunc", "3",
-                         "--out", str(out)])
+        code = main(["solve", "--model", str(path), "--trunc", "3",
+                     "--out", str(out)])
         assert code == 0  # the certificate converges; warnings do not fail it
         warned = json.loads(out.read_text())["certificate"]["warnings"]
         assert any(w.startswith("operator is reducible") for w in warned)
@@ -109,7 +110,7 @@ class TestSolve:
         assert len(set(warned)) == len(warned)
         stdout = capsys.readouterr().out
         for w in warned:
-            assert f"solve: warning: {w}" in stdout
+            assert stdout.count(f"solve: warning: {w}") == 1
 
     def test_irreducible_certificate_has_no_warnings_key(self, decoupled_path,
                                                          tmp_path):
@@ -215,6 +216,31 @@ class TestLadder:
         assert "is not finite" in out.read_text()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_rung_warnings_printed_once_csv_unchanged(self, tmp_path,
+                                                      capsys):
+        # 1 <-> 2 -> 3 <-> 4: both rungs are reducible with two components,
+        # so they carry the same note
+        grids = {(p, i): [0.0] for p in (1, 2) for i in range(1, 5)}
+        model = tabular_model(
+            {(1, 0, 0): {2: 1.0, 1: -1.0}, (2, 0, 0): {1: 1.0, 3: 0.5},
+             (3, 0, 0): {4: 1.0}, (4, 0, 0): {3: 1.0}},
+            {(1, 0, 0): (0.2, 0.0), (2, 0, 0): (0.3, 0.0),
+             (3, 0, 0): (1.0, 0.0), (4, 0, 0): (1.0, 0.0)}, grids, n_states=4)
+        path = tmp_path / "blocks.json"
+        save_model(model, path)
+        out = tmp_path / "ladder.csv"
+        assert main(["ladder", "--model", str(path), "--trunc", "3,4",
+                     "--fixed-uniform", "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("ladder: warning: ")]
+        assert notes == ["ladder: warning: operator is reducible (2 strongly "
+                         "connected components); solved on the states that "
+                         "reach its dominant component"]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,rho,residual,iterations,error"
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "4"]
+        assert all(line.endswith(",") for line in lines[1:])
+
 
 class TestSimulate:
     def test_zero_cost_model(self, tmp_path):
@@ -259,13 +285,14 @@ class TestSimulate:
         errors = []
         for w in ("1", "2"):
             out = tmp_path / f"sim{w}.csv"
-            with pytest.warns(UserWarning, match="reducible"):
-                assert main(["simulate", "--model", str(model_path),
-                             "--trunc", "3", "--horizon", "5", "--paths",
-                             "20", "--batches", "10", "--hitting",
-                             "--hit-targets", "1", "--hit-starts", "2,3",
-                             "--workers", w, "--out", str(out)]) == 2
-            errors.append(capsys.readouterr().err)
+            assert main(["simulate", "--model", str(model_path),
+                         "--trunc", "3", "--horizon", "5", "--paths",
+                         "20", "--batches", "10", "--hitting",
+                         "--hit-targets", "1", "--hit-starts", "2,3",
+                         "--workers", w, "--out", str(out)]) == 2
+            printed = capsys.readouterr()
+            assert "simulate: warning: operator is reducible" in printed.out
+            errors.append(printed.err)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         assert "error: invalid averaged rate at state 3" in errors[1]
@@ -355,24 +382,29 @@ class TestSimulate:
         assert "Traceback" not in err
 
     @staticmethod
-    def _hitting_rows(tmp_path, model, targets, starts, *extra):
+    def _hitting_rows(tmp_path, capsys, model, targets, starts, *extra):
+        """Exit code, hitting rows and stdout of a hitting check whose
+        psi comes from a reducible operator, which stdout notes once."""
         path = tmp_path / "model.json"
         save_model(model, path)
         out = tmp_path / "sim.csv"
-        with pytest.warns(UserWarning, match="operator is reducible"):
-            code = main(["simulate", "--model", str(path), "--trunc",
-                         str(model.n_states), "--hitting", "--hit-targets",
-                         targets, "--hit-starts", starts, "--out", str(out),
-                         *extra])
+        code = main(["simulate", "--model", str(path), "--trunc",
+                     str(model.n_states), "--hitting", "--hit-targets",
+                     targets, "--hit-starts", starts, "--out", str(out),
+                     *extra])
+        stdout = capsys.readouterr().out
+        assert stdout.count("simulate: warning: operator is reducible") == 1
         lines = (tmp_path / "sim.csv.hitting.csv").read_text().splitlines()
         return code, [dict(zip(lines[0].split(","), line.split(",")))
-                      for line in lines[1:]]
+                      for line in lines[1:]], stdout
 
-    def test_hitting_check_on_reducible_chain_passes(self, tmp_path):
+    def test_hitting_check_on_reducible_chain_passes(self, tmp_path,
+                                                     capsys):
         # 1 -> 2 -> 3, and 3 absorbs: psi is positive on every state
         chain = birth_death_model(up=[1.0, 1.0, 0.0], down=[0.0, 0.0, 0.0],
                                   cost1=[0.5, 0.2, 1.0], cost2=[0.1, 0.3, 0.2])
-        code, rows = self._hitting_rows(tmp_path, chain, "3", "1,2",
+        code, rows, _ = self._hitting_rows(tmp_path, capsys, chain, "3",
+                                           "1,2",
                                         "--paths", "2000")
         assert code == 0
         assert [float(r["psi"]) for r in rows] == pytest.approx([1.0, 1.5])
@@ -385,13 +417,14 @@ class TestSimulate:
         two = tabular_model({(1, 0, 0): {1: 0.0}, (2, 0, 0): {2: 0.0}},
                             {(1, 0, 0): (1.0, 0.0), (2, 0, 0): (3.0, 0.0)},
                             grids, n_states=2)
-        code, rows = self._hitting_rows(tmp_path, two, "2", "1", "--paths",
-                                        "200", "--horizon", "5")
+        code, rows, stdout = self._hitting_rows(tmp_path, capsys, two, "2",
+                                                "1", "--paths", "200",
+                                                "--horizon", "5")
         assert code == 1  # no path hit the target: the check is not valid
         assert [(r["psi"], r["estimate"], r["rel_deviation"], r["z"],
                  r["hits"]) for r in rows] == [("0.0", "0.0", "0.0", "0.0",
                                                 "0")]
-        assert "every z <= " in capsys.readouterr().out
+        assert "every z <= " in stdout
 
     def test_hitting_check_with_a_target_where_psi_is_zero(self, tmp_path,
                                                            capsys):
@@ -403,13 +436,13 @@ class TestSimulate:
              (3, 0, 0): {3: 0.0}},
             {(1, 0, 0): (0.1, 0.0), (2, 0, 0): (0.5, 0.0),
              (3, 0, 0): (1.0, 0.0)}, grids, n_states=3)
-        code, rows = self._hitting_rows(tmp_path, three, "1", "2", "--paths",
-                                        "1000")
+        code, rows, stdout = self._hitting_rows(tmp_path, capsys, three,
+                                                "1", "2", "--paths", "1000")
         assert code == 1  # psi(2) > 0 is not carried by hits of state 1
         (row,) = rows
         assert float(row["estimate"]) == 0.0 and int(row["hits"]) > 0
         assert float(row["rel_deviation"]) == 1.0
-        assert "every z <= " in capsys.readouterr().out
+        assert "every z <= " in stdout
 
     def test_hitting_bound_is_family_wise_student_t(self):
         assert _hitting_z_bound(20, 5) == pytest.approx(4.5899, abs=1e-3)
@@ -740,6 +773,65 @@ class TestSessionModel:
         finally:
             gc.enable()
         assert alive == [False]
+
+
+# a JSON value of any type, small
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 8),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.text(max_size=2), st.lists(st.integers(-1, 3), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 2),
+                                  max_size=2))
+_SHOP_FIELDS = ["action_max", "boundary_row", "boundary_tail_tol", "buy_rate",
+                "coupled_states", "fee1", "fee2", "n_actions", "sell_rate",
+                "theta"]
+
+
+@st.composite
+def _model_documents(draw):
+    """Small model documents: a table of up to 6 states whose entries
+    reach just past the model and whose values may be of any type, or a
+    shop with parameters of any value; then perhaps one field replaced by
+    a value of another JSON type."""
+    if draw(st.booleans()):
+        params = draw(st.dictionaries(
+            st.sampled_from(_SHOP_FIELDS),
+            st.one_of(st.floats(), st.integers(-2, 6), _JUNK), max_size=3))
+        doc = {"lazy": "shop", "shop_params": params}
+        n = 5
+    else:
+        n, m = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+        value = st.one_of(st.floats(-1.0, 4.0), st.sampled_from(
+            [0.0, -0.0, float("nan"), float("inf"), -1e-13]), _JUNK)
+        entry = st.one_of(st.tuples(st.integers(0, n + 1),
+                                    st.integers(-1, m), st.integers(-1, m),
+                                    st.integers(0, n + 1), value).map(list),
+                          st.lists(_JUNK, max_size=6))
+        grid = list(map(float, range(m)))
+        doc = {"states": n,
+               "actions": {"1": {"default": grid}, "2": {"default": grid}},
+               "rates": draw(st.lists(entry, max_size=3 * n)),
+               "costs": draw(st.lists(entry, max_size=n))}
+    field = draw(st.sampled_from([None, *doc]))
+    if field is not None:
+        doc[field] = draw(_JUNK)
+    return doc, n
+
+
+class TestAnyModelDocument:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(case=_model_documents())
+    def test_verify_and_solve_exit_with_a_code_never_a_traceback(
+            self, case, tmp_path, capsys):
+        doc, n = case
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for command in (["verify", "--range", str(n)], ["solve"]):
+            code = main(command + ["--model", str(path), "--trunc", str(n),
+                                   "--max-rounds", "5",
+                                   "--out", str(tmp_path / "out")])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConfigHandling:

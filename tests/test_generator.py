@@ -179,7 +179,6 @@ class TestAssemble:
         Q = averaged_generator(model, 4, u1, u2)
         assert np.allclose(tw.A.toarray(), Q, atol=0)
         assert np.abs(Q.sum(axis=1)).max() <= 1e-12
-        assert tw.conservative
 
     def test_one_state_constant_cost(self):
         grids = {(1, 1): [0.0], (2, 1): [0.0]}
@@ -201,7 +200,12 @@ class TestAssemble:
             tw = assemble(model, trunc, u1, u2, player)
             oracle = dense_tilted(model, 10, u1, u2, player)
             assert np.max(np.abs(tw.A.toarray() - oracle)) < 1e-13
-            assert not tw.conservative  # boundary rows lose mass
+            cost = [sum(wa * wb * model.cost(player, i, ia, ib)
+                        for ia, wa in enumerate(u1.weights(i))
+                        for ib, wb in enumerate(u2.weights(i)))
+                    for i in trunc.states]
+            row_sums = (oracle - np.diag(cost)).sum(axis=1)
+            assert np.abs(row_sums).max() > 1e-12  # boundary rows lose mass
 
     def test_bilinearity_in_each_strategy(self):
         rng = np.random.default_rng(8)

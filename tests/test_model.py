@@ -33,7 +33,8 @@ from rsgame.model import (
     with_cost_shift,
 )
 
-from rsgame.model import StationaryStrategy, _row_sums, _selector, _shop_game
+from rsgame.model import (Row, StationaryStrategy, _row_totals, _selector,
+                          _shop_game)
 from tests.helpers import (
     PerStateStrategy,
     digest_game,
@@ -292,7 +293,8 @@ class TestCostShift:
         model._rate_fn = rebuild
         table = pair_table(shifted, shifted.states())
         assert table.rows.nnz == pair_table(model, model.states()).rows.nnz
-        assert shifted.row(7, 1, 2) is model.row(7, 1, 2)
+        assert np.shares_memory(shifted.row(7, 1, 2).rates,
+                                model.row(7, 1, 2).rates)
         assert shifted.costs(7, 1, 2) == (model.costs(7, 1, 2)[0],
                                           model.costs(7, 1, 2)[1] + 0.3)
 
@@ -379,6 +381,54 @@ class TestJsonFormat:
         with pytest.raises(ValueError) as err:
             model_from_dict(doc)
         assert str(entry) in str(err.value)
+        assert problem in str(err.value)
+
+    @pytest.mark.parametrize("doc, field", [
+        ([1, 2], "model document must be a JSON object"),
+        ({"states": 2, "actions": []}, "actions must be a JSON object"),
+        ({"states": 2, "actions": {"3": {}}}, "['3'] in actions"),
+        ({"states": 2, "actions": {"1": [0.0]}}, "actions for player 1 must"),
+        ({"states": 2, "actions": {"1": {"per_state": []}}},
+         "per_state of actions for player 1 must"),
+        ({"states": 2, "actions": {"1": {"default": {"a": 1}}}},
+         "player 1 at state 1 is not a list of numbers"),
+        ({"lazy": "shop", "shop_params": []}, "shop_params must be a JSON"),
+        ({"lazy": "shop", "shop_params": None}, "shop_params must be a JSON"),
+        ({"lazy": "shop", "shop_params": {"theta": "x"}}, "field 'theta'"),
+        ({"lazy": "shop", "shop_params": {"fee1": float("nan")}},
+         "field 'fee1' must be a finite number"),
+        ({"lazy": "shop", "shop_params": {"sell_rate": 10 ** 400}},
+         "field 'sell_rate' must be a finite number"),
+        ({"lazy": "shop", "shop_params": {"buy_rate": True}}, "'buy_rate'"),
+        ({"lazy": "shop", "shop_params": {"n_actions": 2.0}},
+         "field 'n_actions' must be a finite integer"),
+        ({"lazy": "shop", "shop_params": {"coupled_states": "13"}},
+         "field 'coupled_states' must be a list"),
+        ({"lazy": "shop", "shop_params": {"coupled_states": [1, 3.5]}},
+         "field 'coupled_states' entry must be a finite integer"),
+        ({"lazy": "shop", "shop_params": {"boundary_row": {"2": "x"}}},
+         "field 'boundary_row' at 2"),
+        ({"lazy": "shop", "shop_params": {"boundary_row": [1e-3]}},
+         "field 'boundary_row' must be a JSON object"),
+    ])
+    def test_field_of_the_wrong_json_type_rejected_naming_it(self, doc,
+                                                             field):
+        with pytest.raises(ValueError) as err:
+            model_from_dict(doc)
+        assert field in str(err.value)
+
+    @pytest.mark.parametrize("params, problem", [
+        ({"boundary_tail_tol": 0.0}, "need boundary_tail_tol > 0"),
+        ({"theta": 1e-300, "fee1": -1.0, "fee2": -1.0},
+         "cutoff at most 1000000"),
+        ({"theta": 1000.0}, "drift margin -inf"),
+    ])
+    def test_shop_params_that_cannot_build_the_model_rejected(self, params,
+                                                              problem):
+        # zero tolerance never ended the boundary cutoff's search, a tiny
+        # theta divided by zero there, and a large one overflowed exp
+        with pytest.raises(ValueError, match="invalid shop parameters") as err:
+            model_from_dict({"lazy": "shop", "shop_params": params})
         assert problem in str(err.value)
 
     def test_custom_payoff_not_serializable(self):
@@ -654,13 +704,18 @@ class TestPairStore:
                     with np.errstate(invalid="ignore"):
                         total = np.float64(row[1].total())
                     assert total.tobytes() == model._rows.total[p].tobytes()
-                    assert row[1] is model.row(i, ia, ib)
+                    again = model.row(i, ia, ib)
+                    assert _row_fields(again) == _row_fields(row[1])
+                    if again.rates.size:  # both views into the store
+                        for r in (row[1], again):
+                            assert np.shares_memory(r.rates,
+                                                    model._rows.rates)
                     assert outcome(lambda: np.array(model.costs(i, ia, ib))
                                    .tobytes()) == outcome(
                         lambda: np.array(reference_costs(fresh, i, ia, ib))
                         .tobytes())
 
-    def test_row_totals_match_ndarray_sum_on_rows_of_0_to_300_entries(self):
+    def test_row_totals_add_rows_in_order_from_zero(self):
         rng = np.random.default_rng(11)
         sizes = np.concatenate([np.arange(301), rng.integers(0, 301, 300)])
         values = (rng.standard_normal(sizes.sum())
@@ -672,10 +727,22 @@ class TestPairStore:
         indptr = np.concatenate([[0], np.cumsum(sizes)])
         values[indptr[5]:indptr[6]] = -0.0  # all negative zeros
         values[indptr[20]:indptr[21]] = -0.0
-        with np.errstate(invalid="ignore"):
-            want = [values[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])]
-            got = _row_sums(indptr, values)
+        diag = -np.abs(rng.standard_normal(sizes.size))
+        diag[[0, 5, 20]] = -0.0
+        diag[7::50] = np.nan
+        diag[9::50] = -np.inf
+        want = []
+        for a, b, d in zip(indptr[:-1], indptr[1:], diag.tolist()):
+            total = 0.0  # left to right, one value at a time
+            for v in values[a:b].tolist():
+                total += v
+            want.append(d if math.isnan(d) else total + d)
+        got = _row_totals(indptr, values, diag)
         assert got.tobytes() == np.array(want).tobytes()
+        for p in range(0, sizes.size, 7):
+            row = Row(cols=np.arange(sizes[p]),
+                      rates=values[indptr[p]:indptr[p + 1]], diag=diag[p])
+            assert np.float64(row.total()).tobytes() == got[p].tobytes()
 
     def test_dropped_table_model_is_freed_without_the_cycle_collector(self):
         model = random_game(np.random.default_rng(4), n_states=6)
