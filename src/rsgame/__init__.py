@@ -62,7 +62,6 @@ from .eigensolver import (
 )
 from .nash import (
     NashCertificate,
-    best_response,
     certify,
     converse_check,
     converse_report,

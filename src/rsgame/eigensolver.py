@@ -7,13 +7,14 @@ which solve ``(sigma I - M) x = psi`` by sparse LU with ``sigma`` the
 Collatz-Wielandt upper bound ``max_i (M psi)_i / psi_i``.  Both phases
 keep ``psi`` positive, and both stop only when the Collatz-Wielandt
 bracket ``[min_i (M psi)_i / psi_i, max_i (M psi)_i / psi_i]`` is
-narrower than the tolerance.  The nonlinear solver freezes one player and
-minimizes over the other player's pure actions (the objective is linear
-in the mixed action, so pure minimizers suffice) by policy iteration on
-the linear kernel; the same bracket, taken for the min-operator, is its
-exit certificate, valid because the min-operator is monotone and
-positively homogeneous.  A ladder of nested truncations tracks the
-eigenvalue as the state space grows.
+narrower than the tolerance, which may not lie below the bracket's
+rounding floor.  The nonlinear solver freezes one player and minimizes
+over the other player's pure actions by policy iteration on the linear
+kernel.  At a selector no action strictly improves, the min-operator maps
+``psi`` as the selector does, so the selector's closed bracket is the
+min-operator's exit certificate, valid because the min-operator is
+monotone and positively homogeneous.  A ladder of nested truncations
+tracks the eigenvalue as the state space grows.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an eigensolve exhausts its iteration budget.
+    """Raised when an eigensolve's bracket stays open (see ``_unclosed``).
 
     Carries the last Collatz-Wielandt bracket (already unshifted) so the
     caller can see how tight the estimate got.
@@ -90,8 +91,13 @@ def default_max_iter(n: int) -> int:
 # many cheap matvecs, where a sparse LU with fill-in would cost more.
 POWER_STEPS = 100
 
+# A bracket endpoint is exact to ``ROUNDING_ULPS * eps * alpha`` (8 unit
+# roundoffs of the shift); no solve accepts a tolerance below that floor.
+ROUNDING_ULPS = 4
 
-def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
+
+def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
+                   psi0=None):
     """Principal eigenvector of a shifted operator, bracket-certified.
 
     ``M`` is a sparse, entrywise nonnegative matrix with a positive
@@ -103,12 +109,14 @@ def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
     positive is replaced by a power step.  Every step keeps ``psi``
     positive and normalized to one at ``anchor_idx``.
 
-    Returns ``(lo, hi, psi, steps)``: the Collatz-Wielandt bounds of the
-    returned ``psi`` on the shifted operator and the number of power steps
-    plus solves taken.  The loop stops once ``hi - lo <= tol``, or after
-    ``max_iter`` steps, or at once when the bracket is not finite (say,
-    ``psi`` out of double range), with the bracket still open.
+    Returns ``(lo, hi, psi, steps)``: the closed Collatz-Wielandt bounds
+    of ``psi`` on ``M``, the operator shifted by ``alpha``, and the power
+    steps plus solves taken.  ``spent`` steps of ``max_iter`` are used
+    already.  An open bracket raises ``_unclosed`` for ``what``: at once
+    when ``tol`` is below the rounding floor or the bracket is not finite
+    (say, ``psi`` out of double range), else when the budget is spent.
     """
+    floor = ROUNDING_ULPS * np.finfo(float).eps * alpha
     psi = np.ones(M.shape[0]) if psi0 is None else psi0 / psi0[anchor_idx]
     shift = None
     steps = 0
@@ -117,8 +125,9 @@ def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
         ratios = y / psi
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if hi - lo <= tol or steps >= max_iter or not math.isfinite(hi - lo):
-            return lo, hi, psi, steps
+        if (tol < floor or hi - lo <= tol or spent + steps >= max_iter
+                or not math.isfinite(hi - lo)):
+            break
         steps += 1
         x = None
         if steps > POWER_STEPS:
@@ -126,6 +135,10 @@ def _power_iterate(M, anchor_idx, tol, max_iter, psi0=None):
                 shift = _NodaShift(M)
             x = _noda_step(shift(hi), psi, anchor_idx)
         psi = y / y[anchor_idx] if x is None else x
+    if tol < floor or not hi - lo <= tol:
+        raise _unclosed(what, tol, max_iter, floor, lo - alpha, hi - alpha,
+                        spent + steps)
+    return lo, hi, psi, steps
 
 
 class _NodaShift:
@@ -184,17 +197,31 @@ def _noda_step(shifted, psi, anchor_idx):
     return None
 
 
-def _unclosed(what, tol, max_iter, lo, hi, steps):
+def _unclosed(what, tol, max_iter, floor, lo, hi, steps):
     """The error of a solve that stopped with its bracket ``[lo, hi]``
-    (unshifted) open after ``steps`` iterations: one that is not finite,
-    where no further step can close it, or the budget ``max_iter`` spent."""
+    (unshifted) open after ``steps`` iterations: not finite, ``tol`` below
+    the rounding ``floor``, or the budget ``max_iter`` spent."""
     if not math.isfinite(hi - lo):
         message = (f"{what} stopped after {steps} iterations: the bracket "
                    f"[{lo:.6g}, {hi:.6g}] is not finite")
+    elif tol < floor:
+        message = (f"{what} did not reach bracket width {tol:g}: it is below "
+                   f"the rounding floor {floor:.3e} of the shift")
     else:
         message = (f"{what} did not reach bracket width {tol:g} within "
                    f"{max_iter} iterations (last width {hi - lo:.3e})")
     return ConvergenceError(message, bracket=(lo, hi), iterations=steps)
+
+
+def _eigenpair(lo, hi, alpha, y, psi, its, states, anchor, notes):
+    """The ``EigenPair`` of a closed shifted bracket ``[lo, hi]`` with
+    ``y = M psi``: ``rho`` is the midpoint less ``alpha``, and the
+    residual is the defect of ``y`` against the midpoint."""
+    mid = 0.5 * (lo + hi)
+    resid = float(np.max(np.abs(y - mid * psi)) / np.max(np.abs(psi)))
+    return EigenPair(rho=mid - alpha, psi=psi, residual=resid,
+                     iterations=its, states=states, anchor=anchor,
+                     bracket=(lo - alpha, hi - alpha), warnings=tuple(notes))
 
 
 def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
@@ -232,11 +259,9 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
         sub = M[keep][:, keep]
         inside = keep == anchor_idx
         sub_anchor = int(np.argmax(inside))  # the first kept state if none
-    lo, hi, psi, steps = _power_iterate(sub, sub_anchor, tol, max_iter - its)
+    lo, hi, psi, steps = _power_iterate(sub, A.alpha, sub_anchor, tol,
+                                        max_iter, "linear eigensolve", its)
     its += steps
-    if not hi - lo <= tol:
-        raise _unclosed("linear eigensolve", tol, max_iter,
-                        lo - A.alpha, hi - A.alpha, its)
     if ncomp > 1:
         psi, kept = np.zeros(n), psi
         psi[keep] = kept
@@ -244,12 +269,7 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
             psi /= kept.max()
             notes.append("eigenvector vanishes at the anchor state; "
                          "normalized by its maximum instead")
-    mid = 0.5 * (lo + hi)
-    resid = float(np.max(np.abs(M @ psi - mid * psi)) / np.max(np.abs(psi)))
-    return EigenPair(rho=mid - A.alpha, psi=psi, residual=resid,
-                     iterations=its, states=A.states, anchor=i0,
-                     bracket=(lo - A.alpha, hi - A.alpha),
-                     warnings=tuple(notes))
+    return _eigenpair(lo, hi, A.alpha, M @ psi, psi, its, A.states, i0, notes)
 
 
 def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
@@ -269,12 +289,9 @@ def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
     its = 0
     for comp in np.flatnonzero(sizes > 1).tolist():
         idx = np.flatnonzero(labels == comp)
-        lo, hi, _, steps = _power_iterate(M[idx][:, idx], 0, tol,
-                                          max_iter - its)
+        lo, hi, _, steps = _power_iterate(M[idx][:, idx], alpha, 0, tol,
+                                          max_iter, "linear eigensolve", its)
         its += steps
-        if not hi - lo <= tol:
-            raise _unclosed("linear eigensolve", tol, max_iter,
-                            lo - alpha, hi - alpha, its)
         block[comp] = 0.5 * (lo + hi)
     tied = block >= block.max() - tol
     for comp in sorted(np.flatnonzero(tied).tolist(), key=lambda c: -block[c]):
@@ -338,12 +355,11 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
     linear eigenpair of the current pure selector with ``_power_iterate``,
     warm-started from the previous eigenvector, then switch each state's
     action only where another action is strictly better, until the
-    selector is stable.  The Collatz-Wielandt bracket of the min-operator
-    is the exit certificate; while it is open, monotone nonlinear power
-    iteration (pointwise minimum over own pure actions; the objective is
-    linear in the mixed action, so pure minimizers suffice) continues from
-    the last eigenvector.  ``iterations`` counts power steps, Noda solves
-    and nonlinear steps together against ``max_iter``.
+    selector is stable.  There the minimum of ``S psi`` over own pure
+    actions (the objective is linear in the mixed action, so pure
+    minimizers suffice) is the selector's ``M psi``, bit for bit, so its
+    closed bracket certifies the min-operator and no nonlinear step is
+    taken.  ``iterations`` counts all power steps and Noda solves.
 
     Returns ``(EigenPair, StationaryStrategy)`` where the strategy is the
     minimizing pure selector at the final eigenvector (ties broken toward
@@ -362,46 +378,28 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                                             directed=True, connection="strong")
     if ncomp > 1 and n > 1:
         msg = (f"action-intersection graph is reducible ({ncomp} strong "
-               "components); nonlinear iteration may find a non-minimal pair")
+               "components); policy iteration may stop at a non-minimal "
+               "selector")
         notes.append(msg)
 
     psi = np.ones(n)
-    z = op.S @ psi
-    sel = op.segment_argmin(z)
+    sel = op.segment_argmin(op.S @ psi)
     its = 0
     while True:
-        lo, hi, psi, steps = _power_iterate(op.S[op.starts + sel], anchor_idx,
-                                            tol, max_iter - its, psi)
+        lo, hi, psi, steps = _power_iterate(
+            op.S[op.starts + sel], op.alpha, anchor_idx, tol, max_iter,
+            "best-response iteration", its, psi)
         its += steps
         z = op.S @ psi
         best = op.segment_argmin(z)
         switch = z[op.starts + best] < z[op.starts + sel]
-        if not hi - lo <= tol or not switch.any():
+        if not switch.any():
             break
         sel = np.where(switch, best, sel)
 
-    while True:
-        y = np.minimum.reduceat(z, op.starts)
-        ratios = y / psi
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= tol:
-            break
-        if its >= max_iter or not math.isfinite(hi - lo):
-            raise _unclosed("best-response iteration", tol, max_iter,
-                            lo - op.alpha, hi - op.alpha, its)
-        its += 1
-        psi = y / y[anchor_idx]
-        z = op.S @ psi
-
-    sel = op.segment_argmin(z)
-    mid = 0.5 * (lo + hi)
-    resid = float(np.max(np.abs(y - mid * psi)) / np.max(np.abs(psi)))
-    pair = EigenPair(rho=mid - op.alpha, psi=psi, residual=resid,
-                     iterations=its, states=truncation.states,
-                     anchor=model.anchor, bracket=(lo - op.alpha, hi - op.alpha),
-                     warnings=tuple(notes))
-    return pair, _selector(player, sel, op.counts)
+    pair = _eigenpair(lo, hi, op.alpha, z[op.starts + best], psi, its,
+                      truncation.states, model.anchor, notes)
+    return pair, _selector(player, best, op.counts)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ __all__ = [
     "CertifyResult",
     "NashCertificate",
     "ConverseReport",
-    "best_response",
     "response_values",
     "argmin_sets",
     "certify",
@@ -56,19 +55,6 @@ __all__ = [
 ]
 
 STRATEGY_QUANTUM = 1e-12
-
-
-def best_response(model: GameModel, truncation: Truncation,
-                  opponent_strategy: StationaryStrategy, player: int,
-                  tol: float = 1e-10, max_iter: int | None = None):
-    """One element of the best-response set (lowest-index selector).
-
-    Returns ``(strategy, eigenpair)``.  The full per-state argmin sets are
-    available through :func:`argmin_sets` for diagnostics.
-    """
-    ep, sel = best_response_eigenpair(model, truncation, opponent_strategy,
-                                      player, tol, max_iter)
-    return sel, ep
 
 
 def response_values(model: GameModel, truncation: Truncation,
@@ -246,17 +232,15 @@ def _pair_key(v1, v2, states):
 
 
 def nash_iterate(model: GameModel, truncation: Truncation,
-                 init: tuple | None = None, damping: float = 1.0,
-                 eps: float = 1e-6, max_rounds: int = 100,
-                 tol: float = 1e-10, max_iter: int | None = None,
-                 first_player: int = 1,
-                 mode: str = "alternating") -> NashCertificate:
+                 damping: float = 1.0, eps: float = 1e-6,
+                 max_rounds: int = 100, tol: float = 1e-10,
+                 max_iter: int | None = None) -> NashCertificate:
     """Damped best-response iteration to an approximate equilibrium.
 
-    Each round updates both players (in order ``first_player`` first when
-    alternating, or simultaneously from the previous pair), mixing the new
-    best response into the old strategy with weight ``damping``.  The
-    round ends with a full certification of the current pair; iteration
+    Starts from the uniform pair.  Each round updates player 1, then
+    player 2 against player 1's new strategy, mixing each new best
+    response into the old strategy with weight ``damping``.  The round
+    ends with a full certification of the current pair; iteration
     stops on gaps at or below ``eps``, on a repeated quantized pair, or at
     ``max_rounds``.  A solver failure after the first round is recorded in
     the trace and ends the iteration with status ``max_iter``; the
@@ -269,11 +253,8 @@ def nash_iterate(model: GameModel, truncation: Truncation,
         raise ValueError("eps must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if mode not in ("alternating", "simultaneous"):
-        raise ValueError(f"unknown mode {mode!r}")
     states = truncation.states
-    v = {1: init[0] if init else uniform_strategy(model, 1),
-         2: init[1] if init else uniform_strategy(model, 2)}
+    v = {k: uniform_strategy(model, k) for k in (1, 2)}
     latest = {}
 
     def solve_br(player, opp):
@@ -286,23 +267,16 @@ def nash_iterate(model: GameModel, truncation: Truncation,
                 model, truncation, opp, player, tol, max_iter))
         return hit[1]
 
-    def step(k, brk):
-        return brk if damping == 1.0 else mix_strategies(
-            model, brk, v[k], damping, states)
-
     seen = {_pair_key(v[1], v[2], states)}
     trace: list = []
     status = "max_iter"
     certified = None
     for rounds in range(1, max_rounds + 1):
         try:
-            if mode == "simultaneous":
-                br = {k: solve_br(k, v[3 - k])[1] for k in (1, 2)}
-                for k in (1, 2):
-                    v[k] = step(k, br[k])
-            else:
-                for k in (first_player, 3 - first_player):
-                    v[k] = step(k, solve_br(k, v[3 - k])[1])
+            for k in (1, 2):
+                brk = solve_br(k, v[3 - k])[1]
+                v[k] = brk if damping == 1.0 else mix_strategies(
+                    model, brk, v[k], damping, states)
             cert = _certify(model, truncation, v[1], v[2], eps, tol,
                             max_iter, solve_br)
         except ConvergenceError as exc:
@@ -359,7 +333,6 @@ def _pure_pairs(model, truncation):
 def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
               damping: float = 1.0, max_rounds: int = 100,
               tol: float = 1e-10, max_iter: int | None = None,
-              init: tuple | None = None, first_player: int = 1,
               exhaustive_cap: int = 64) -> NashCertificate:
     """Equilibrium search with fallbacks.
 
@@ -369,14 +342,12 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
     returned certificate is honest: if nothing converged, the best
     attempt's status says so.
     """
-    cert = nash_iterate(model, truncation, init=init, damping=damping,
-                        eps=eps, max_rounds=max_rounds, tol=tol,
-                        max_iter=max_iter, first_player=first_player)
+    cert = nash_iterate(model, truncation, damping=damping, eps=eps,
+                        max_rounds=max_rounds, tol=tol, max_iter=max_iter)
     if cert.converged:
         return cert
-    retry = nash_iterate(model, truncation, init=None, damping=0.5,
-                         eps=eps, max_rounds=max_rounds, tol=tol,
-                         max_iter=max_iter, first_player=first_player)
+    retry = nash_iterate(model, truncation, damping=0.5, eps=eps,
+                         max_rounds=max_rounds, tol=tol, max_iter=max_iter)
     if retry.converged:
         return retry
     best = min((cert, retry), key=lambda c: c.gap)

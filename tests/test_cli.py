@@ -119,6 +119,18 @@ class TestSolve:
                      "--out", str(out)]) == 0
         assert "warnings" not in json.loads(out.read_text())["certificate"]
 
+    def test_shift_past_the_rounding_floor_exits_one(self, tmp_path, capsys):
+        # the shift alpha is about 1e20 here: a bracket 1e-10 wide cannot
+        # be told from rounding, and rho = midpoint - alpha kept no digit
+        path = tmp_path / "shop.json"
+        path.write_text(json.dumps({"lazy": "shop",
+                                    "shop_params": {"action_max": 1e20}}))
+        out = tmp_path / "cert.json"
+        assert main(["solve", "--model", str(path), "--trunc", "5",
+                     "--out", str(out)]) == 1
+        assert "below the rounding floor" in capsys.readouterr().out
+        assert "certificate" not in json.loads(out.read_text())
+
 
 def _count_solves(monkeypatch):
     """Count the linear and best-response eigensolves made through ``nash``."""
@@ -832,6 +844,12 @@ class TestAnyModelDocument:
                                    "--out", str(tmp_path / "out")])
             assert code in (0, 1, 2)
             assert "Traceback" not in capsys.readouterr().err
+        if code == 0:  # solve's
+            # a gap is the pair's eigenvalue less the best response's, never
+            # below 0 exactly; each midpoint is within tol / 2 plus the
+            # rounding floor (itself at most tol) of its eigenvalue
+            doc = json.loads((tmp_path / "out").read_text())
+            assert min(doc["certify"]["delta"]) >= -3 * doc["tol"]
 
 
 class TestConfigHandling:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rsgame.eigensolver import (
+    ROUNDING_ULPS,
     ConvergenceError,
     _NodaShift,
     _ResponseOperator,
@@ -14,6 +15,7 @@ from rsgame.eigensolver import (
 )
 from rsgame.generator import assemble
 from rsgame.model import (
+    ShopParams,
     birth_death_model,
     model_from_dict,
     pure_strategy,
@@ -327,6 +329,18 @@ class TestBestResponseEigenpair:
             assert abs(ep.rho - rho_ref) <= 2 * tol
             assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
 
+    def test_tolerance_below_the_rounding_floor_refused_at_once(self):
+        # the shift alpha is about 1e6, so a 1e-10 bracket is below its
+        # 8.9e-10 floor; policy iteration used to spend all 10,500 steps
+        model = shop_model(ShopParams(action_max=1e6))
+        trunc = truncate(model, 5)
+        with pytest.raises(ConvergenceError, match=(
+                "did not reach bracket width 1e-10: it is below the "
+                "rounding floor")) as info:
+            best_response_eigenpair(model, trunc, uniform_strategy(model, 2),
+                                    1)
+        assert info.value.iterations == 0
+
     def test_constant_cost_shift_moves_rho_only(self):
         rng = np.random.default_rng(26)
         model = random_game(rng, n_states=5, m1=2, m2=2)
@@ -345,9 +359,22 @@ def _pair(player, own, opp):
     return (own, opp) if player == 1 else (opp, own)
 
 
+def _floor(alpha):
+    """The rounding floor of a bracket under the shift ``alpha``."""
+    return ROUNDING_ULPS * np.finfo(float).eps * alpha
+
+
+def _contains(bracket, alpha, rho):
+    """``rho`` lies in the bracket, widened by its rounding floor."""
+    lo, hi = bracket
+    return lo - _floor(alpha) <= rho <= hi + _floor(alpha)
+
+
 class TestReferenceSolvers:
     """The shift-invert kernel and policy iteration against independent
-    references: plain power iterations and scipy's dense eigensolver."""
+    references: plain power iterations and scipy's dense eigensolver.
+    Each bracket, widened by its rounding floor, holds the dense
+    eigenvalue."""
 
     TOL = 1e-10
 
@@ -363,6 +390,7 @@ class TestReferenceSolvers:
         rho_dense, _ = dense_principal(dense_tilted(model, n, v1, v2, player))
         assert abs(ep.rho - rho_ref) <= 2 * self.TOL
         assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+        assert _contains(ep.bracket, A.alpha, rho_dense)
 
     @pytest.mark.parametrize("player", [1, 2])
     def test_shop_best_response_matches_dense_at_60(self, player):
@@ -376,6 +404,9 @@ class TestReferenceSolvers:
             dense_tilted(model, 60, *_pair(player, sel, opp), player))
         assert abs(ep.rho - rho_ref) <= 2 * self.TOL
         assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+        assert _contains(ep.bracket,
+                         _ResponseOperator(model, trunc, opp, player).alpha,
+                         rho_dense)
         assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
 
     @pytest.mark.parametrize("seed", range(30, 36))
@@ -392,6 +423,7 @@ class TestReferenceSolvers:
             rho_dense, _ = dense_principal(dense_tilted(model, n, v1, v2, player))
             assert abs(ep.rho - rho_ref) <= 2 * self.TOL
             assert abs(ep.rho - rho_dense) <= 2 * self.TOL
+            assert _contains(ep.bracket, A.alpha, rho_dense)
 
             br, sel = best_response_eigenpair(model, trunc, opp, player,
                                               self.TOL)
@@ -401,6 +433,8 @@ class TestReferenceSolvers:
                 dense_tilted(model, n, *_pair(player, sel, opp), player))
             assert abs(br.rho - rho_ref) <= 2 * self.TOL
             assert abs(br.rho - rho_dense) <= 2 * self.TOL
+            alpha = _ResponseOperator(model, trunc, opp, player).alpha
+            assert _contains(br.bracket, alpha, rho_dense)
             assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rsgame import nash
-from rsgame.eigensolver import ConvergenceError
+from rsgame.eigensolver import ConvergenceError, best_response_eigenpair
 from rsgame.model import (
     mix_strategies,
     pure_strategy,
@@ -13,7 +13,6 @@ from rsgame.model import (
 )
 from rsgame.nash import (
     argmin_sets,
-    best_response,
     certify,
     converse_check,
     converse_report,
@@ -87,7 +86,8 @@ class TestBestResponse:
         model = random_game(rng, n_states=2, m1=2, m2=2)
         trunc = truncate(model, 2)
         opp = uniform_strategy(model, 2)
-        sel, ep = best_response(model, trunc, opp, player=1, tol=1e-11)
+        ep, sel = best_response_eigenpair(model, trunc, opp, player=1,
+                                          tol=1e-11)
         best = np.inf
         for combo in enumerate_selectors([2, 2]):
             own = pure_strategy(model, 1, lambda i, c=combo: c[i - 1])
@@ -99,7 +99,8 @@ class TestBestResponse:
         rng = np.random.default_rng(31)
         model = decoupled_game(rng, n_states=3, m=2)
         trunc = truncate(model, 3)
-        sel, _ = best_response(model, trunc, uniform_strategy(model, 2), 1)
+        _, sel = best_response_eigenpair(model, trunc,
+                                         uniform_strategy(model, 2), 1)
         for i in trunc.states:
             want = int(np.argmin([model.cost(1, i, a, 0) for a in range(2)]))
             assert sel.weights(i)[want] == 1.0
@@ -118,7 +119,8 @@ class TestBestResponse:
                 costs[(i, ia, 0)] = (0.4 * i, 0.1)
         model = tabular_model(rates, costs, grids, n_states=2)
         trunc = truncate(model, 2)
-        sel, ep = best_response(model, trunc, uniform_strategy(model, 2), 1)
+        ep, sel = best_response_eigenpair(model, trunc,
+                                          uniform_strategy(model, 2), 1)
         sets = argmin_sets(model, trunc, uniform_strategy(model, 2), 1, ep)
         assert sets == {1: (0, 1), 2: (0, 1)}
         assert sel.weights(1).tolist() == [1.0, 0.0]
@@ -196,27 +198,6 @@ class TestNashIterate:
         for i in trunc.states:
             assert cert.v1.weights(i).tolist() == cert.v2.weights(i).tolist()
 
-    def test_order_invariance_on_decoupled_game(self):
-        rng = np.random.default_rng(38)
-        model = decoupled_game(rng, n_states=3, m=2)
-        trunc = truncate(model, 3)
-        a = nash_iterate(model, trunc, eps=1e-9, first_player=1)
-        b = nash_iterate(model, trunc, eps=1e-9, first_player=2)
-        assert a.to_json_dict(trunc) == b.to_json_dict(trunc)
-
-    def test_simultaneous_mode_matches_alternating_on_decoupled_game(self):
-        # best responses ignore the opponent, so both modes stop at the
-        # same pair after one round
-        rng = np.random.default_rng(39)
-        model = decoupled_game(rng, n_states=3, m=2)
-        trunc = truncate(model, 3)
-        simultaneous = nash_iterate(model, trunc, eps=1e-9,
-                                    mode="simultaneous")
-        alternating = nash_iterate(model, trunc, eps=1e-9)
-        assert simultaneous.converged
-        assert (simultaneous.to_json_dict(trunc)
-                == alternating.to_json_dict(trunc))
-
     def test_pure_cycle_is_detected_honestly(self):
         model = matching_pennies()
         trunc = truncate(model, 1)
@@ -245,8 +226,6 @@ class TestNashIterate:
             nash_iterate(model, trunc, damping=0.0)
         with pytest.raises(ValueError, match="eps"):
             nash_iterate(model, trunc, eps=0.0)
-        with pytest.raises(ValueError, match="mode"):
-            nash_iterate(model, trunc, mode="chaotic")
         with pytest.raises(ValueError, match="max_rounds"):
             nash_iterate(model, trunc, max_rounds=0)
 
@@ -371,8 +350,8 @@ class TestConverseCheck:
         tol = 1e-10
         cert = nash_iterate(model, trunc, eps=1e-9, tol=tol)
         assert cert.converged
-        sel1, _ = best_response(model, trunc, cert.v2, 1, tol)
-        sel2, _ = best_response(model, trunc, cert.v1, 2, tol)
+        _, sel1 = best_response_eigenpair(model, trunc, cert.v2, 1, tol)
+        _, sel2 = best_response_eigenpair(model, trunc, cert.v1, 2, tol)
         assert sel1.key(trunc.states) == cert.v1.key(trunc.states)
         assert sel2.key(trunc.states) == cert.v2.key(trunc.states)
         assert certify(model, trunc, cert.v1, cert.v2, eps=10 * tol).passed
