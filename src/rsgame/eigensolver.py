@@ -91,8 +91,9 @@ def default_max_iter(n: int) -> int:
 # many cheap matvecs, where a sparse LU with fill-in would cost more.
 POWER_STEPS = 100
 
-# A bracket endpoint is exact to ``ROUNDING_ULPS * eps * alpha`` (8 unit
-# roundoffs of the shift); no solve accepts a tolerance below that floor.
+# A bracket endpoint is exact to ``ROUNDING_ULPS * eps * max(alpha, lo)``
+# (8 unit roundoffs of the shift or of the shifted lower bound ``lo``,
+# whichever is larger); no solve accepts a tolerance below that floor.
 ROUNDING_ULPS = 4
 
 
@@ -115,8 +116,11 @@ def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
     already.  An open bracket raises ``_unclosed`` for ``what``: at once
     when ``tol`` is below the rounding floor or the bracket is not finite
     (say, ``psi`` out of double range), else when the budget is spent.
+    The floor is taken after every matvec from the shift and the lower
+    bound ``lo``; the eigenvalue is at least ``lo``, so the floor never
+    overstates the rounding of the final bracket.
     """
-    floor = ROUNDING_ULPS * np.finfo(float).eps * alpha
+    ulps = ROUNDING_ULPS * np.finfo(float).eps
     psi = np.ones(M.shape[0]) if psi0 is None else psi0 / psi0[anchor_idx]
     shift = None
     steps = 0
@@ -125,6 +129,7 @@ def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
         ratios = y / psi
         lo = float(ratios.min())
         hi = float(ratios.max())
+        floor = ulps * max(alpha, lo)
         if (tol < floor or hi - lo <= tol or spent + steps >= max_iter
                 or not math.isfinite(hi - lo)):
             break
@@ -206,7 +211,7 @@ def _unclosed(what, tol, max_iter, floor, lo, hi, steps):
                    f"[{lo:.6g}, {hi:.6g}] is not finite")
     elif tol < floor:
         message = (f"{what} did not reach bracket width {tol:g}: it is below "
-                   f"the rounding floor {floor:.3e} of the shift")
+                   f"the rounding floor {floor:.3e} of the bracket")
     else:
         message = (f"{what} did not reach bracket width {tol:g} within "
                    f"{max_iter} iterations (last width {hi - lo:.3e})")
@@ -225,18 +230,22 @@ def _eigenpair(lo, hi, alpha, y, psi, its, states, anchor, notes):
 
 
 def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
-                        tol: float = 1e-10,
-                        max_iter: int | None = None) -> EigenPair:
+                        tol: float = 1e-10, max_iter: int | None = None, *,
+                        psi0: np.ndarray | None = None) -> EigenPair:
     """Principal eigenpair of the tilted operator under fixed strategies.
 
     Runs ``_power_iterate`` on ``M = A + alpha I``; the reported eigenvalue
     is the bracket midpoint minus the shift, and ``iterations`` counts
-    power steps plus Noda solves.  A reducible operator is noted in
-    ``warnings`` and solved on the states from which its dominant strong
-    component (see ``_reaching_dominant``) is reachable: ``M``
-    restricted to them has a positive principal eigenvector, and that
-    vector, zero elsewhere, is an eigenvector of ``M``.  Where it vanishes
-    at the anchor it is normalized by its maximum entry instead.
+    power steps plus Noda solves.  The iteration starts from ``psi0``
+    where that is finite and positive on the states solved, else from
+    ones; the bracket certifies the eigenvalue from any positive start,
+    and a start already at the eigenvector closes it at step 0.  A
+    reducible operator is noted in ``warnings`` and solved on the states
+    from which its dominant strong component (see ``_reaching_dominant``)
+    is reachable: ``M`` restricted to them has a positive principal
+    eigenvector, and that vector, zero elsewhere, is an eigenvector of
+    ``M``.  Where it vanishes at the anchor it is normalized by its
+    maximum entry instead.
     """
     n = A.n
     if max_iter is None:
@@ -248,7 +257,7 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
                                                  connection="strong")
     notes: list = []
     its = 0
-    sub, sub_anchor = M, anchor_idx
+    sub, sub_anchor, keep = M, anchor_idx, slice(None)
     if ncomp > 1:
         msg = (f"operator is reducible ({ncomp} strongly connected "
                "components); solved on the states that reach its dominant "
@@ -259,8 +268,13 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
         sub = M[keep][:, keep]
         inside = keep == anchor_idx
         sub_anchor = int(np.argmax(inside))  # the first kept state if none
+    if psi0 is not None:
+        psi0 = np.asarray(psi0, dtype=float)[keep]
+        if not (np.all(np.isfinite(psi0)) and psi0.min() > 0.0):
+            psi0 = None
     lo, hi, psi, steps = _power_iterate(sub, A.alpha, sub_anchor, tol,
-                                        max_iter, "linear eigensolve", its)
+                                        max_iter, "linear eigensolve", its,
+                                        psi0)
     its += steps
     if ncomp > 1:
         psi, kept = np.zeros(n), psi
@@ -310,6 +324,8 @@ class _ResponseOperator:
     Row ``(i, a)`` of the stacked sparse matrix applies the shifted
     tilted operator for own action ``a`` at state ``i``; a segmented
     minimum then yields the nonlinear operator image in one matvec.
+    Built through ``_response_operator``, which shares it while the same
+    player, truncation and opponent ask again; its arrays are read-only.
     """
 
     def __init__(self, model, truncation, opponent, player):
@@ -334,6 +350,11 @@ class _ResponseOperator:
         self.counts = counts
         self.alpha = float(alpha)
         self.n = n
+        self.key = (player, truncation.states)
+        # shared through the model's cache: nothing may write to it
+        for array in (owner, starts, self.S.data, self.S.indices,
+                      self.S.indptr, R.data, R.indices, R.indptr):
+            array.setflags(write=False)
 
     def segment_argmin(self, z):
         """Per-state own action minimizing ``z = S psi`` (lowest index on ties)."""
@@ -344,6 +365,20 @@ class _ResponseOperator:
     def intersection_pattern(self):
         """Edges present under every own action (sufficient irreducibility)."""
         return generator.common_edges(self._rates, self.owner, self.n)
+
+
+def _response_operator(model, truncation, opponent, player):
+    """The ``_ResponseOperator`` of ``(player, truncation, opponent)``.
+
+    The model keeps, beside its chain cache, the last operator built
+    against each opponent strategy, weakly keyed by the strategy: an
+    operator lives no longer than the strategy it averages out, and a
+    ladder of truncations holds one operator at a time."""
+    op = model._response_cache.get(opponent)
+    if op is None or op.key != (player, truncation.states):
+        op = _ResponseOperator(model, truncation, opponent, player)
+        model._response_cache[opponent] = op
+    return op
 
 
 def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
@@ -370,7 +405,7 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
     n = truncation.n
     if max_iter is None:
         max_iter = default_max_iter(n)
-    op = _ResponseOperator(model, truncation, opponent_strategy, player)
+    op = _response_operator(model, truncation, opponent_strategy, player)
     anchor_idx = truncation.index(model.anchor)
 
     notes = []

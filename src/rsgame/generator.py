@@ -118,8 +118,14 @@ class PairTable:
 def pair_table(model: GameModel, states) -> PairTable:
     """Table of every pure action pair's row and costs at ``states``,
     gathered by index from the model's pair store.  Raises the error of the
-    first state or pair that failed to build."""
+    first state or pair that failed to build.
+
+    The model keeps the last table built, and a call for the same states
+    returns it; its arrays are read-only, so sharing it is safe."""
     states = tuple(states)
+    last = model._pair_table
+    if last is not None and last.states == states:
+        return last
     store, pairs = model._select(states)
     store.check(states, pairs, model._costs)
     s = np.asarray(states) - 1
@@ -131,11 +137,16 @@ def pair_table(model: GameModel, states) -> PairTable:
     entries, indptr = store.entries(pairs)
     cols = store.cols[entries] - 1
     width = max(int(cols.max(initial=0)) + 1, max(states))
-    return PairTable(
+    rows = sparse.csr_matrix((store.rates[entries], cols, indptr),
+                             shape=(state.size, width))
+    table = PairTable(
         states=states, m1=m1, m2=m2, state=state, a1=a1, a2=a2, starts=starts,
-        rows=sparse.csr_matrix((store.rates[entries], cols, indptr),
-                               shape=(state.size, width)),
-        diag=store.diag[pairs], cost=model._costs.cost[pairs])
+        rows=rows, diag=store.diag[pairs], cost=model._costs.cost[pairs])
+    for array in (m1, m2, state, a1, a2, starts, rows.data, rows.indices,
+                  rows.indptr, table.diag, table.cost):
+        array.setflags(write=False)
+    model._pair_table = table
+    return table
 
 
 def common_edges(rows: sparse.csr_matrix, groups, n_groups: int,

@@ -137,6 +137,10 @@ class GameModel:
         self._grid_cache: dict = {}
         # sample_path's jump tables: strategy v1 -> strategy v2 -> chain
         self._chain_cache = weakref.WeakKeyDictionary()
+        # the last frozen-opponent operator against each opponent strategy
+        self._response_cache = weakref.WeakKeyDictionary()
+        # generator.pair_table's last table
+        self._pair_table = None
 
     @property
     def is_finite(self) -> bool:

@@ -3,11 +3,16 @@
 A strategy pair is an equilibrium when neither player can lower their
 long-run growth rate by deviating unilaterally.  Because deviations within
 stationary strategies are resolved by the frozen-opponent eigenproblem,
-certification reduces to four eigensolves per pair: each player's value at
-the pair minus their best-response value against the other's strategy.
-Those eigenpairs belong to the certificate: :func:`nash_iterate` reuses
-the best responses it has already solved, and :func:`converse_report`
-reads the certificate's eigenpairs instead of solving them again.
+certification reduces to each player's value at the pair minus their
+best-response value against the other's strategy.  The best responses are
+solved first, and each pair value is bracketed starting from that
+player's best-response eigenvector: at an equilibrium the two
+eigenfunctions coincide, so the pair's bracket closes at step 0.  Those
+eigenpairs belong to the certificate: :func:`nash_iterate` reuses the
+best responses it has already solved, and :func:`converse_report` reads
+the certificate's eigenpairs instead of solving them again; the
+frozen-opponent operator against a strategy is built once and kept on the
+model while the strategy lives.
 
 The iteration alternates (damped) best responses.  Existence of an
 equilibrium in mixed stationary strategies is a fixed-point fact, but
@@ -29,7 +34,7 @@ from .eigensolver import (
     best_response_eigenpair,
     principal_eigenpair,
 )
-from .eigensolver import _ResponseOperator
+from .eigensolver import _response_operator
 from .model import (
     GameModel,
     StationaryStrategy,
@@ -76,7 +81,7 @@ def _objective(model: GameModel, truncation: Truncation,
                psi: np.ndarray) -> tuple:
     """The frozen-opponent operator and the objective of
     :func:`response_values` over all of its state-action rows at once."""
-    op = _ResponseOperator(model, truncation, opponent_strategy, player)
+    op = _response_operator(model, truncation, opponent_strategy, player)
     return op, op.S @ psi - op.alpha * psi[op.owner]
 
 
@@ -104,8 +109,9 @@ class CertifyResult:
     """Deviation gaps of a strategy pair on one truncation.
 
     ``delta_k = rho_k(pair) - rho_k(best response)`` is nonnegative up to
-    twice the solver residual; the pair is ``eps``-optimal when both gaps
-    stay at or below ``eps``.
+    twice the solver residual (a gap below ``-3 tol`` raises
+    ``ConvergenceError``); the pair is ``eps``-optimal when both gaps stay
+    at or below ``eps``.
     """
 
     delta1: float
@@ -135,15 +141,29 @@ def certify(model: GameModel, truncation: Truncation,
 def _certify(model, truncation, v1, v2, eps, tol, max_iter,
              solve_br) -> CertifyResult:
     """:func:`certify` with the best responses taken from
-    ``solve_br(player, opponent_strategy) -> (EigenPair, selector)``."""
-    A1 = generator.assemble(model, truncation, v1, v2, 1)
-    A2 = generator.assemble(model, truncation, v1, v2, 2)
-    pair1 = principal_eigenpair(A1, model.anchor, tol, max_iter)
-    pair2 = principal_eigenpair(A2, model.anchor, tol, max_iter)
+    ``solve_br(player, opponent_strategy) -> (EigenPair, selector)``.
+
+    Each pair solve starts from that player's best-response eigenvector:
+    at an equilibrium it is the pair's eigenvector too, and the pair's own
+    bracket closes at step 0.  A gap below ``-3 tol`` raises
+    ``ConvergenceError``: each midpoint lies within ``tol / 2`` plus its
+    rounding floor (itself below ``tol``) of its eigenvalue, and no best
+    response has a value above the pair's."""
     br1, sel1 = solve_br(1, v2)
     br2, sel2 = solve_br(2, v1)
+    A1 = generator.assemble(model, truncation, v1, v2, 1)
+    A2 = generator.assemble(model, truncation, v1, v2, 2)
+    pair1 = principal_eigenpair(A1, model.anchor, tol, max_iter, psi0=br1.psi)
+    pair2 = principal_eigenpair(A2, model.anchor, tol, max_iter, psi0=br2.psi)
     delta1 = pair1.rho - br1.rho
     delta2 = pair2.rho - br2.rho
+    for player, gap, pair in ((1, delta1, pair1), (2, delta2, pair2)):
+        if gap < -3.0 * tol:
+            raise ConvergenceError(
+                f"certificate of player {player} is numerically unsound: "
+                f"the deviation gap {gap:.3e} lies below -3 tol "
+                f"({-3.0 * tol:.3e}), a best response above the pair's "
+                "own value", bracket=pair.bracket, iterations=pair.iterations)
     return CertifyResult(
         delta1=delta1, delta2=delta2, eps=eps,
         passed=max(delta1, delta2) <= eps,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rsgame import cli, nash
+from rsgame import cli, eigensolver, generator, nash
 from rsgame.cli import _hitting_z_bound, main
 from rsgame.eigensolver import principal_eigenpair
 from rsgame.generator import assemble
@@ -83,6 +83,33 @@ class TestSolve:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f")
 
+    def test_shop_solve_builds_each_operator_once(self, monkeypatch,
+                                                  tmp_path):
+        # three frozen-opponent operators (two best responses in round one,
+        # player 1's again in the certificate) and one pair table, which
+        # every best response, assembly and converse check shares
+        monkeypatch.setattr(cli, "_session", None)
+        built = {"operators": 0, "tables": 0}
+        real_table = generator.PairTable
+
+        class CountingOperator(eigensolver._ResponseOperator):
+            def __init__(self, *args):
+                built["operators"] += 1
+                super().__init__(*args)
+
+        def counting_table(**fields):
+            built["tables"] += 1
+            return real_table(**fields)
+
+        monkeypatch.setattr(eigensolver, "_ResponseOperator", CountingOperator)
+        monkeypatch.setattr(generator, "PairTable", counting_table)
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--builtin", "shop", "--trunc", "320",
+                     "--out", str(out)]) == 0
+        assert built == {"operators": 3, "tables": 1}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f")
+
     def test_wide_game_solve_bit_identical_to_recorded_digest(self, tmp_path):
         path = tmp_path / "wide.json"
         bench_inputs().wide_game(1, 0).save(path)
@@ -90,7 +117,7 @@ class TestSolve:
         assert main(["solve", "--model", str(path), "--trunc", "300",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "066142cdaf7f4a842fd0c62f9fd44a490ca496a25e38a4b6518fa5091b420f32")
+            "64af69ed25d6de81c764395b32ffdc0f28ea02327c9732b122b9bc641ed22f33")
 
     def test_reducible_operator_warnings_reported_exit_unchanged(
             self, tmp_path, capsys):
@@ -544,7 +571,7 @@ class TestTableModelFiles:
     }
     DIGESTS = {
         "verify": "63b058c32130860c8532a4834ecc085496d121b289819ab500a929a3899d2493",
-        "solve": "99ccd10102838a48ec8317d39fe191d9c9ca5faf4d52026363b3df2846707b1d",
+        "solve": "1eb3e7c94e96dbc0b3114d58667e7c4bdb3763b6b9a0608c692e948995aeb830",
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -635,7 +662,7 @@ class TestSessionModel:
     source and write the bytes of a fresh process."""
 
     # the golden digests of TestSolve, TestVerify and TestTableModelFiles
-    WIDE_SOLVE = "066142cdaf7f4a842fd0c62f9fd44a490ca496a25e38a4b6518fa5091b420f32"
+    WIDE_SOLVE = "64af69ed25d6de81c764395b32ffdc0f28ea02327c9732b122b9bc641ed22f33"
     SHOP_SOLVE = "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f"
     SHOP_VERIFY = "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e"
     DIGEST_GAME = TestTableModelFiles.DIGESTS

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import warnings
 
@@ -98,6 +99,34 @@ class TestPrincipalEigenpair:
         ep = principal_eigenpair(assemble(model, trunc, v1, v2, 1), i0=1)
         assert ep.rho == pytest.approx(3.0, abs=1e-10)
         assert ep.warnings[0].startswith("operator is reducible")
+
+    def test_start_at_the_eigenvector_closes_at_step_zero(self):
+        model = shop_model()
+        trunc = truncate(model, 40)
+        A = assemble(model, trunc, *fixed_pair(model), 1)
+        cold = principal_eigenpair(A, i0=1)
+        warm = principal_eigenpair(A, i0=1, psi0=4.0 * cold.psi)
+        assert warm.iterations == 0
+        assert warm.psi.tolist() == cold.psi.tolist()
+        assert abs(warm.rho - cold.rho) <= 1e-10
+        # a start that is not finite and positive is ignored
+        for bad in (np.zeros(40), np.where(np.arange(40) == 7, np.nan, 1.0),
+                    np.where(np.arange(40) == 9, -1.0, cold.psi)):
+            ep = principal_eigenpair(A, i0=1, psi0=bad)
+            assert (ep.rho, ep.iterations) == (cold.rho, cold.iterations)
+            assert ep.psi.tolist() == cold.psi.tolist()
+
+    def test_start_is_read_on_the_solved_states_only(self):
+        # the reducible two-state operator is solved on state 2 alone, so a
+        # start that vanishes at state 1 is still used there
+        grids = {(p, i): [0.0] for p in (1, 2) for i in (1, 2)}
+        rates = {(1, 0, 0): {1: 0.0}, (2, 0, 0): {2: 0.0}}
+        costs = {(1, 0, 0): (1.0, 0.0), (2, 0, 0): (3.0, 0.0)}
+        model = tabular_model(rates, costs, grids, n_states=2)
+        A = assemble(model, truncate(model, 2), *fixed_pair(model), 1)
+        ep = principal_eigenpair(A, i0=1, psi0=np.array([0.0, 5.0]))
+        assert ep.rho == pytest.approx(3.0, abs=1e-10)
+        assert ep.psi.tolist() == [0.0, 1.0]
 
     def test_max_iter_exhaustion_reports_bracket(self):
         rng = np.random.default_rng(22)
@@ -340,6 +369,21 @@ class TestBestResponseEigenpair:
             best_response_eigenpair(model, trunc, uniform_strategy(model, 2),
                                     1)
         assert info.value.iterations == 0
+
+    def test_operator_kept_per_opponent_and_freed_with_it(self):
+        model = shop_model()
+        opp = uniform_strategy(model, 2)
+        best_response_eigenpair(model, truncate(model, 10), opp, 1)
+        op = model._response_cache[opp]
+        best_response_eigenpair(model, truncate(model, 10), opp, 1)
+        assert model._response_cache[opp] is op
+        # the next rung of a ladder replaces it: one operator per opponent
+        best_response_eigenpair(model, truncate(model, 20), opp, 1)
+        assert model._response_cache[opp] is not op
+        assert len(model._response_cache) == 1
+        del opp
+        gc.collect()
+        assert len(model._response_cache) == 0
 
     def test_constant_cost_shift_moves_rho_only(self):
         rng = np.random.default_rng(26)
@@ -615,3 +659,39 @@ class TestNonFiniteBracket:
                     "best-response iteration stopped after 0 iterations")):
                 best_response_eigenpair(model, trunc, v2 if player == 1 else v1,
                                         player)
+
+
+class TestRoundingFloor:
+    # exit rates below 1.5 but player 1's costs near 2e8: the shifted ratios
+    # sit near 2e8, where one ulp is 3e-8, so no 1e-10 bracket can close
+    DOC = {"states": 3,
+           "rates": [[1, 0, 0, 2, 0.682], [1, 0, 0, 3, 0.679],
+                     [2, 0, 0, 1, 0.323], [2, 0, 0, 3, 0.334],
+                     [3, 0, 0, 1, 0.634], [3, 0, 0, 2, 0.594]],
+           "costs": [[1, 1, 0, 0, 1e8], [1, 2, 0, 0, 2e8 + 0.3],
+                     [1, 3, 0, 0, 1.7e8]]}
+
+    def test_floor_counts_the_bracket_not_only_the_shift(self):
+        model = model_from_dict(self.DOC)
+        trunc = truncate(model, 3)
+        A = assemble(model, trunc, *fixed_pair(model), 1)
+        assert A.alpha < 3.0
+        with pytest.raises(ConvergenceError, match=(
+                "did not reach bracket width 1e-10: it is below the "
+                "rounding floor")) as info:
+            principal_eigenpair(A, i0=1)
+        assert info.value.iterations == 0
+        lo, _ = info.value.bracket
+        assert 1e8 <= lo <= 2e8 + 1.0
+        with pytest.raises(ConvergenceError, match="rounding floor") as info:
+            best_response_eigenpair(model, trunc, fixed_pair(model)[1], 1)
+        assert info.value.iterations == 0
+
+    def test_tolerance_above_the_floor_still_solves(self):
+        model = model_from_dict(self.DOC)
+        A = assemble(model, truncate(model, 3), *fixed_pair(model), 1)
+        ep = principal_eigenpair(A, i0=1, tol=1e-6)
+        rho, _ = dense_principal(A.A.toarray())
+        lo, hi = ep.bracket
+        floor = _floor(A.alpha + lo)
+        assert lo - floor <= rho <= hi + floor

@@ -90,6 +90,25 @@ class TestPairTable:
             assert table.diag[p] == row.diag
             assert tuple(table.cost[p]) == model.costs(i, ia, ib)
 
+    def test_repeated_call_returns_the_read_only_table(self):
+        model = random_game(np.random.default_rng(3), n_states=4, m1=2, m2=3)
+        table = pair_table(model, range(1, 5))
+        assert pair_table(model, (1, 2, 3, 4)) is table
+        assert pair_table(model, [1, 2, 3, 4]) is table
+        arrays = [getattr(table, name) for name in
+                  ("m1", "m2", "state", "a1", "a2", "starts", "diag", "cost")]
+        arrays += [table.rows.data, table.rows.indices, table.rows.indptr]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        # the model keeps one table: other states replace it
+        other = pair_table(model, [2, 4])
+        assert other is not table and pair_table(model, [2, 4]) is other
+        fresh = pair_table(model, range(1, 5))
+        assert fresh is not table
+        assert table_fields(fresh) == table_fields(table)
+
     def test_common_edges_keep_only_edges_of_every_row(self):
         rng = np.random.default_rng(2)
         model = random_game(rng, n_states=5, m1=2, m2=2, extra_edge_prob=0.5)

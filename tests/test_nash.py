@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rsgame import nash
-from rsgame.eigensolver import ConvergenceError, best_response_eigenpair
+from rsgame.eigensolver import (
+    ROUNDING_ULPS,
+    ConvergenceError,
+    best_response_eigenpair,
+    principal_eigenpair,
+)
+from rsgame.generator import assemble
 from rsgame.model import (
     mix_strategies,
     pure_strategy,
@@ -21,7 +29,14 @@ from rsgame.nash import (
     profile_count,
 )
 
-from tests.helpers import dense_principal, dense_tilted, enumerate_selectors, random_game
+from tests.helpers import (
+    dense_perron,
+    dense_principal,
+    dense_tilted,
+    digest_game,
+    enumerate_selectors,
+    random_game,
+)
 
 
 def decoupled_game(rng, n_states=3, m=2, symmetric=False):
@@ -175,6 +190,90 @@ class TestCertify:
                         max(ep.residual for ep in res.br_eigen))
             assert res.delta1 >= -2 * resid
             assert res.delta2 >= -2 * resid
+
+
+def _record_certify(monkeypatch):
+    """Record ``(v1, v2, CertifyResult)`` of every certification that
+    ``nash`` makes while the test runs, in call order."""
+    real = nash._certify
+    calls = []
+
+    def recording(model, truncation, v1, v2, *args):
+        res = real(model, truncation, v1, v2, *args)
+        calls.append((v1, v2, res))
+        return res
+
+    monkeypatch.setattr(nash, "_certify", recording)
+    return calls
+
+
+class TestWarmCertificate:
+    """Each pair solve of a certificate starts at that player's
+    best-response eigenvector."""
+
+    def test_shop_pair_solves_close_at_step_zero(self, monkeypatch):
+        certified = _record_certify(monkeypatch)
+        model = shop_model()
+        trunc = truncate(model, 320)
+        assert nash_iterate(model, trunc).converged
+        v1, v2, res = certified[-1]
+        for player, ep in zip((1, 2), res.pair_eigen):
+            assert ep.iterations == 0
+            # the bracket, widened by its rounding floor, holds the dense
+            # Perron root of the pair's operator
+            alpha = assemble(model, trunc, v1, v2, player).alpha
+            rho, (dlo, dhi) = dense_perron(
+                dense_tilted(model, 320, v1, v2, player))
+            assert dhi - dlo <= 1e-12
+            lo, hi = ep.bracket
+            floor = ROUNDING_ULPS * np.finfo(float).eps * (alpha + max(lo, 0.0))
+            assert lo - floor <= rho <= hi + floor
+
+    def test_warm_pair_values_match_cold_solves_on_a_cycling_game(
+            self, monkeypatch):
+        certified = _record_certify(monkeypatch)
+        model = digest_game()
+        trunc = truncate(model, 50)
+        tol = 1e-10
+        assert nash_iterate(model, trunc, tol=tol).status == "cycle_detected"
+        assert len(certified) >= 2
+        for v1, v2, res in certified:
+            # player 2 moved last: v2 is its best response to v1, so that
+            # pair solve starts at its eigenvector
+            assert res.pair_eigen[1].iterations == 0
+            for player, ep in zip((1, 2), res.pair_eigen):
+                cold = principal_eigenpair(
+                    assemble(model, trunc, v1, v2, player), model.anchor, tol)
+                assert abs(ep.rho - cold.rho) <= tol
+
+    def test_best_response_above_the_pair_value_raises(self):
+        model = shop_model()
+        trunc = truncate(model, 20)
+        v1, v2 = uniform_strategy(model, 1), uniform_strategy(model, 2)
+        tol = 1e-10
+        solved = {k: best_response_eigenpair(model, trunc, opp, k, tol)
+                  for k, opp in ((1, v2), (2, v1))}
+        rho_pair = certify(model, trunc, v1, v2, 1.0, tol).rho_pair
+
+        def lifted(player, by):
+            """Best responses whose value for ``player`` lies ``by`` above
+            the pair's own."""
+            def solve_br(k, opp):
+                ep, sel = solved[k]
+                if k == player:
+                    ep = dataclasses.replace(ep, rho=rho_pair[k - 1] + by)
+                return ep, sel
+            return solve_br
+
+        res = nash._certify(model, trunc, v1, v2, 1.0, tol, None,
+                            lifted(2, 2.5 * tol))
+        assert res.delta2 == pytest.approx(-2.5 * tol, rel=1e-6)
+        for player in (1, 2):
+            with pytest.raises(ConvergenceError, match=(
+                    rf"player {player} is numerically unsound: the deviation "
+                    r"gap -3\.500e-10 lies below -3 tol")):
+                nash._certify(model, trunc, v1, v2, 1.0, tol, None,
+                              lifted(player, 3.5 * tol))
 
 
 class TestNashIterate:
