@@ -32,8 +32,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from scipy.special import stdtrit
-
 from . import nash, verify
 from .eigensolver import ConvergenceError, principal_eigenpair, truncation_ladder
 from .generator import assemble
@@ -182,9 +180,11 @@ def _check_model(model, top):
 
 
 def _write_json(path, payload):
+    """Write ``payload`` as indented, key-sorted JSON and a newline, in one
+    write: ``json.dump`` would make one small write per token."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _fmt(x) -> str:
@@ -334,6 +334,8 @@ def _hitting_z_bound(batches: int, starts: int) -> float:
     ``HITTING_FALSE_ALARM`` evenly over the (two-sided) tests of the
     ``starts`` random starts bounds the chance that a correct run fails.
     """
+    from scipy.special import stdtrit
+
     tail = HITTING_FALSE_ALARM / (2 * max(starts, 1))
     return float(stdtrit(batches - 1, 1.0 - tail))
 

@@ -1,9 +1,10 @@
 """Principal eigenpairs of tilted generators, linear and nonlinear.
 
 The linear solver handles a fixed strategy pair.  Its kernel works on the
-shifted nonnegative matrix ``M = A + alpha I``: a fixed number of plain
-power steps, then Noda's shift-invert steps (Noda 1971; Elsner 1976),
-which solve ``(sigma I - M) x = psi`` by sparse LU with ``sigma`` the
+shifted nonnegative matrix ``M = A + alpha I``: plain power steps while
+their bracket shrinks fast enough to close within ``POWER_STEPS`` of
+them, then Noda's shift-invert steps (Noda 1971; Elsner 1976), which
+solve ``(sigma I - M) x = psi`` by sparse LU with ``sigma`` the
 Collatz-Wielandt upper bound ``max_i (M psi)_i / psi_i``.  Both phases
 keep ``psi`` positive, and both stop only when the Collatz-Wielandt
 bracket ``[min_i (M psi)_i / psi_i, max_i (M psi)_i / psi_i]`` is
@@ -86,9 +87,12 @@ def default_max_iter(n: int) -> int:
     return 100 * n + 10_000
 
 
-# Plain power steps before the kernel switches to Noda steps.  Operators
-# that mix fast (random dense-ish rows) close their bracket within this
-# many cheap matvecs, where a sparse LU with fill-in would cost more.
+# The most plain power steps one kernel call takes.  It switches to Noda
+# steps sooner, after any power step at whose rate the bracket would not
+# close within this many.  Operators that mix fast (random dense-ish rows)
+# close it in a few dozen cheap matvecs, where a sparse LU with fill-in
+# would cost more; slow ones (the shop's birth-death chain) switch after a
+# few power steps.
 POWER_STEPS = 100
 
 # A bracket endpoint is exact to ``ROUNDING_ULPS * eps * max(alpha, lo)``
@@ -102,13 +106,18 @@ def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
     """Principal eigenvector of a shifted operator, bracket-certified.
 
     ``M`` is a sparse, entrywise nonnegative matrix with a positive
-    diagonal.  The first ``POWER_STEPS`` steps are power steps
-    ``psi <- M psi``; after that each step is a Noda step: with ``sigma``
-    the Collatz-Wielandt upper bound ``max_i (M psi)_i / psi_i``, solve
-    ``(sigma I - M) x = psi`` by sparse LU and take ``psi <- x``.  A Noda
-    step whose factorization fails or whose solution is not finite and
-    positive is replaced by a power step.  Every step keeps ``psi``
-    positive and normalized to one at ``anchor_idx``.
+    diagonal.  The call starts from ``psi0`` (ones if None) with power
+    steps ``psi <- M psi``.  After each one, with ``r`` the bracket's
+    width over its width before that step, it switches to Noda steps for
+    the rest of the call once ``width * r ** (POWER_STEPS - steps) > tol``:
+    the width no longer shrinks (``r >= 1``), or shrinking at rate ``r``
+    it would still exceed ``tol`` after step ``POWER_STEPS``, which caps
+    the power steps.  A Noda step, with ``sigma`` the Collatz-Wielandt
+    upper bound ``max_i (M psi)_i / psi_i``, solves ``(sigma I - M) x =
+    psi`` by sparse LU and takes ``psi <- x``.  A Noda step whose
+    factorization fails or whose solution is not finite and positive is
+    replaced by a power step.  Every step keeps ``psi`` positive and
+    normalized to one at ``anchor_idx``.
 
     Returns ``(lo, hi, psi, steps)``: the closed Collatz-Wielandt bounds
     of ``psi`` on ``M``, the operator shifted by ``alpha``, and the power
@@ -124,6 +133,7 @@ def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
     psi = np.ones(M.shape[0]) if psi0 is None else psi0 / psi0[anchor_idx]
     shift = None
     steps = 0
+    width = None  # the bracket width before the last power step
     while True:
         y = M @ psi
         ratios = y / psi
@@ -133,11 +143,16 @@ def _power_iterate(M, alpha, anchor_idx, tol, max_iter, what, spent=0,
         if (tol < floor or hi - lo <= tol or spent + steps >= max_iter
                 or not math.isfinite(hi - lo)):
             break
+        # leave power steps once the width, shrinking at its last rate,
+        # would still exceed tol after step POWER_STEPS
+        if (shift is None and width is not None
+                and (hi - lo) * ((hi - lo) / width) ** (POWER_STEPS - steps)
+                > tol):
+            shift = _NodaShift(M)
+        width = hi - lo
         steps += 1
         x = None
-        if steps > POWER_STEPS:
-            if shift is None:
-                shift = _NodaShift(M)
+        if shift is not None:
             x = _noda_step(shift(hi), psi, anchor_idx)
         psi = y / y[anchor_idx] if x is None else x
     if tol < floor or not hi - lo <= tol:
@@ -269,9 +284,7 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
         inside = keep == anchor_idx
         sub_anchor = int(np.argmax(inside))  # the first kept state if none
     if psi0 is not None:
-        psi0 = np.asarray(psi0, dtype=float)[keep]
-        if not (np.all(np.isfinite(psi0)) and psi0.min() > 0.0):
-            psi0 = None
+        psi0 = _positive_start(np.asarray(psi0, dtype=float)[keep])
     lo, hi, psi, steps = _power_iterate(sub, A.alpha, sub_anchor, tol,
                                         max_iter, "linear eigensolve", its,
                                         psi0)
@@ -284,6 +297,17 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
             notes.append("eigenvector vanishes at the anchor state; "
                          "normalized by its maximum instead")
     return _eigenpair(lo, hi, A.alpha, M @ psi, psi, its, A.states, i0, notes)
+
+
+def _positive_start(psi0):
+    """``psi0`` as a float array where it is given, finite and positive,
+    else None."""
+    if psi0 is None:
+        return None
+    psi0 = np.asarray(psi0, dtype=float)
+    if np.all(np.isfinite(psi0)) and psi0.min() > 0.0:
+        return psi0
+    return None
 
 
 def _reaching_dominant(M, pattern, alpha, labels, tol, max_iter):
@@ -383,18 +407,24 @@ def _response_operator(model, truncation, opponent, player):
 
 def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                             player: int, tol: float = 1e-10,
-                            max_iter: int | None = None):
+                            max_iter: int | None = None, *,
+                            psi0: np.ndarray | None = None):
     """Minimal eigenpair of the frozen-opponent minimization equation.
 
     Risk-sensitive policy iteration (Howard and Matheson 1972): solve the
     linear eigenpair of the current pure selector with ``_power_iterate``,
     warm-started from the previous eigenvector, then switch each state's
     action only where another action is strictly better, until the
-    selector is stable.  There the minimum of ``S psi`` over own pure
-    actions (the objective is linear in the mixed action, so pure
-    minimizers suffice) is the selector's ``M psi``, bit for bit, so its
-    closed bracket certifies the min-operator and no nonlinear step is
-    taken.  ``iterations`` counts all power steps and Noda solves.
+    selector is stable.  The first selector minimizes at ``psi0`` where
+    that is finite and positive, else at ones, and its solve starts
+    there; a start near the answer (say, the eigenvector of a nearby
+    opponent strategy) saves most of the steps, and the bracket certifies
+    the eigenvalue from any positive start.  At the stable selector the
+    minimum of ``S psi`` over own pure actions (the objective is linear
+    in the mixed action, so pure minimizers suffice) is the selector's
+    ``M psi``, bit for bit, so its closed bracket certifies the
+    min-operator and no nonlinear step is taken.  ``iterations`` counts
+    all power steps and Noda solves.
 
     Returns ``(EigenPair, StationaryStrategy)`` where the strategy is the
     minimizing pure selector at the final eigenvector (ties broken toward
@@ -417,7 +447,9 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
                "selector")
         notes.append(msg)
 
-    psi = np.ones(n)
+    psi = _positive_start(psi0)
+    if psi is None:
+        psi = np.ones(n)
     sel = op.segment_argmin(op.S @ psi)
     its = 0
     while True:

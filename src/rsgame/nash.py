@@ -281,10 +281,14 @@ def nash_iterate(model: GameModel, truncation: Truncation,
         # A round's certification solves the last mover's best response
         # again, and the next round starts from the other one: keep each
         # player's latest solve, keyed by the opponent strategy object.
+        # A new solve starts from the player's own latest eigenvector, else
+        # from the other player's.
         hit = latest.get(player)
         if hit is None or hit[0] is not opp:
+            warm = hit or latest.get(3 - player)
+            psi0 = None if warm is None else warm[1][0].psi
             hit = latest[player] = (opp, best_response_eigenpair(
-                model, truncation, opp, player, tol, max_iter))
+                model, truncation, opp, player, tol, max_iter, psi0=psi0))
         return hit[1]
 
     seen = {_pair_key(v[1], v[2], states)}

@@ -44,7 +44,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .generator import pair_table
 from .model import GameModel, StationaryStrategy
@@ -533,6 +532,8 @@ def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
     above 1 splits the paths into contiguous ranges run in forked
     processes (see the module notes); the result is the same.
     """
+    from scipy.special import logsumexp  # here, not in a forked child
+
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if not (paths >= batches >= 10):
@@ -639,6 +640,8 @@ def hitting_representation_check(model: GameModel, v1: StationaryStrategy,
     same.  A start's paths stay in one process: splitting them would run
     the slow tail of the hitting times, where few paths are left, twice.
     """
+    from scipy.special import logsumexp  # here, not in a forked child
+
     if not target_set:
         raise ValueError("target set must be nonempty")
     if not (n_paths >= batches >= 2):

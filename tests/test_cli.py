@@ -30,8 +30,37 @@ from rsgame.model import birth_death_model
 
 from tests.helpers import bench_inputs, digest_game, random_game
 
-from tests.test_nash import decoupled_game, matching_pennies
+from tests.test_nash import (
+    _assert_brackets_hold_dense_roots,
+    _record_certify,
+    decoupled_game,
+    matching_pennies,
+)
 from tests.test_simulate import flip_flop_model, gap_model
+
+# sha256 of every recorded artifact, each written out once: re-recording
+# one is one edit here.  The shop and wide-game commands are the
+# benchmark's (perfbench/inputs.py); the digest game is
+# tests/helpers.digest_game, on which verify fails the anchor-row check
+# and solve detects a cycle (both exit 1).
+GOLDEN = {
+    "shop solve": "612fc09b2562af9552e72588bd69a1b09ad72c6204a42efaad4679e314a379ac",
+    "shop verify": "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e",
+    "wide solve": "afb8310551291d1b64b7e5562ca078b154b0046e86f126c2563554133a602e42",
+    "digest-game solve": "4eb1ba22820f645d3612bd0666780ca8a3d22333af59a0cd19aa65b52217254e",
+    "digest-game verify": "63b058c32130860c8532a4834ecc085496d121b289819ab500a929a3899d2493",
+    # (growth CSV, .hitting.csv) of shop-simulate at 200 paths, per seed
+    "shop simulate 100000": (
+        "b032b710adffb61080d160183189cda4bbdf66f643db096d3ccd11fa18d19135",
+        "c723ce177374810538963215921be87079514e50cb0d83adebc1b13263365bb3"),
+    "shop simulate 100001": (
+        "75ba0597cefa3ff055c03ccd506c890c52f2d6260c3e5061277b3d769f95b3e2",
+        "288432340850e4af7f57685fcbab1e402070f3d51144aae75e9e91edd6d496d5"),
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -73,15 +102,11 @@ class TestSolve:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    # sha256 of the solve artifacts of the benchmark's shop-solve and of its
-    # first wide-game input (perfbench/inputs.py), recorded with per-state
-    # strategy weights and scipy's sigma * identity - M in every Noda step
     def test_shop_solve_bit_identical_to_recorded_digest(self, tmp_path):
         out = tmp_path / "solve.json"
         assert main(["solve", "--builtin", "shop", "--trunc", "320",
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f")
+        assert _sha(out) == GOLDEN["shop solve"]
 
     def test_shop_solve_builds_each_operator_once(self, monkeypatch,
                                                   tmp_path):
@@ -107,8 +132,7 @@ class TestSolve:
         assert main(["solve", "--builtin", "shop", "--trunc", "320",
                      "--out", str(out)]) == 0
         assert built == {"operators": 3, "tables": 1}
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f")
+        assert _sha(out) == GOLDEN["shop solve"]
 
     def test_wide_game_solve_bit_identical_to_recorded_digest(self, tmp_path):
         path = tmp_path / "wide.json"
@@ -116,8 +140,20 @@ class TestSolve:
         out = tmp_path / "solve.json"
         assert main(["solve", "--model", str(path), "--trunc", "300",
                      "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "64af69ed25d6de81c764395b32ffdc0f28ea02327c9732b122b9bc641ed22f33")
+        assert _sha(out) == GOLDEN["wide solve"]
+
+    def test_wide_game_solve_takes_no_noda_step(self, monkeypatch,
+                                                tmp_path):
+        # its operators mix fast: every bracket closes by power steps
+        path = tmp_path / "wide.json"
+        bench_inputs().wide_game(1, 0).save(path)
+
+        def refused(M):
+            raise AssertionError("a Noda step was taken")
+
+        monkeypatch.setattr(eigensolver, "_NodaShift", refused)
+        assert main(["solve", "--model", str(path), "--trunc", "300",
+                     "--out", str(tmp_path / "solve.json")]) == 0
 
     def test_reducible_operator_warnings_reported_exit_unchanged(
             self, tmp_path, capsys):
@@ -198,29 +234,43 @@ class TestSolveReuse:
             assert json.loads(out.read_text())["certificate"]["rounds"] == 1
             monkeypatch.undo()
 
-    def test_blocks_match_fresh_certify_and_converse_check(self, tmp_path):
+    def test_blocks_match_fresh_certify_and_converse_check(self, tmp_path,
+                                                           monkeypatch):
+        # the artifact's blocks come from warm-started solves: verdicts,
+        # worst states and strategies match cold solves of its pair
+        # exactly, values within tol
         for model, n, flags in _solve_cases(tmp_path):
+            certified = _record_certify(monkeypatch)
             out = tmp_path / "cert.json"
             assert main(["solve", *flags, "--trunc", str(n),
                          "--out", str(out)]) == 0
+            monkeypatch.undo()
             doc = json.loads(out.read_text())
+            tol = doc["tol"]
             trunc = truncate(model, n)
             v1, v2 = (tabular_strategy(model, k, dict(zip(
                 trunc.states, doc["certificate"]["strategies"][str(k)])))
                 for k in (1, 2))
-            res = nash.certify(model, trunc, v1, v2, eps=doc["eps"],
-                               tol=doc["tol"])
-            conv = nash.converse_check(model, trunc, v1, v2, tol=doc["tol"])
-            assert doc["certify"] == {"delta": [res.delta1, res.delta2],
-                                      "passed": res.passed}
-            assert doc["converse"] == {
-                "passed": conv.passed, "worst_defect": conv.worst(),
-                "per_player": [
-                    {"player": p.player, "rho": p.rho,
-                     "worst_defect": p.worst_defect,
-                     "worst_state": p.worst_state,
-                     "threshold": p.threshold, "passed": p.passed}
-                    for p in conv.players]}
+            res = nash.certify(model, trunc, v1, v2, eps=doc["eps"], tol=tol)
+            conv = nash.converse_check(model, trunc, v1, v2, tol=tol)
+            assert doc["certify"]["passed"] == res.passed
+            assert doc["certify"]["delta"] == pytest.approx(
+                [res.delta1, res.delta2], abs=tol)
+            # the pair is converged: the cold best responses reproduce it
+            assert [sel.key(trunc.states) for sel in res.br_selectors] == [
+                v.key(trunc.states) for v in (v1, v2)]
+            assert doc["converse"]["passed"] == conv.passed
+            assert doc["converse"]["worst_defect"] == pytest.approx(
+                conv.worst(), abs=tol)
+            for got, p in zip(doc["converse"]["per_player"], conv.players,
+                              strict=True):
+                assert (got["player"], got["worst_state"], got["passed"]) == (
+                    p.player, p.worst_state, p.passed)
+                assert [got["rho"], got["worst_defect"], got["threshold"]] == (
+                    pytest.approx([p.rho, p.worst_defect, p.threshold],
+                                  abs=tol))
+            for record in certified:
+                _assert_brackets_hold_dense_roots(model, trunc, *record)
 
 
 class TestLadder:
@@ -381,17 +431,7 @@ class TestSimulate:
         assert "exceeds the 2-state model" in capsys.readouterr().err
         assert not out.exists()
 
-    # sha256 of the growth CSV and the .hitting.csv of the benchmark's
-    # shop-simulate command at 200 paths, recorded with the one-path-at-a-
-    # time jump loops that the lockstep kernel replaced
-    GOLDEN = {
-        100000: ("b032b710adffb61080d160183189cda4bbdf66f643db096d3ccd11fa18d19135",
-                 "bfa1fe220f212658ad5af32fd20c9b509304bb0e45547c7189742da52dc3ef8e"),
-        100001: ("75ba0597cefa3ff055c03ccd506c890c52f2d6260c3e5061277b3d769f95b3e2",
-                 "d5b1f1e2059966cca68ef38cf445ac991eae6d9eba1ce034371384d6e435cd95"),
-    }
-
-    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    @pytest.mark.parametrize("seed", [100000, 100001])
     def test_shop_artifacts_bit_identical_to_recorded_digests(self, seed,
                                                               tmp_path):
         out = tmp_path / "sim.csv"
@@ -400,9 +440,9 @@ class TestSimulate:
                      "--trunc", "40", "--hitting", "--hit-targets", "1,2,3,4,5",
                      "--hit-starts", "6,7,8,9,10", "--seed", str(seed),
                      "--out", str(out)]) == 0
-        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+        digests = tuple(_sha(path)
                         for path in (out, tmp_path / "sim.csv.hitting.csv"))
-        assert digests == self.GOLDEN[seed]
+        assert digests == GOLDEN[f"shop simulate {seed}"]
 
     HIT_ARGS = ["simulate", "--builtin", "shop", "--horizon", "10",
                 "--paths", "400", "--trunc", "40", "--hitting",
@@ -552,38 +592,28 @@ class TestVerify:
 
 
     def test_shop_verify_bit_identical_to_recorded_digest(self, tmp_path):
-        # the shop-solve benchmark's verify; recorded with the condition
-        # displays summed entry by entry over per-pair shop rows
         out = tmp_path / "verify.json"
         assert main(["verify", "--builtin", "shop", "--range", "1000",
                      "--trunc", "320", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e")
+        assert _sha(out) == GOLDEN["shop verify"]
 
 
 class TestTableModelFiles:
-    # sha256 of the verify and solve artifacts on the saved digest game,
-    # recorded with the dict-based loader (verify fails the anchor-row
-    # check and solve detects a cycle: both exit 1)
-    GOLDEN = {
+    # the flags of each recorded command on the saved digest game
+    ARGS = {
         "verify": ["--range", "50", "--trunc", "50"],
         "solve": ["--trunc", "50"],
     }
-    DIGESTS = {
-        "verify": "63b058c32130860c8532a4834ecc085496d121b289819ab500a929a3899d2493",
-        "solve": "1eb3e7c94e96dbc0b3114d58667e7c4bdb3763b6b9a0608c692e948995aeb830",
-    }
 
-    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    @pytest.mark.parametrize("command", sorted(ARGS))
     def test_artifacts_bit_identical_to_recorded_digests(self, command,
                                                          tmp_path):
         path = tmp_path / "game.json"
         save_model(digest_game(), path)
         out = tmp_path / "out.json"
         assert main([command, "--model", str(path), "--out", str(out)]
-                    + self.GOLDEN[command]) == 1
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            self.DIGESTS[command])
+                    + self.ARGS[command]) == 1
+        assert _sha(out) == GOLDEN[f"digest-game {command}"]
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_nan_index_exits_two_naming_entry(self, command, tmp_path,
@@ -653,19 +683,9 @@ def session(monkeypatch):
     return loaded
 
 
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class TestSessionModel:
     """Consecutive commands in one process reuse the model of an unchanged
     source and write the bytes of a fresh process."""
-
-    # the golden digests of TestSolve, TestVerify and TestTableModelFiles
-    WIDE_SOLVE = "64af69ed25d6de81c764395b32ffdc0f28ea02327c9732b122b9bc641ed22f33"
-    SHOP_SOLVE = "eabd2f77cd8933a3bb9fce1844bf9b694a18aa397d820a49c41bce3ae9dcd31f"
-    SHOP_VERIFY = "ee8830d7bc8577a9f148d36ca6b5e1e349ea95f615b34cb67563ddf5fd400d2e"
-    DIGEST_GAME = TestTableModelFiles.DIGESTS
 
     def test_verify_then_solve_wide_game_loads_once(self, session, tmp_path):
         path = tmp_path / "wide.json"
@@ -675,7 +695,7 @@ class TestSessionModel:
                      "--trunc", "300", "--out", str(out)]) == 0
         assert main(["solve", "--model", str(path), "--trunc", "300",
                      "--out", str(out)]) == 0
-        assert _sha(out) == self.WIDE_SOLVE
+        assert _sha(out) == GOLDEN["wide solve"]
         assert len(session) == 1
         assert cli._session[1] is session[0]
 
@@ -711,7 +731,7 @@ class TestSessionModel:
         save_model(digest_game(), good)
         broken.write_text(bad)
         out = tmp_path / "out.json"
-        args = TestTableModelFiles.GOLDEN
+        args = TestTableModelFiles.ARGS
         assert main(["verify", "--model", str(good), "--out", str(out)]
                     + args["verify"]) == 1
         assert cli._session is not None
@@ -720,7 +740,7 @@ class TestSessionModel:
         assert cli._session is None
         assert main(["solve", "--model", str(good), "--out", str(out)]
                     + args["solve"]) == 1
-        assert _sha(out) == self.DIGEST_GAME["solve"]
+        assert _sha(out) == GOLDEN["digest-game solve"]
         assert len(session) == 2  # the good file was loaded again
 
     def test_file_rewritten_during_the_load_is_not_kept(self, monkeypatch,
@@ -738,7 +758,7 @@ class TestSessionModel:
         monkeypatch.setattr(cli, "load_model", load_then_rewrite)
         assert main(["verify", "--model", str(path), "--out",
                      str(tmp_path / "out.json"),
-                     *TestTableModelFiles.GOLDEN["verify"]]) == 1
+                     *TestTableModelFiles.ARGS["verify"]]) == 1
         assert cli._session is None
 
     def test_builtin_and_model_files_alternate(self, session, tmp_path):
@@ -746,16 +766,16 @@ class TestSessionModel:
         save_model(digest_game(), game)
         out = tmp_path / "out.json"
         shop = ["--builtin", "shop", "--out", str(out)]
-        args = TestTableModelFiles.GOLDEN
+        args = TestTableModelFiles.ARGS
         runs = [
             (["verify", *shop, "--range", "1000", "--trunc", "320"], 0,
-             self.SHOP_VERIFY),
+             GOLDEN["shop verify"]),
             (["verify", "--model", str(game), "--out", str(out),
-              *args["verify"]], 1, self.DIGEST_GAME["verify"]),
+              *args["verify"]], 1, GOLDEN["digest-game verify"]),
             (["solve", *shop, "--trunc", "320"], 0,
-             self.SHOP_SOLVE),
+             GOLDEN["shop solve"]),
             (["solve", "--model", str(game), "--out", str(out),
-              *args["solve"]], 1, self.DIGEST_GAME["solve"]),
+              *args["solve"]], 1, GOLDEN["digest-game solve"]),
         ]
         for argv, code, digest in runs:
             assert main(argv) == code
@@ -877,6 +897,37 @@ class TestAnyModelDocument:
             # rounding floor (itself at most tol) of its eigenvalue
             doc = json.loads((tmp_path / "out").read_text())
             assert min(doc["certify"]["delta"]) >= -3 * doc["tol"]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(case=_model_documents())
+    def test_ladder_and_simulate_exit_with_a_code_never_a_traceback(
+            self, case, tmp_path, capsys):
+        doc, n = case
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        sizes = ",".join(map(str, sorted({max(1, n - 2), n})))
+        for command in (["ladder", "--trunc", sizes],
+                        ["simulate", "--trunc", str(n), "--horizon", "2",
+                         "--paths", "20", "--batches", "10"]):
+            code = main(command + ["--model", str(path),
+                                   "--out", str(tmp_path / "out")])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
+
+
+class TestWriteJson:
+    def test_bytes_match_json_dump(self, tmp_path):
+        payload = {"z": [1.5, {"b": None, "a": [True, "\u00e9", -0.0]}],
+                   "a": {"c": 1e-300, "d": [[], {}], "e": float("inf")},
+                   "m": [[0.1 * k for k in range(5)], {"k": "v"}]}
+        out = tmp_path / "new.json"
+        cli._write_json(out, payload)
+        old = tmp_path / "old.json"
+        with open(old, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == old.read_bytes()
 
 
 class TestConfigHandling:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsgame.eigensolver import (
+    POWER_STEPS,
     ROUNDING_ULPS,
     ConvergenceError,
     _NodaShift,
@@ -303,6 +304,23 @@ class TestBestResponseEigenpair:
         for i in trunc.states:
             assert sel.weights(i).tolist() == [1.0, 0.0]  # lowest-index ties
 
+    def test_start_at_the_eigenvector_closes_at_step_zero(self):
+        model = shop_model()
+        trunc = truncate(model, 40)
+        opp = uniform_strategy(model, 2)
+        cold, cold_sel = best_response_eigenpair(model, trunc, opp, 1)
+        warm, warm_sel = best_response_eigenpair(model, trunc, opp, 1,
+                                                 psi0=4.0 * cold.psi)
+        assert warm.iterations == 0
+        assert warm.psi.tolist() == cold.psi.tolist()
+        assert warm_sel.key(trunc.states) == cold_sel.key(trunc.states)
+        # a start that is not finite and positive is ignored
+        for bad in (np.zeros(40), np.where(np.arange(40) == 7, np.inf, 1.0),
+                    np.where(np.arange(40) == 9, -1.0, cold.psi)):
+            ep, _ = best_response_eigenpair(model, trunc, opp, 1, psi0=bad)
+            assert (ep.rho, ep.iterations) == (cold.rho, cold.iterations)
+            assert ep.psi.tolist() == cold.psi.tolist()
+
     def test_dominated_action_never_selected(self):
         # action 1 repeats action 0's rates but adds one unit of cost
         rates, costs, grids = {}, {}, {}
@@ -480,6 +498,28 @@ class TestReferenceSolvers:
             alpha = _ResponseOperator(model, trunc, opp, player).alpha
             assert _contains(br.bracket, alpha, rho_dense)
             assert [int(sel.weights(i).argmax()) for i in trunc.states] == sel_ref
+
+
+class TestSwitchRule:
+    """Power steps give way to Noda steps once the bracket, shrinking at
+    its last rate, would not close within ``POWER_STEPS`` of them."""
+
+    @pytest.mark.parametrize("n", [40, 320, 1500])
+    def test_cold_shop_linear_solve_takes_fewer_than_power_steps(self, n):
+        model = shop_model()
+        trunc = truncate(model, n)
+        ep = principal_eigenpair(
+            assemble(model, trunc, *fixed_pair(model), 1), i0=1)
+        lo, hi = ep.bracket
+        assert hi - lo <= 1e-10
+        assert ep.iterations < POWER_STEPS
+
+    def test_cold_shop_best_response_takes_fewer_than_power_steps(self):
+        model = shop_model()
+        trunc = truncate(model, 320)
+        ep, _ = best_response_eigenpair(model, trunc,
+                                        uniform_strategy(model, 2), 1)
+        assert ep.iterations < POWER_STEPS
 
 
 class TestLargeTruncations:

@@ -7,6 +7,7 @@ from rsgame import nash
 from rsgame.eigensolver import (
     ROUNDING_ULPS,
     ConvergenceError,
+    _response_operator,
     best_response_eigenpair,
     principal_eigenpair,
 )
@@ -207,6 +208,55 @@ def _record_certify(monkeypatch):
     return calls
 
 
+def _cold_starts(monkeypatch):
+    """Make every best response that ``nash`` solves start from ones,
+    whatever start it is given."""
+    real = nash.best_response_eigenpair
+
+    def cold(*args, psi0=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nash, "best_response_eigenpair", cold)
+
+
+def _assert_holds_dense_root(model, trunc, w1, w2, player, bracket, alpha):
+    """``bracket``, widened by its rounding floor under the shift
+    ``alpha``, holds the dense Perron root of ``player``'s operator under
+    the pair ``(w1, w2)``."""
+    rho, _ = dense_perron(dense_tilted(model, trunc.n, w1, w2, player))
+    lo, hi = bracket
+    floor = ROUNDING_ULPS * np.finfo(float).eps * (alpha + max(lo, 0.0))
+    assert lo - floor <= rho <= hi + floor
+
+
+def _assert_brackets_hold_dense_roots(model, trunc, v1, v2, res):
+    """Each bracket of the certification ``res`` of ``(v1, v2)`` holds
+    its dense root: the pair's, or the best-response selector's against
+    the other player's strategy."""
+    for k, opp in ((1, v2), (2, v1)):
+        sel = res.br_selectors[k - 1]
+        _assert_holds_dense_root(model, trunc, v1, v2, k,
+                                 res.pair_eigen[k - 1].bracket,
+                                 assemble(model, trunc, v1, v2, k).alpha)
+        _assert_holds_dense_root(model, trunc,
+                                 *((sel, opp) if k == 1 else (opp, sel)), k,
+                                 res.br_eigen[k - 1].bracket,
+                                 _response_operator(model, trunc, opp,
+                                                    k).alpha)
+
+
+def _assert_same_certificate(warm, cold, states, tol):
+    """``warm`` and ``cold`` end alike: status, rounds and strategies on
+    ``states`` exactly, every value within ``tol``."""
+    assert (warm.status, warm.rounds) == (cold.status, cold.rounds)
+    for a, b in ((warm.v1, cold.v1), (warm.v2, cold.v2)):
+        assert a.key(states) == b.key(states)
+    assert [warm.rho1, warm.rho2, warm.delta1, warm.delta2,
+            warm.eigen1.rho, warm.eigen2.rho] == pytest.approx(
+        [cold.rho1, cold.rho2, cold.delta1, cold.delta2, cold.eigen1.rho,
+         cold.eigen2.rho], abs=tol)
+
+
 class TestWarmCertificate:
     """Each pair solve of a certificate starts at that player's
     best-response eigenvector."""
@@ -274,6 +324,38 @@ class TestWarmCertificate:
                     r"gap -3\.500e-10 lies below -3 tol")):
                 nash._certify(model, trunc, v1, v2, 1.0, tol, None,
                               lifted(player, 3.5 * tol))
+
+
+class TestWarmBestResponses:
+    """Each best response of ``nash_iterate`` starts from the latest
+    best-response eigenvector: the player's own, else the other's."""
+
+    def test_shop_converges_in_few_steps_and_each_bracket_holds(
+            self, monkeypatch):
+        real = nash.best_response_eigenpair
+        solved = []
+
+        def recording(model, truncation, opp, player, *args, **kwargs):
+            ep, sel = real(model, truncation, opp, player, *args, **kwargs)
+            solved.append((player, opp, ep, sel, kwargs["psi0"]))
+            return ep, sel
+
+        monkeypatch.setattr(nash, "best_response_eigenpair", recording)
+        model = shop_model()
+        trunc = truncate(model, 320)
+        assert nash_iterate(model, trunc).converged
+        # round one: player 1 cold, player 2 from player 1's eigenvector;
+        # the certificate: player 1 from its own
+        assert [(player, psi0 is None) for player, _, _, _, psi0
+                in solved] == [(1, True), (2, False), (1, False)]
+        assert solved[1][4] is solved[0][2].psi
+        assert solved[2][4] is solved[0][2].psi
+        assert sum(ep.iterations for _, _, ep, _, _ in solved) <= 30
+        for player, opp, ep, sel, _ in solved:
+            _assert_holds_dense_root(
+                model, trunc, *((sel, opp) if player == 1 else (opp, sel)),
+                player, ep.bracket,
+                _response_operator(model, trunc, opp, player).alpha)
 
 
 class TestNashIterate:
@@ -353,16 +435,28 @@ class TestSolverFailure:
         model = shop_model()
         trunc = truncate(model, 20)
         _fail_nth_solve(monkeypatch, player=2, n=2)
+        certified = _record_certify(monkeypatch)
         cert = nash_iterate(model, trunc, damping=0.5, eps=1e-300)
+        monkeypatch.undo()
+        _fail_nth_solve(monkeypatch, player=2, n=2)
+        _cold_starts(monkeypatch)
+        cold = nash_iterate(model, trunc, damping=0.5, eps=1e-300)
         monkeypatch.undo()
         assert cert.status == "max_iter"
         assert cert.rounds == 2
         assert cert.trace[-1] == {"round": 2, "error": "forced failure"}
+        tol = 1e-10
+        _assert_same_certificate(cert, cold, trunc.states, tol)
+        # the warm-started certificate holds the values of cold solves of
+        # its own pair, within tol
         fresh = certify(model, trunc, cert.v1, cert.v2, eps=1e-300)
-        assert (cert.rho1, cert.rho2) == fresh.rho_pair
-        assert (cert.delta1, cert.delta2) == (fresh.delta1, fresh.delta2)
-        assert cert.eigen1.rho == fresh.br_eigen[0].rho
-        assert cert.eigen2.rho == fresh.br_eigen[1].rho
+        assert fresh.passed is False
+        assert [cert.rho1, cert.rho2, cert.delta1, cert.delta2,
+                cert.eigen1.rho, cert.eigen2.rho] == pytest.approx(
+            [*fresh.rho_pair, fresh.delta1, fresh.delta2,
+             fresh.br_eigen[0].rho, fresh.br_eigen[1].rho], abs=tol)
+        assert len(certified) == 1  # round two failed before certifying
+        _assert_brackets_hold_dense_roots(model, trunc, *certified[0])
 
     def test_first_round_failure_propagates(self, monkeypatch):
         model = shop_model()
@@ -431,16 +525,36 @@ class TestConverseCheck:
         report = converse_check(model, trunc, p1, p2, tol=1e-9)
         assert report.worst() <= 1e-9
 
-    def test_report_on_given_eigenpairs_matches_check(self):
+    def test_report_on_given_eigenpairs_matches_check(self, monkeypatch):
         rng = np.random.default_rng(46)
         model = random_game(rng, n_states=3, m1=2, m2=2)
         trunc = truncate(model, 3)
+        tol = 1e-10
+        certified = _record_certify(monkeypatch)
         cert = nash_iterate(model, trunc, damping=0.5, max_rounds=2,
-                            eps=1e-12)
+                            eps=1e-12, tol=tol)
+        monkeypatch.undo()
+        _cold_starts(monkeypatch)
+        cold = nash_iterate(model, trunc, damping=0.5, max_rounds=2,
+                            eps=1e-12, tol=tol)
+        monkeypatch.undo()
+        _assert_same_certificate(cert, cold, trunc.states, tol)
+        assert len(certified) == 2
+        for record in certified:
+            _assert_brackets_hold_dense_roots(model, trunc, *record)
+        # the report on the certificate's warm-started eigenpairs matches
+        # the check's cold solves: verdicts exactly, values within tol
         report = converse_report(model, trunc, cert.v1, cert.v2,
-                                 (cert.eigen1, cert.eigen2), tol=1e-10)
-        assert report == converse_check(model, trunc, cert.v1, cert.v2,
-                                        tol=1e-10)
+                                 (cert.eigen1, cert.eigen2), tol=tol)
+        check = converse_check(model, trunc, cert.v1, cert.v2, tol=tol)
+        assert report.passed == check.passed
+        for got, want in zip(report.players, check.players):
+            assert (got.player, got.worst_state, got.passed) == (
+                want.player, want.worst_state, want.passed)
+            assert [got.rho, got.worst_defect, got.threshold] == (
+                pytest.approx([want.rho, want.worst_defect, want.threshold],
+                              abs=tol))
+            assert got.defects == pytest.approx(want.defects, abs=tol)
 
     def test_fixed_point_consistency(self):
         rng = np.random.default_rng(45)
