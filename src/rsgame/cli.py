@@ -37,6 +37,7 @@ from .eigensolver import ConvergenceError, principal_eigenpair, truncation_ladde
 from .generator import assemble
 from .model import (
     ShopParams,
+    _write_json,
     load_model,
     shop_boundary_cut,
     shop_lyapunov_spec,
@@ -179,14 +180,6 @@ def _check_model(model, top):
         raise ValueError(f"invalid model: {report.violations[0]}")
 
 
-def _write_json(path, payload):
-    """Write ``payload`` as indented, key-sorted JSON and a newline, in one
-    write: ``json.dump`` would make one small write per token."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -258,9 +251,11 @@ def _run_ladder(config: RunConfig) -> int:
     return 0 if len(rhos) == len(result.rungs) else 1
 
 
-def _check_hitting_states(config: RunConfig):
-    """Reject hitting targets and starts outside the truncation: psi is
-    known only on ``1..trunc``, and a target outside it is never hit."""
+def _hitting_states(config: RunConfig) -> tuple:
+    """The hitting check's targets and starts within the truncation: the
+    flags', or by default ``1..5`` and the five states above.  Rejects a
+    state outside the truncation (psi is known only on ``1..trunc``, and a
+    target outside it is never hit) and starts that are all targets."""
     n = config.trunc[0]
     for flag, states in (("--hit-targets", config.hit_targets),
                          ("--hit-starts", config.hit_starts)):
@@ -268,13 +263,20 @@ def _check_hitting_states(config: RunConfig):
             if not 1 <= s <= n:
                 raise ValueError(f"{flag}: state {s} lies outside the "
                                  f"truncation 1..{n}")
+    targets = config.hit_targets or tuple(range(1, min(5, n) + 1))
+    starts = config.hit_starts or tuple(
+        s for s in range(max(targets) + 1, max(targets) + 6) if s <= n)
+    if all(s in targets for s in starts):
+        raise ValueError(f"--hitting tests no start: every start lies in "
+                         f"the target set {sorted(set(targets))}")
+    return targets, starts
 
 
 def _run_simulate(config: RunConfig) -> int:
     model = _load(config)
     _check_model(model, None if model.is_finite else config.trunc[0])
     if config.hitting:  # reject bad hitting input before any path runs
-        _check_hitting_states(config)
+        targets, starts = _hitting_states(config)
         trunc = truncate(model, config.trunc[0])
     v1 = uniform_strategy(model, 1)
     v2 = uniform_strategy(model, 2)
@@ -297,9 +299,6 @@ def _run_simulate(config: RunConfig) -> int:
             config.tol)
         for note in ep.warnings:
             print(f"simulate: warning: {note}")
-        targets = config.hit_targets or tuple(range(1, min(5, n) + 1))
-        starts = config.hit_starts or tuple(
-            s for s in range(max(targets) + 1, max(targets) + 6) if s <= n)
         report = hitting_representation_check(
             model, v1, v2, config.player, ep.psi_map(), ep.rho,
             set(targets), list(starts), config.paths, config.seed,

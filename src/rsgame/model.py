@@ -1036,7 +1036,7 @@ class ShopParams:
 
     def payoff(self, player: int, i: int, u: float) -> float:
         """``payoff_k(i, u)``; by default ``fee_k * i * (1/4 + u / (2 *
-        action_max))``."""
+        action_max))``, which also takes numpy arrays ``i`` and ``u``."""
         fn = self.payoff1 if player == 1 else self.payoff2
         if fn is not None:
             return fn(i, u)
@@ -1177,23 +1177,17 @@ def shop_model(params: ShopParams | None = None) -> GameModel:
 def _shop_game(params: ShopParams) -> GameModel:
     """The shop model of ``params``, which are not validated."""
     boundary = _shop_boundary_row(params)
-    grids, values = {}, {}
-
-    def action_grids(player, i):
-        # state 1 has special grids; elsewhere the grid is state-independent
-        key = (player, i if i == 1 else 0)
-        g = grids.get(key)
-        if g is None:
-            g = grids[key] = params.grid(player, i)
-            values[key] = g.tolist()  # Python floats: cheaper arithmetic
-        return g
+    # both grids in Python floats, at state 1 (key 1) and at every other
+    # state (key 0): cheaper per pair than numpy, and raising where it warns
+    values = {}
 
     def actions(i, ia, ib):
-        s = i if i == 1 else 0
-        if (2, s) not in values:
-            action_grids(1, i)
-            action_grids(2, i)
-        return values[(1, s)][ia], values[(2, s)][ib]
+        s = 1 if i == 1 else 0
+        grids = values.get(s)
+        if grids is None:
+            grids = values[s] = (params.grid(1, i).tolist(),
+                                 params.grid(2, i).tolist())
+        return grids[0][ia], grids[1][ib]
 
     def rate_fn(i, ia, ib):
         return shop_row(params, i, *actions(i, ia, ib), boundary=boundary)
@@ -1201,7 +1195,7 @@ def _shop_game(params: ShopParams) -> GameModel:
     def cost_fn(i, ia, ib):
         return shop_costs(params, i, *actions(i, ia, ib))
 
-    return _ShopGame(params, rate_fn, cost_fn, action_grids)
+    return _ShopGame(params, rate_fn, cost_fn)
 
 
 def _exact_float(x) -> bool:
@@ -1217,14 +1211,14 @@ class _ShopGame(GameModel):
     diagonal ``-(down + up)``, as ``shop_row`` adds it up; those rows are
     built for a run of states at once.  State 1 and the coupled states go
     through ``rate_fn``, one pair at a time.  The default payoffs give every
-    cost as ``i * fee - fee * i * (0.25 + 0.5 * u / action_max)`` in one
-    array; custom payoffs, and a zero ``action_max`` (whose division
-    raises), go through ``cost_fn``.  Parameters that are not plain numbers
-    take the ``rate_fn`` and ``cost_fn`` paths throughout.
+    cost from one ``shop_costs`` call on arrays; custom payoffs, and a zero
+    ``action_max`` (whose division raises), go through ``cost_fn``.
+    Parameters that are not plain numbers take the ``rate_fn`` and
+    ``cost_fn`` paths throughout.
     """
 
-    def __init__(self, params: ShopParams, rate_fn, cost_fn, action_grids):
-        super().__init__(rate_fn, cost_fn, action_grids, n_states=None,
+    def __init__(self, params: ShopParams, rate_fn, cost_fn):
+        super().__init__(rate_fn, cost_fn, params.grid, n_states=None,
                          anchor=1, name="shop", meta={"shop_params": params})
         self._params = params
         self._arrays = all(map(_exact_float, (
@@ -1282,12 +1276,9 @@ class _ShopGame(GameModel):
                 u1.append(np.tile(np.repeat(g1, g2.size), b - a + 1))
                 u2.append(np.tile(g2, g1.size * (b - a + 1)))
         i = np.repeat(np.arange(lo, hi + 1, dtype=float), per)
-        cost = np.empty((i.size, 2))
         with np.errstate(all="ignore"):
-            for k, fee, u in ((0, params.fee1, u1), (1, params.fee2, u2)):
-                cost[:, k] = i * fee - fee * i * (
-                    0.25 + 0.5 * np.concatenate(u) / params.action_max)
-        return cost, {}
+            cost = shop_costs(params, i, np.concatenate(u1), np.concatenate(u2))
+        return np.stack(cost, axis=1), {}
 
 
 def shop_lyapunov_spec(params: ShopParams | None = None) -> LyapunovSpec:
@@ -1792,10 +1783,16 @@ def model_to_dict(model: GameModel) -> dict:
             "actions": actions, "rates": rates, "costs": costs}
 
 
-def save_model(model: GameModel, path) -> None:
+def _write_json(path, payload):
+    """Write ``payload`` as indented, key-sorted JSON and a newline, in one
+    write: ``json.dump`` would make one small write per token."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_model(model: GameModel, path) -> None:
+    _write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> GameModel:

@@ -24,6 +24,7 @@ happened; it never fabricates convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 STRATEGY_QUANTUM = 1e-12
+EXHAUSTIVE_PROFILES = 64
 
 
 def response_values(model: GameModel, truncation: Truncation,
@@ -339,30 +341,15 @@ def profile_count(model: GameModel, truncation: Truncation,
     return total
 
 
-def _pure_pairs(model, truncation):
-    sizes1 = [model.n_actions(1, i) for i in truncation.states]
-    sizes2 = [model.n_actions(2, i) for i in truncation.states]
-
-    def selectors(sizes):
-        combos = [()]
-        for m in sizes:
-            combos = [c + (a,) for c in combos for a in range(m)]
-        return combos
-
-    for s1 in selectors(sizes1):
-        for s2 in selectors(sizes2):
-            yield s1, s2
-
-
 def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
-              damping: float = 1.0, max_rounds: int = 100,
-              tol: float = 1e-10, max_iter: int | None = None,
-              exhaustive_cap: int = 64) -> NashCertificate:
+              damping: float = 1.0, max_rounds: int = 100, tol: float = 1e-10,
+              max_iter: int | None = None) -> NashCertificate:
     """Equilibrium search with fallbacks.
 
     Tries plain best-response iteration, then a damped restart from the
-    uniform pair, then (when the game has at most ``exhaustive_cap`` pure
-    profiles) an exhaustive certification sweep over pure pairs.  The
+    uniform pair, then (when the game has at most ``EXHAUSTIVE_PROFILES``
+    pure profiles) an exhaustive certification sweep over pure pairs in
+    lexicographic order, player 1's selector varying slowest.  The
     returned certificate is honest: if nothing converged, the best
     attempt's status says so.
     """
@@ -375,8 +362,10 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
     if retry.converged:
         return retry
     best = min((cert, retry), key=lambda c: c.gap)
-    if profile_count(model, truncation) <= exhaustive_cap:
-        for s1, s2 in _pure_pairs(model, truncation):
+    if profile_count(model, truncation) <= EXHAUSTIVE_PROFILES:
+        grids = [[range(model.n_actions(p, i)) for i in truncation.states]
+                 for p in (1, 2)]
+        for s1, s2 in product(product(*grids[0]), product(*grids[1])):
             p1 = pure_strategy(model, 1, lambda i, s=s1: s[i - 1])
             p2 = pure_strategy(model, 2, lambda i, s=s2: s[i - 1])
             try:

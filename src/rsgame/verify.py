@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -135,12 +136,6 @@ def _status(model, spec, witnesses):
     if not model.is_finite and not (spec is not None and spec.tail_certified):
         return NEEDS_TAIL
     return HOLDS
-
-
-def _action_pairs(model, i):
-    for ia in range(model.n_actions(1, i)):
-        for ib in range(model.n_actions(2, i)):
-            yield ia, ib
 
 
 def _weighted_drifts(table, W):
@@ -314,7 +309,8 @@ def check_anchor_row(model: GameModel, i0: int | None = None,
             targets = [int(j) for j in model.row(i0, 0, 0).cols]
     targets = [j for j in targets if j != i0]
     witnesses = []
-    for ia, ib in _action_pairs(model, i0):
+    for ia, ib in product(range(model.n_actions(1, i0)),
+                          range(model.n_actions(2, i0))):
         row = model.row(i0, ia, ib)
         have = dict(zip((int(j) for j in row.cols), row.rates))
         for j in targets:
@@ -389,16 +385,16 @@ def _display(key, description, witnesses, margin):
 def _least_payoffs(params: ShopParams, k: int, model: GameModel, table,
                    own: np.ndarray) -> np.ndarray:
     """``min(params.payoff(k, s, u) for u in grid)`` at each state ``s`` of
-    the pair table.  Default payoffs are one array over the pairs, whose
-    own actions are ``own``, in ``ShopParams.payoff``'s order of
-    operations; custom ones, and parameters that numpy would not compute
-    as Python does, are called once per state and action."""
+    the pair table.  Default payoffs are one ``ShopParams.payoff`` call on
+    the arrays of the pairs, whose own actions are ``own``; custom ones,
+    and parameters that numpy would not compute as Python does, are
+    called once per state and action."""
     fee = params.fee1 if k == 1 else params.fee2
     if (params.payoff1 if k == 1 else params.payoff2) is None and all(
             map(_exact_float, (fee, params.action_max))):
         i = np.asarray(table.states)[table.state]
         with np.errstate(all="ignore"):
-            payoff = fee * i * (0.25 + 0.5 * own / params.action_max)
+            payoff = params.payoff(k, i, own)
         return np.minimum.reduceat(payoff, table.starts)
     return np.array([min(params.payoff(k, s, u)
                          for u in model.action_values(k, s))

@@ -420,6 +420,23 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trunc, hit", [
+        ("5", []), ("40", ["--hit-targets", "1,2,3", "--hit-starts", "2,3"])])
+    def test_hitting_check_that_tests_no_start_exits_two(self, trunc, hit,
+                                                         tmp_path, capsys):
+        # the default targets 1..5 fill a truncation at 5, and the starts
+        # given lie in the targets: either way no start would be tested
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--builtin", "shop", "--trunc", trunc,
+                     "--horizon", "10", "--paths", "200", "--batches", "10",
+                     "--hitting", *hit, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        targets = "[1, 2, 3, 4, 5]" if trunc == "5" else "[1, 2, 3]"
+        assert ("--hitting tests no start: every start lies in the target "
+                f"set {targets}") in err
+        assert not out.exists()
+        assert not (tmp_path / "sim.csv.hitting.csv").exists()
+
     def test_hitting_truncation_beyond_finite_model_exits_two(self, tmp_path,
                                                              capsys):
         model_path = tmp_path / "flip.json"

@@ -484,6 +484,33 @@ class TestFindNash:
         else:
             assert cert.status in ("cycle_detected", "max_iter")
 
+    def test_pure_sweep_finds_the_only_pure_equilibrium(self, monkeypatch):
+        # best responses cycle here, and so does the damped restart; the
+        # sweep certifies pure pairs in lexicographic order, player 1's
+        # selector varying slowest, until the first that passes
+        model = random_game(np.random.default_rng(22), n_states=2, m1=3,
+                            m2=2, cost_scale=1.0)
+        trunc = truncate(model, 2)
+        assert nash_iterate(model, trunc, eps=1e-8,
+                            tol=1e-11).status == "cycle_detected"
+        certified = _record_certify(monkeypatch)
+        cert = find_nash(model, trunc, eps=1e-8, tol=1e-11)
+        assert cert.status == "converged"
+        assert cert.rounds == 0
+        assert cert.trace == ({"note": "exhaustive pure-profile search"},)
+        nash_set, _ = oracle_pure_nash_pairs(model, 2)
+
+        def selector(v):
+            return tuple(int(np.argmax(v.weights(i))) for i in trunc.states)
+
+        found = (selector(cert.v1), selector(cert.v2))
+        assert nash_set == {found}
+        order = [(s1, s2) for s1 in enumerate_selectors([3, 3])
+                 for s2 in enumerate_selectors([2, 2])]
+        sweep = order[:order.index(found) + 1]
+        assert [(selector(v1), selector(v2))
+                for v1, v2, _ in certified[-len(sweep):]] == sweep
+
     def test_profile_count(self):
         model = matching_pennies()
         trunc = truncate(model, 1)
