@@ -28,6 +28,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -84,8 +85,8 @@ class RunConfig:
         if self.builtin is not None and self.builtin != "shop":
             raise ValueError(f"unknown builtin {self.builtin!r}")
         for name in ("tol", "eps", "horizon", "damping"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"--{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"--{name} must be positive and finite")
         for name in ("paths", "batches", "max_rounds", "workers",
                      "check_range"):
             if getattr(self, name) < 1:
@@ -102,28 +103,53 @@ def _parse_int_list(text):
     return tuple(int(x) for x in str(text).split(",") if x != "")
 
 
-_LIST_KEYS = {"trunc", "hit_targets", "hit_starts"}
+# The JSON values a config file may give a field, by the field's type (see
+# _file_value for tuples); a field typed "... | None" also takes null.
+_FILE_TYPES = {"bool": (bool, "true or false"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _file_value(field, value):
+    """Config-file ``value`` of ``field`` as the field takes it; a
+    ``ValueError`` naming the key when its type is wrong."""
+    if field.type == "tuple":
+        if isinstance(value, list) and all(type(x) is int for x in value):
+            return tuple(value)
+        if type(value) in (int, str):
+            try:
+                return _parse_int_list(value)
+            except ValueError:
+                pass
+        want = "a list of integers or a comma-separated string"
+    else:
+        kind = field.type.removesuffix(" | None")
+        types, want = _FILE_TYPES[kind]
+        if (value is None and kind != field.type) or (
+                isinstance(value, types)
+                and (type(value) is bool) == (kind == "bool")):
+            return value
+    raise ValueError(f"config key {field.name!r} must be {want}, "
+                     f"got {json.dumps(value)}")
 
 
 def _build_config(args) -> RunConfig:
-    defaults = {f.name: f.default for f in fields(RunConfig)}
-    merged = dict(defaults)
-    merged["command"] = args.command
+    file_fields = [f for f in fields(RunConfig) if f.name != "command"]
+    merged = {f.name: f.default for f in file_fields}
     if args.config:
         with open(args.config) as fh:
             file_conf = json.load(fh)
-        unknown = set(file_conf) - (set(defaults) - {"command"})
+        if not isinstance(file_conf, dict):
+            raise ValueError("a config file must hold a JSON object")
+        unknown = set(file_conf) - set(merged)
         if unknown:
             raise ValueError(f"unknown config key(s) {sorted(unknown)}")
-        for key, value in file_conf.items():
-            merged[key] = _parse_int_list(value) if key in _LIST_KEYS else value
-    for key in defaults:
+        merged.update((f.name, _file_value(f, file_conf[f.name]))
+                      for f in file_fields if f.name in file_conf)
+    for key in merged:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             merged[key] = cli_value
-    if isinstance(merged["trunc"], (int, float)):
-        merged["trunc"] = (int(merged["trunc"]),)
-    config = RunConfig(**merged)
+    config = RunConfig(command=args.command, **merged)
     config.validate()
     return config
 

@@ -22,7 +22,7 @@ import math
 import sys
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -285,12 +285,6 @@ class GameModel:
 
     def cost(self, player: int, i: int, ia: int, ib: int) -> float:
         return self.costs(i, ia, ib)[player - 1]
-
-    def exit_rate_bound(self, i: int) -> float:
-        """Largest exit rate at ``i`` over all pure action pairs."""
-        return max(self.row(i, ia, ib).exit_rate
-                   for ia in range(self.n_actions(1, i))
-                   for ib in range(self.n_actions(2, i)))
 
     def __repr__(self):
         size = self.n_states if self.is_finite else "countable"
@@ -948,12 +942,6 @@ class Truncation:
             raise KeyError(f"state {state} outside truncation of size {self.n}")
         return state - 1
 
-    def __contains__(self, state: int) -> bool:
-        return 1 <= state <= self.n
-
-    def __len__(self) -> int:
-        return self.n
-
 
 def truncate(model: GameModel, n: int) -> Truncation:
     """Truncation to the first ``n`` states of the model.
@@ -1059,9 +1047,29 @@ class ShopParams:
         selling perturbation at the boundary).
         """
         full = np.linspace(0.0, self.action_max, self.n_actions)
-        if i == 1:
+        if _shop_grid_state(i) == 1:
             return full[full > 0.0] if player == 1 else np.array([0.0])
         return full
+
+
+def _shop_grid_state(i):
+    """The state whose action grids the shop's state ``i`` (or each of an
+    array of states) has: 1 at state 1, 2 elsewhere (see ShopParams.grid)."""
+    return 2 - (i == 1)
+
+
+def _shop_actions(model: GameModel, i, a1, a2) -> tuple:
+    """Both players' action values at the pairs ``(i, a1, a2)`` (arrays) of
+    the shop ``model``, reading state 1's grids only when some pair lies
+    there and state 2's only when some pair lies elsewhere."""
+    grid_state = _shop_grid_state(i)
+    u1, u2 = np.empty(grid_state.size), np.empty(grid_state.size)
+    for s in (1, 2):
+        at = grid_state == s
+        if at.any():
+            u1[at] = model.action_values(1, s)[a1[at]]
+            u2[at] = model.action_values(2, s)[a2[at]]
+    return u1, u2
 
 
 def shop_drift_margin(params: ShopParams) -> float:
@@ -1177,23 +1185,20 @@ def shop_model(params: ShopParams | None = None) -> GameModel:
 def _shop_game(params: ShopParams) -> GameModel:
     """The shop model of ``params``, which are not validated."""
     boundary = _shop_boundary_row(params)
-    # both grids in Python floats, at state 1 (key 1) and at every other
-    # state (key 0): cheaper per pair than numpy, and raising where it warns
-    values = {}
 
-    def actions(i, ia, ib):
-        s = 1 if i == 1 else 0
-        grids = values.get(s)
-        if grids is None:
-            grids = values[s] = (params.grid(1, i).tolist(),
-                                 params.grid(2, i).tolist())
-        return grids[0][ia], grids[1][ib]
+    # each grid state's grids in Python floats: cheaper per pair than
+    # numpy, and raising where it warns
+    @cache
+    def grids(s):
+        return params.grid(1, s).tolist(), params.grid(2, s).tolist()
 
     def rate_fn(i, ia, ib):
-        return shop_row(params, i, *actions(i, ia, ib), boundary=boundary)
+        g1, g2 = grids(_shop_grid_state(i))
+        return shop_row(params, i, g1[ia], g2[ib], boundary=boundary)
 
     def cost_fn(i, ia, ib):
-        return shop_costs(params, i, *actions(i, ia, ib))
+        g1, g2 = grids(_shop_grid_state(i))
+        return shop_costs(params, i, g1[ia], g2[ib])
 
     return _ShopGame(params, rate_fn, cost_fn)
 
@@ -1241,8 +1246,9 @@ class _ShopGame(GameModel):
 
     def _interior_blocks(self, lo: int, hi: int):
         """The rows of states ``lo..hi``, none of them 1 or coupled."""
-        try:  # one grid serves every state but 1
-            k1, k2 = self.n_actions(1, lo), self.n_actions(2, lo)
+        s = _shop_grid_state(lo)  # the grid state of every state here
+        try:
+            k1, k2 = self.n_actions(1, s), self.n_actions(2, s)
         except ValueError:  # empty grids: each state keeps its own errors
             yield from super()._row_blocks(lo, hi)
             return
@@ -1268,16 +1274,13 @@ class _ShopGame(GameModel):
                 or params.action_max == 0 or not self._arrays):
             return super()._cost_block(lo, hi)
         store = self._rows
-        per = store.m1[lo - 1:hi] * store.m2[lo - 1:hi]
-        u1, u2 = [np.zeros(0)], [np.zeros(0)]
-        for a, b in ((lo, min(hi, 1)), (max(lo, 2), hi)):  # state 1, the rest
-            if a <= b and per[a - lo]:
-                g1, g2 = self.action_values(1, a), self.action_values(2, a)
-                u1.append(np.tile(np.repeat(g1, g2.size), b - a + 1))
-                u2.append(np.tile(g2, g1.size * (b - a + 1)))
+        starts, m2 = store.starts[lo - 1:hi], store.m2[lo - 1:hi]
+        per = store.m1[lo - 1:hi] * m2
         i = np.repeat(np.arange(lo, hi + 1, dtype=float), per)
+        a1, a2 = np.divmod(np.arange(starts[0], store.starts[hi])
+                           - np.repeat(starts, per), np.repeat(m2, per))
         with np.errstate(all="ignore"):
-            cost = shop_costs(params, i, np.concatenate(u1), np.concatenate(u2))
+            cost = shop_costs(params, i, *_shop_actions(self, i, a1, a2))
         return np.stack(cost, axis=1), {}
 
 

@@ -50,8 +50,6 @@ __all__ = [
     "CertifyResult",
     "NashCertificate",
     "ConverseReport",
-    "response_values",
-    "argmin_sets",
     "certify",
     "nash_iterate",
     "find_nash",
@@ -64,46 +62,15 @@ STRATEGY_QUANTUM = 1e-12
 EXHAUSTIVE_PROFILES = 64
 
 
-def response_values(model: GameModel, truncation: Truncation,
-                    opponent_strategy: StationaryStrategy, player: int,
-                    psi: np.ndarray):
-    """Frozen-opponent objective per state and own action.
-
-    Entry ``[i][a]`` is ``sum_j psi(j) q^a_ij + c^a(i) psi(i)`` with the
-    opponent averaged out, the full-space diagonal kept, and ``psi``
-    extended by zero outside the truncation.
-    """
-    op, z = _objective(model, truncation, opponent_strategy, player, psi)
-    return [z[op.starts[i]:op.starts[i] + op.counts[i]]
-            for i in range(truncation.n)]
-
-
 def _objective(model: GameModel, truncation: Truncation,
                opponent_strategy: StationaryStrategy, player: int,
                psi: np.ndarray) -> tuple:
-    """The frozen-opponent operator and the objective of
-    :func:`response_values` over all of its state-action rows at once."""
+    """The frozen-opponent operator and its objective at every state-action
+    row at once: ``sum_j psi(j) q^a_ij + c^a(i) psi(i)`` at row ``(i, a)``,
+    with the opponent averaged out, the full-space diagonal kept, and
+    ``psi`` extended by zero outside the truncation."""
     op = _response_operator(model, truncation, opponent_strategy, player)
     return op, op.S @ psi - op.alpha * psi[op.owner]
-
-
-def argmin_sets(model: GameModel, truncation: Truncation,
-                opponent_strategy: StationaryStrategy, player: int,
-                eigenpair: EigenPair, slack: float | None = None) -> dict:
-    """Per-state sets of actions attaining the frozen-opponent minimum.
-
-    ``slack`` is the absolute tie tolerance on the objective, scaled by
-    ``psi`` at the state; defaults to ``10 * residual * (1 + |rho|)``.
-    """
-    if slack is None:
-        slack = 10.0 * max(eigenpair.residual, 1e-15) * (1.0 + abs(eigenpair.rho))
-    values = response_values(model, truncation, opponent_strategy, player,
-                             eigenpair.psi)
-    sets = {}
-    for i, vals in zip(truncation.states, values):
-        cut = vals.min() + slack * eigenpair.psi[i - 1]
-        sets[i] = tuple(int(a) for a in np.flatnonzero(vals <= cut))
-    return sets
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ class _AveragedChain:
 
     def cover(self, state: int) -> None:
         """Extend the tables to hold ``state``."""
+        if state < 1:
+            raise ValueError(f"state {state} is not a state of the model")
         if state <= self.top:
             return
         model, v1, v2 = self._model(), self._v1(), self._v2()
@@ -420,9 +422,6 @@ class TrajectorySample:
     @property
     def n_jumps(self) -> int:
         return len(self.times) - 1
-
-    def holding_times(self) -> np.ndarray:
-        return np.diff(self.times)
 
 
 def sample_path(model: GameModel, v1: StationaryStrategy,

@@ -33,6 +33,7 @@ from .model import (
     shop_drift_margin,
     shop_lyapunov_spec,
     _exact_float,
+    _shop_actions,
     _shop_boundary_row,
     _shop_game,
 )
@@ -449,17 +450,7 @@ def shop_condition_report(params: ShopParams, states,
     w, drift = _weighted_drifts(table, W)
     i = np.asarray(states)[table.state]
     w = w[table.state]
-
-    # the shop's grids differ only at state 1 (see ShopParams.grid), so
-    # each player's two grids are read once
-    at_one = i == 1
-
-    def actions(k, a):
-        u = model.action_values(k, 2)[np.where(at_one, 0, a)]
-        u[at_one] = model.action_values(k, 1)[a[at_one]]
-        return u
-
-    u1, u2 = actions(1, table.a1), actions(2, table.a2)
+    u1, u2 = _shop_actions(model, i, table.a1, table.a2)
     kappa = np.array([s in params.coupled_states for s in states])[table.state]
     ell_s = np.array([ell(s) for s in states])
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import os
 import time
 import weakref
@@ -973,6 +974,51 @@ class TestConfigHandling:
         assert main(["solve", "--model", decoupled_path, "--eps", "-1"]) == 2
         assert main(["solve", "--model", decoupled_path, "--player", "3"]) == 2
         assert main(["ladder", "--builtin", "shop", "--trunc", "0"]) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ('[{"a": 1}]', None), ("7", None), ('{"tol": "x"}', "tol"),
+        ('{"seed": "1"}', "seed"), ('{"fixed_uniform": "no"}', "fixed_uniform"),
+        ('{"horizon": true}', "horizon"), ('{"out": 5}', "out"),
+        ('{"trunc": "[10"}', "trunc"), ('{"trunc": [10, 2.5]}', "trunc"),
+    ])
+    def test_config_values_of_the_wrong_type_rejected(self, text, key,
+                                                      tmp_path, capsys):
+        conf = tmp_path / "run.json"
+        conf.write_text(text)
+        out = tmp_path / "out"
+        assert main(["ladder", "--builtin", "shop", "--config", str(conf),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"config key {key!r}" if key else "a JSON object") in err
+        assert not out.exists()
+
+    def test_config_trunc_list_is_the_flag(self, tmp_path):
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"builtin": "shop", "trunc": [10, 20]}))
+        blobs = []
+        for args in (["--config", str(conf)],
+                     ["--builtin", "shop", "--trunc", "10,20"]):
+            out = tmp_path / f"ladder{len(blobs)}.csv"
+            assert main(["ladder", *args, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("name", ["tol", "eps", "horizon", "damping"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, name, value):
+        config = cli.RunConfig(command="solve", builtin="shop",
+                               **{name: value})
+        with pytest.raises(ValueError, match=f"--{name} must be positive "
+                                             "and finite"):
+            config.validate()
+
+    @pytest.mark.parametrize("start", ["0", "-3"])
+    def test_start_below_state_one_rejected(self, start, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--builtin", "shop", "--start", start,
+                     "--paths", "20", "--horizon", "5", "--out",
+                     str(out)]) == 2
+        assert f"state {start} is not a state" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["solve", "--trunc", "2"],

@@ -232,7 +232,7 @@ class TestTruncation:
         t3 = truncate(model, 3)
         t4 = truncate(model, 4)
         assert set(t3.states) < set(t4.states)
-        assert model.anchor in t3
+        assert model.anchor in t3.states
         with pytest.raises(ValueError):
             truncate(model, 0)
 
@@ -636,10 +636,6 @@ class TestGameModelBasics:
         with pytest.raises(ValueError, match="limit"):
             model.states()
         assert list(model.states(3)) == [1, 2, 3]
-
-    def test_exit_rate_bound(self):
-        model = shop_model()
-        assert model.exit_rate_bound(5) == 15.0
 
 
 class TestValidateNeverRaises:

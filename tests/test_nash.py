@@ -21,7 +21,6 @@ from rsgame.model import (
     uniform_strategy,
 )
 from rsgame.nash import (
-    argmin_sets,
     certify,
     converse_check,
     converse_report,
@@ -121,9 +120,9 @@ class TestBestResponse:
             want = int(np.argmin([model.cost(1, i, a, 0) for a in range(2)]))
             assert sel.weights(i)[want] == 1.0
 
-    def test_argmin_sets_expose_ties(self):
-        # duplicate player-1 action: both copies attain the minimum
-        rng = np.random.default_rng(32)
+    def test_tied_actions_have_zero_defects(self):
+        # duplicate player-1 action: both copies, and any mix of them,
+        # attain the minimum at every state
         rates, costs, grids = {}, {}, {}
         for i in (1, 2):
             grids[(1, i)] = [0.0, 1.0]
@@ -135,11 +134,15 @@ class TestBestResponse:
                 costs[(i, ia, 0)] = (0.4 * i, 0.1)
         model = tabular_model(rates, costs, grids, n_states=2)
         trunc = truncate(model, 2)
-        ep, sel = best_response_eigenpair(model, trunc,
-                                          uniform_strategy(model, 2), 1)
-        sets = argmin_sets(model, trunc, uniform_strategy(model, 2), 1, ep)
-        assert sets == {1: (0, 1), 2: (0, 1)}
+        v2 = uniform_strategy(model, 2)
+        ep, sel = best_response_eigenpair(model, trunc, v2, 1)
         assert sel.weights(1).tolist() == [1.0, 0.0]
+        other = pure_strategy(model, 1, lambda i: 1)
+        for v1 in (sel, other,
+                   mix_strategies(model, sel, other, 0.5, trunc.states)):
+            ep2, _ = best_response_eigenpair(model, trunc, v1, 2)
+            report = converse_report(model, trunc, v1, v2, (ep, ep2))
+            assert report.players[0].defects == (0.0, 0.0)
 
 
 class TestCertify:
@@ -612,8 +615,8 @@ class TestConverseCheck:
                                  cert.eigen1),
                                 (report.players[1], cert.v2, cert.v1,
                                  cert.eigen2)):
-            values = nash.response_values(model, trunc, opp, p.player, ep.psi)
+            op, z = nash._objective(model, trunc, opp, p.player, ep.psi)
             want = tuple(
                 (float(own.weights(i) @ vals) - float(vals.min())) / ep.psi[i - 1]
-                for i, vals in zip(trunc.states, values))
+                for i, vals in zip(trunc.states, np.split(z, op.starts[1:])))
             assert np.array(p.defects).tobytes() == np.array(want).tobytes()

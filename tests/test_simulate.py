@@ -82,7 +82,7 @@ def _first_sojourns(n=10_000, seed=11):
         out = np.empty(n)
         for p in range(n):
             s = sample_path(model, v1, v2, 1, horizon=30.0, stream=(seed, p))
-            out[p] = s.holding_times()[0]
+            out[p] = s.times[1] - s.times[0]
         _SOJOURN_CACHE[key] = out
     return _SOJOURN_CACHE[key]
 
@@ -194,6 +194,17 @@ class TestSamplePath:
 
 
 class TestEstimateRiskCost:
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_start_below_state_one_rejected(self, start):
+        # entry 0 of the jump tables is an unused slot, not a state
+        model = shop_model()
+        v1, v2 = pair(model)
+        with pytest.raises(ValueError, match=f"state {start} is not a state"):
+            estimate_risk_cost(model, v1, v2, 1, start, horizon=5.0, paths=20,
+                               batches=10, seed=0)
+        with pytest.raises(ValueError, match=f"state {start} is not a state"):
+            sample_path(model, v1, v2, start, horizon=5.0, stream=(0, 0))
+
     def test_constant_cost_is_exact_with_zero_spread(self):
         model = absorbing_model(kappa=0.4)
         v1, v2 = pair(model)

@@ -415,6 +415,13 @@ class TestShopConditionReport:
         assert sorted(reads) == [(1, 1), (1, 2), (2, 1), (2, 2)]
         assert got.to_json_dict() == want.to_json_dict()
 
+    def test_state_one_grids_read_only_when_state_one_is_checked(self):
+        # one grid action: player 1's grid at state 1 is empty
+        params = ShopParams(n_actions=1)
+        assert shop_condition_report(params, range(2, 10)).all_pass
+        with pytest.raises(ValueError, match="empty action grid at state 1"):
+            shop_condition_report(params, range(1, 10))
+
     def test_json_rendering(self):
         report = shop_condition_report(ShopParams(), range(1, 10))
         doc = report.to_json_dict()
