@@ -38,6 +38,7 @@ from .eigensolver import ConvergenceError, principal_eigenpair, truncation_ladde
 from .generator import assemble
 from .model import (
     ShopParams,
+    _read_json,
     _write_json,
     load_model,
     shop_boundary_cut,
@@ -136,8 +137,7 @@ def _build_config(args) -> RunConfig:
     file_fields = [f for f in fields(RunConfig) if f.name != "command"]
     merged = {f.name: f.default for f in file_fields}
     if args.config:
-        with open(args.config) as fh:
-            file_conf = json.load(fh)
+        file_conf = _read_json(args.config)
         if not isinstance(file_conf, dict):
             raise ValueError("a config file must hold a JSON object")
         unknown = set(file_conf) - set(merged)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import sys
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -115,8 +116,8 @@ class GameModel:
     :class:`_PairStore`), filled one block of states at a time as states
     are asked for; :meth:`row` and :meth:`costs` read it.  The blocks come
     from :meth:`_row_blocks` and :meth:`_cost_block`, which call
-    ``rate_fn`` and ``cost_fn`` once per pair (the shop model builds most
-    of its blocks as arrays instead).
+    ``rate_fn`` and ``cost_fn`` once per pair (the shop model builds its
+    blocks as arrays instead, and has no ``rate_fn``).
     """
 
     def __init__(self, rate_fn, cost_fn, action_grids, n_states=None,
@@ -1007,6 +1008,10 @@ class ShopParams:
     ``i * fee_k - payoff_k(i, u_k)`` (nonnegative, unbounded in ``i``).
     State 1 has a dense conservative row reaching every state ``j`` up to
     a cutoff, with rates bounded by ``exp(-2 * theta * j)``.
+
+    On construction the float fields become Python floats, so that a
+    ``np.float32`` or an integer past 2**53 is computed in float64 from its
+    value, and ``n_actions`` and each coupled state ints (``operator.index``).
     """
 
     sell_rate: float = 2.0
@@ -1021,6 +1026,14 @@ class ShopParams:
     payoff2: Callable[[int, float], float] | None = None
     boundary_row: Mapping[int, float] | None = None
     boundary_tail_tol: float = 1e-15
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        object.__setattr__(self, "n_actions", operator.index(self.n_actions))
+        object.__setattr__(self, "coupled_states", frozenset(
+            map(operator.index, self.coupled_states)))
 
     def payoff(self, player: int, i: int, u: float) -> float:
         """``payoff_k(i, u)``; by default ``fee_k * i * (1/4 + u / (2 *
@@ -1046,7 +1059,8 @@ class ShopParams:
         positive there) and player 2's grid collapses to ``{0}`` (no
         selling perturbation at the boundary).
         """
-        full = np.linspace(0.0, self.action_max, self.n_actions)
+        with np.errstate(all="ignore"):  # an infinite action_max gives NaN
+            full = np.linspace(0.0, self.action_max, self.n_actions)
         if _shop_grid_state(i) == 1:
             return full[full > 0.0] if player == 1 else np.array([0.0])
         return full
@@ -1148,14 +1162,12 @@ def _shop_boundary_row(params: ShopParams) -> dict:
     return row
 
 
-def shop_row(params: ShopParams, i: int, u1: float, u2: float,
-             boundary: Mapping[int, float] | None = None) -> dict:
-    """Raw transition row of the shop model (no parameter validation).
-
-    ``boundary`` lets callers reuse a precomputed state-1 row.
-    """
+def shop_row(params: ShopParams, i: int, u1: float, u2: float) -> dict:
+    """Raw transition row ``{j: rate}``, diagonal included, of the shop
+    model at state ``i`` under action values ``(u1, u2)`` (no parameter
+    validation): the formula the shop model's array blocks follow."""
     if i == 1:
-        return dict(boundary) if boundary is not None else _shop_boundary_row(params)
+        return _shop_boundary_row(params)
     up = params.buy_rate * i + params.perturbation(i, u1)
     down = params.sell_rate * i + params.perturbation(i, u2)
     return {i - 1: down, i + 1: up, i: -(down + up)}
@@ -1184,94 +1196,77 @@ def shop_model(params: ShopParams | None = None) -> GameModel:
 
 def _shop_game(params: ShopParams) -> GameModel:
     """The shop model of ``params``, which are not validated."""
-    boundary = _shop_boundary_row(params)
-
     # each grid state's grids in Python floats: cheaper per pair than
     # numpy, and raising where it warns
     @cache
     def grids(s):
         return params.grid(1, s).tolist(), params.grid(2, s).tolist()
 
-    def rate_fn(i, ia, ib):
-        g1, g2 = grids(_shop_grid_state(i))
-        return shop_row(params, i, g1[ia], g2[ib], boundary=boundary)
-
     def cost_fn(i, ia, ib):
         g1, g2 = grids(_shop_grid_state(i))
         return shop_costs(params, i, g1[ia], g2[ib])
 
-    return _ShopGame(params, rate_fn, cost_fn)
-
-
-def _exact_float(x) -> bool:
-    """Whether numpy's float64 arithmetic on ``x`` is Python's."""
-    return isinstance(x, float) or (isinstance(x, int) and abs(x) <= 2 ** 53)
+    return _ShopGame(params, cost_fn)
 
 
 class _ShopGame(GameModel):
     """The shop model, whose blocks of rows and costs are arrays.
 
-    Every pair of a state ``i >= 2`` outside ``coupled_states`` has the row
-    ``{i - 1: sell_rate * i + 0.0, i + 1: buy_rate * i + 0.0}`` with
-    diagonal ``-(down + up)``, as ``shop_row`` adds it up; those rows are
-    built for a run of states at once.  State 1 and the coupled states go
-    through ``rate_fn``, one pair at a time.  The default payoffs give every
-    cost from one ``shop_costs`` call on arrays; custom payoffs, and a zero
+    Every pair of state 1 has the boundary row.  Every pair of a state
+    ``i >= 2`` has ``shop_row``'s row, added up in its order, with one
+    ``math.exp`` per coupled state.  The default payoffs give every cost
+    from one ``shop_costs`` call on arrays; custom payoffs, and a zero
     ``action_max`` (whose division raises), go through ``cost_fn``.
-    Parameters that are not plain numbers take the ``rate_fn`` and
-    ``cost_fn`` paths throughout.
     """
 
-    def __init__(self, params: ShopParams, rate_fn, cost_fn):
-        super().__init__(rate_fn, cost_fn, params.grid, n_states=None,
+    def __init__(self, params: ShopParams, cost_fn):
+        super().__init__(None, cost_fn, params.grid, n_states=None,
                          anchor=1, name="shop", meta={"shop_params": params})
         self._params = params
-        self._arrays = all(map(_exact_float, (
-            params.sell_rate, params.buy_rate, params.fee1, params.fee2,
-            params.action_max)))
 
     def _row_blocks(self, lo: int, hi: int):
-        if not self._arrays:
-            yield from super()._row_blocks(lo, hi)
-            return
-        coupled = self._params.coupled_states
-        scalar = [i for i in range(lo, hi + 1) if i == 1 or i in coupled]
-        a = lo
-        for b in scalar + [hi + 1]:
-            if a < b:
-                yield from self._interior_blocks(a, b - 1)
-            if b <= hi:
-                yield from super()._row_blocks(b, b)
-            a = b + 1
-
-    def _interior_blocks(self, lo: int, hi: int):
-        """The rows of states ``lo..hi``, none of them 1 or coupled."""
+        if lo == 1 < hi:  # state 1 has grids of its own
+            yield from self._row_blocks(1, 1)
+            lo = 2
         s = _shop_grid_state(lo)  # the grid state of every state here
         try:
-            k1, k2 = self.n_actions(1, s), self.n_actions(2, s)
+            g1, g2 = self.action_values(1, s), self.action_values(2, s)
         except ValueError:  # empty grids: each state keeps its own errors
             yield from super()._row_blocks(lo, hi)
             return
-        per = k1 * k2
-        state = np.arange(lo, hi + 1)
-        i = state.astype(float)
+        per, n = g1.size * g2.size, hi - lo + 1
+        m1, m2 = np.full(n, g1.size), np.full(n, g2.size)
+        if lo == 1:  # the boundary row, read as any row is read
+            row = _shop_boundary_row(self._params)
+            off = sorted(j for j, r in row.items() if j != 1 and r != 0.0)
+            yield _RowBlock(m1, m2, np.arange(per + 1) * len(off), *_row_arrays(
+                [off] * per, [[row[j] for j in off]] * per, [row[1]] * per),
+                {}, {})
+            return
+        params, state = self._params, np.arange(lo, hi + 1)
+        i = np.repeat(state.astype(float), per)
+        u1, u2 = np.repeat(g1, g2.size), np.tile(g2, g1.size)
+        p1, p2 = np.zeros(i.size), np.zeros(i.size)
         with np.errstate(all="ignore"):  # Python's float arithmetic is silent
-            down = self._params.sell_rate * i + 0.0
-            up = self._params.buy_rate * i + 0.0
-            diag = np.repeat(-(down + up), per)
-        rates = np.repeat(np.stack([down, up], axis=1), per, axis=0)
+            for c in params.coupled_states:
+                if lo <= c <= hi:
+                    at = slice((c - lo) * per, (c - lo + 1) * per)
+                    e = math.exp(-params.theta * c)
+                    p1[at], p2[at] = u1 * e, u2 * e
+            up = params.buy_rate * i + p1
+            down = params.sell_rate * i + p2
+            diag = -(down + up)
+        rates = np.stack([down, up], axis=1)
         cols = np.repeat(np.stack([state - 1, state + 1], axis=1), per, axis=0)
         keep = rates != 0.0
-        indptr = np.zeros(diag.size + 1, dtype=np.int64)
+        indptr = np.zeros(i.size + 1, dtype=np.int64)
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        yield _RowBlock(np.full(state.size, k1, dtype=np.int64),
-                        np.full(state.size, k2, dtype=np.int64), indptr,
-                        cols[keep], rates[keep], diag, {}, {})
+        yield _RowBlock(m1, m2, indptr, cols[keep], rates[keep], diag, {}, {})
 
     def _cost_block(self, lo: int, hi: int) -> tuple:
         params = self._params
         if (params.payoff1 is not None or params.payoff2 is not None
-                or params.action_max == 0 or not self._arrays):
+                or params.action_max == 0):
             return super()._cost_block(lo, hi)
         store = self._rows
         starts, m2 = store.starts[lo - 1:hi], store.m2[lo - 1:hi]
@@ -1798,6 +1793,15 @@ def save_model(model: GameModel, path) -> None:
     _write_json(path, model_to_dict(model))
 
 
-def load_model(path) -> GameModel:
+def _read_json(path):
+    """The JSON document in the file at ``path``; a ``ValueError`` naming
+    the file when it is nested too deep to decode."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deep to decode") from None
+
+
+def load_model(path) -> GameModel:
+    return model_from_dict(_read_json(path))

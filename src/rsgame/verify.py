@@ -32,7 +32,6 @@ from .model import (
     Truncation,
     shop_drift_margin,
     shop_lyapunov_spec,
-    _exact_float,
     _shop_actions,
     _shop_boundary_row,
     _shop_game,
@@ -387,12 +386,9 @@ def _least_payoffs(params: ShopParams, k: int, model: GameModel, table,
                    own: np.ndarray) -> np.ndarray:
     """``min(params.payoff(k, s, u) for u in grid)`` at each state ``s`` of
     the pair table.  Default payoffs are one ``ShopParams.payoff`` call on
-    the arrays of the pairs, whose own actions are ``own``; custom ones,
-    and parameters that numpy would not compute as Python does, are
+    the arrays of the pairs, whose own actions are ``own``; custom ones are
     called once per state and action."""
-    fee = params.fee1 if k == 1 else params.fee2
-    if (params.payoff1 if k == 1 else params.payoff2) is None and all(
-            map(_exact_float, (fee, params.action_max))):
+    if (params.payoff1 if k == 1 else params.payoff2) is None:
         i = np.asarray(table.states)[table.state]
         with np.errstate(all="ignore"):
             payoff = params.payoff(k, i, own)

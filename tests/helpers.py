@@ -6,6 +6,7 @@ and eigenpairs come from scipy's general dense eigensolver.  The
 simulation references are scalar loops, one jump per iteration.
 """
 
+import functools
 import hashlib
 import importlib.util
 import math
@@ -145,11 +146,13 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
     ``rate_fn``, the way ``GameModel.row`` built each row before the pair
     store: targets sorted, zero rates dropped, numpy conversions, and a
     countable model's row checked for conservativeness.  A model made by
-    ``with_cost_shift`` has its base model's rows, and one made by
+    ``with_cost_shift`` has its base model's rows, one made by
     :func:`recorded_tabular` the rows of its entries (absorbing where it
-    has none)."""
+    has none), and a shop model those of :func:`scalar_shop`."""
     while hasattr(model, "_base"):
         model = model._base
+    if "shop_params" in model.meta:
+        model = scalar_shop(model)
     if model in _TABLE_SOURCES:
         cols, rates, diag = _TABLE_SOURCES[model][0].get((i, ia, ib),
                                                          ([], [], 0.0))
@@ -174,14 +177,17 @@ def reference_row(model: GameModel, i, ia, ib) -> Row:
 def reference_costs(model: GameModel, i, ia, ib) -> tuple:
     """Costs of pair ``(i, ia, ib)`` straight from the model's ``cost_fn``;
     those of a model made by ``with_cost_shift``, its base model's with the
-    shift added, and those of one made by :func:`recorded_tabular`, its
-    entries' (zero where it has none)."""
+    shift added, those of one made by :func:`recorded_tabular`, its
+    entries' (zero where it has none), and those of a shop model, its
+    :func:`scalar_shop`'s."""
     if hasattr(model, "_base"):
         c1, c2 = reference_costs(model._base, i, ia, ib)
         player, kappa = model._shift
         return (c1 + kappa, c2) if player == 1 else (c1, c2 + kappa)
     if model in _TABLE_SOURCES:
         return _TABLE_SOURCES[model][1].get((i, ia, ib), (0.0, 0.0))
+    if "shop_params" in model.meta:
+        model = scalar_shop(model)
     c1, c2 = model._cost_fn(i, ia, ib)
     return float(c1), float(c2)
 
@@ -760,10 +766,20 @@ def _bad_values_model():
 
 
 def scalar_shop(model: GameModel) -> GameModel:
-    """A plain ``GameModel`` over the shop ``model``'s own ``rate_fn``,
-    ``cost_fn`` and grids (``shop_row`` and ``shop_costs`` for one pair at a
-    time): the reference for the shop's array blocks."""
-    return GameModel(model._rate_fn, model._cost_fn, model._grids,
+    """A plain ``GameModel`` whose rows and costs are ``shop_row`` and
+    ``shop_costs`` of the shop ``model``'s parameters, called once per pair
+    on its grids in Python floats: the reference for the shop's array
+    blocks."""
+    from rsgame.model import shop_costs, shop_row
+
+    params, grids = model.meta["shop_params"], model._grids
+
+    @functools.cache
+    def pair(i, ia, ib):
+        return params, i, grids(1, i).tolist()[ia], grids(2, i).tolist()[ib]
+
+    return GameModel(lambda *key: shop_row(*pair(*key)),
+                     lambda *key: shop_costs(*pair(*key)), grids,
                      n_states=None, anchor=model.anchor, name=model.name,
                      meta=model.meta)
 
@@ -817,6 +833,7 @@ def shop_cases():
         ("integer params", ShopParams(sell_rate=3, buy_rate=1, fee1=0,
                                       fee2=1, action_max=2)),
         ("float32 rate", ShopParams(buy_rate=np.float32(1.1))),
+        ("integer past 2**53", ShopParams(sell_rate=2 ** 53 + 1)),
         ("action_max 0", ShopParams(action_max=0.0)),
         ("one action", ShopParams(n_actions=1)),
         ("no actions", ShopParams(n_actions=0)),
@@ -824,6 +841,12 @@ def shop_cases():
         ("negative zero rates", ShopParams(sell_rate=-0.0, buy_rate=-0.0)),
         ("sell_rate NaN", ShopParams(sell_rate=float("nan"))),
         ("negative action_max", ShopParams(action_max=-1.0)),
+        # exp(-800) underflows: the perturbation u * 0.0 is still taken
+        ("action_max inf, coupled 1, 800", ShopParams(
+            theta=1.0, action_max=math.inf, coupled_states=frozenset({1, 800}))),
+        ("negative zeros, coupled 1, 800", ShopParams(
+            theta=1.0, sell_rate=-0.0, buy_rate=-0.0, action_max=-1.0,
+            coupled_states=frozenset({1, 800}))),
     ]
 
 

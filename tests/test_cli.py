@@ -992,6 +992,18 @@ class TestConfigHandling:
         assert (f"config key {key!r}" if key else "a JSON object") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--model"])
+    def test_json_nested_too_deep_exits_two(self, flag, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out.json"
+        builtin = ["--builtin", "shop"] if flag == "--config" else []
+        assert main(["solve", *builtin, flag, str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: JSON nested too deep" in err
+        assert not out.exists()
+
     def test_config_trunc_list_is_the_flag(self, tmp_path):
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps({"builtin": "shop", "trunc": [10, 20]}))

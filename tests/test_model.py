@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import rsgame.model
 from rsgame.generator import pair_table
 from rsgame.model import (
     GameModel,
@@ -303,11 +304,10 @@ class TestCostShift:
         base = _shop_game(ShopParams(coupled_states=frozenset({1, 3, 7})))
         shifted = with_cost_shift(base, player, kappa)
         calls = []
-        rate_fn, cost_fn = base._rate_fn, base._cost_fn
-        base._rate_fn = lambda i, ia, ib: calls.append(i) or rate_fn(i, ia, ib)
-        base._cost_fn = lambda i, ia, ib: calls.append(-i) or cost_fn(i, ia, ib)
+        cost_fn = base._cost_fn
+        base._cost_fn = lambda i, ia, ib: calls.append(i) or cost_fn(i, ia, ib)
         shifted._built(1000, costs=True)
-        assert sorted(set(calls)) == [1, 3, 7]  # no cost_fn call at all
+        assert calls == []
         assert shifted._rows is base._rows
         want = base._costs.cost.copy()
         want[:, player - 1] += kappa
@@ -345,6 +345,16 @@ class TestJsonFormat:
                     assert r0.rates.tolist() == r1.rates.tolist()
                     assert r0.diag == r1.diag
                     assert model.costs(i, ia, ib) == back.costs(i, ia, ib)
+
+    @pytest.mark.parametrize("params", [
+        ShopParams(buy_rate=np.float32(1.1)), ShopParams(n_actions=np.int64(3)),
+        ShopParams(coupled_states=frozenset({1, np.int64(3)}))])
+    def test_numpy_typed_shop_params_round_trip(self, tmp_path, params):
+        model = shop_model(params)
+        save_model(model, tmp_path / "shop.json")
+        back = load_model(tmp_path / "shop.json")
+        assert back.meta["shop_params"] == model.meta["shop_params"]
+        assert _grown(back, [1, 300]) == _grown(model, [1, 300])
 
     def test_shop_round_trip(self, tmp_path):
         params = ShopParams(theta=0.3, coupled_states=frozenset({1, 2}))
@@ -855,8 +865,8 @@ def _grown(model, tops):
 
 
 class TestShopBlocks:
-    """The shop's array blocks against the same shop's ``rate_fn`` and
-    ``cost_fn`` called once per pair (``tests.helpers.scalar_shop``)."""
+    """The shop's array blocks against ``shop_row`` and ``shop_costs``
+    called once per pair (``tests.helpers.scalar_shop``)."""
 
     @pytest.mark.parametrize("growth", list(GROWTH), ids=list(GROWTH))
     @pytest.mark.parametrize("params", [c[1] for c in SHOP_CASES],
@@ -879,19 +889,16 @@ class TestShopBlocks:
             assert outcome(lambda: read(model)) == outcome(
                 lambda: read(reference))
 
-    def test_default_shop_calls_shop_row_only_at_state_one_and_coupled(self):
-        model = _shop_game(ShopParams(coupled_states=frozenset({1, 3, 7})))
-        calls = []
-        rate_fn = model._rate_fn
+    def test_default_shop_builds_every_row_without_shop_row(self,
+                                                           monkeypatch):
+        def per_pair(*args):
+            raise AssertionError("shop_row called")
 
-        def counted(i, ia, ib):
-            calls.append(i)
-            return rate_fn(i, ia, ib)
-
-        model._rate_fn = counted
+        monkeypatch.setattr(rsgame.model, "shop_row", per_pair)
+        model = shop_model()
+        assert model._rate_fn is None
         model._built(1000, costs=True)
-        assert sorted(set(calls)) == [1, 3, 7]
-        assert len(calls) == model.n_actions(1, 1) + 2 * 9
+        assert model._rows.top == 1000 and not model._rows.failed
 
     def test_custom_payoffs_called_once_per_pair_in_pair_order(self):
         calls = []
