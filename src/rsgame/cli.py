@@ -14,8 +14,9 @@ same config and seed, byte-identical files, regardless of worker count.
 
 In one process (``main`` called again and again), consecutive commands
 reuse the model when its source is unchanged: the built-in shop, or a
-model file whose bytes have the same sha256.  Only the loading is saved;
-artifacts are the same as from a fresh process.
+model file (or pipe) whose bytes have the same sha256.  Each command reads
+a model file once and parses those bytes only when they are new.  Only
+the loading is saved; artifacts are the same as from a fresh process.
 
 Exit codes: 0 when the requested checks pass, 1 on numerical
 non-convergence or failed checks (diagnostic artifacts are still
@@ -29,7 +30,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -40,7 +40,7 @@ from .model import (
     ShopParams,
     _read_json,
     _write_json,
-    load_model,
+    model_from_dict,
     shop_boundary_cut,
     shop_lyapunov_spec,
     shop_model,
@@ -158,42 +158,31 @@ def _build_config(args) -> RunConfig:
 _session = None
 
 
-def _source_key(config: RunConfig):
-    """``"shop"`` for the built-in shop, the sha256 of a model file's bytes
-    (read in 64 KiB chunks, so the file is never held whole), or None when
-    the model is not a regular file: a pipe can be read only once, and a
-    missing file gets ``load_model``'s own error."""
-    if config.builtin == "shop":
-        return "shop"
-    if not os.path.isfile(config.model):
-        return None
-    digest = hashlib.sha256()
-    with open(config.model, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _load(config: RunConfig):
     """The command's model, reused from the previous command in this
     process while its source is unchanged.
 
-    On a miss the previous model is dropped before the new one loads, so
-    at most one is held.  The new one is kept only when its source still
-    has the key it had before the load (a file rewritten meanwhile is
-    not).  Sharing is safe: a model's caches are deterministic fills.
+    The key of the built-in shop is ``"shop"``; that of a model file (or
+    pipe) is the sha256 of its bytes, read once.  On a miss the previous
+    model is dropped and those same bytes are parsed, so at most one model
+    is held and the kept model is the hashed file.  Sharing is safe: a
+    model's caches are deterministic fills.
     """
     global _session
-    key = _source_key(config)
+    if config.builtin == "shop":
+        key = "shop"
+    else:
+        with open(config.model, "rb") as fh:
+            data = [fh.read()]  # pop() hands the parse the only reference
+        key = hashlib.sha256(data[0]).hexdigest()
     if _session is not None and _session[0] == key:
         return _session[1]
     _session = None
     if config.builtin == "shop":
         model = shop_model(ShopParams())
     else:
-        model = load_model(config.model)
-    if key is not None and _source_key(config) == key:
-        _session = (key, model)
+        model = model_from_dict(_read_json(config.model, data.pop()))
+    _session = (key, model)
     return model
 
 
@@ -258,7 +247,7 @@ def _run_ladder(config: RunConfig) -> int:
     own = uniform_strategy(model, config.player) if config.fixed_uniform else None
     result = truncation_ladder(model, opponent, config.player,
                                list(config.trunc), tol=config.tol,
-                               own_strategy=own, max_iter=None)
+                               own_strategy=own)
     with open(config.out, "w") as fh:
         fh.write("n,rho,residual,iterations,error\n")
         for rung in result.rungs:
@@ -491,7 +480,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -245,7 +245,7 @@ def _eigenpair(lo, hi, alpha, y, psi, its, states, anchor, notes):
 
 
 def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
-                        tol: float = 1e-10, max_iter: int | None = None, *,
+                        tol: float = 1e-10, *,
                         psi0: np.ndarray | None = None) -> EigenPair:
     """Principal eigenpair of the tilted operator under fixed strategies.
 
@@ -263,8 +263,7 @@ def principal_eigenpair(A: generator.TwistedMatrix, i0: int,
     maximum entry instead.
     """
     n = A.n
-    if max_iter is None:
-        max_iter = default_max_iter(n)
+    max_iter = default_max_iter(n)
     anchor_idx = A.index(i0)
     M = (A.A + A.alpha * identity(n, format="csr")).tocsr()
     pattern = M > 0
@@ -406,8 +405,7 @@ def _response_operator(model, truncation, opponent, player):
 
 
 def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
-                            player: int, tol: float = 1e-10,
-                            max_iter: int | None = None, *,
+                            player: int, tol: float = 1e-10, *,
                             psi0: np.ndarray | None = None):
     """Minimal eigenpair of the frozen-opponent minimization equation.
 
@@ -433,8 +431,7 @@ def best_response_eigenpair(model: GameModel, truncation, opponent_strategy,
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
     n = truncation.n
-    if max_iter is None:
-        max_iter = default_max_iter(n)
+    max_iter = default_max_iter(n)
     op = _response_operator(model, truncation, opponent_strategy, player)
     anchor_idx = truncation.index(model.anchor)
 
@@ -514,8 +511,8 @@ def _aitken_limit(rhos):
 
 def truncation_ladder(model: GameModel, opponent_strategy, player: int,
                       n_list, tol: float = 1e-10,
-                      own_strategy: StationaryStrategy | None = None,
-                      max_iter: int | None = None) -> LadderResult:
+                      own_strategy: StationaryStrategy | None = None
+                      ) -> LadderResult:
     """Eigenvalue sequence over increasing truncations.
 
     With ``own_strategy=None`` each rung solves the nonlinear
@@ -531,12 +528,12 @@ def truncation_ladder(model: GameModel, opponent_strategy, player: int,
         trunc = truncate(model, n)
         if own_strategy is None:
             ep, _ = best_response_eigenpair(model, trunc, opponent_strategy,
-                                            player, tol, max_iter)
+                                            player, tol)
         else:
             v1, v2 = ((own_strategy, opponent_strategy) if player == 1
                       else (opponent_strategy, own_strategy))
             A = generator.assemble(model, trunc, v1, v2, player)
-            ep = principal_eigenpair(A, model.anchor, tol, max_iter)
+            ep = principal_eigenpair(A, model.anchor, tol)
         return ep
 
     rungs = []

@@ -970,10 +970,9 @@ def truncate(model: GameModel, n: int) -> Truncation:
 class LyapunovSpec:
     """Drift-condition data used by the assumption checker.
 
-    ``W`` is the Lyapunov weight (``W >= 1``); ``W_growth`` an optional
-    distinct weight for the growth bound (defaults to ``W``).  Exactly one
-    of ``gamma`` (bounded-cost variant) or ``ell`` (norm-like rate, for
-    unbounded costs) should be given for the killed-drift check.
+    ``W`` is the Lyapunov weight (``W >= 1``) of both drift checks.
+    Exactly one of ``gamma`` (bounded-cost variant) or ``ell`` (norm-like
+    rate, for unbounded costs) should be given for the killed-drift check.
     """
 
     W: Callable[[int], float]
@@ -984,12 +983,8 @@ class LyapunovSpec:
     gamma: float | None = None
     ell: Callable[[int], float] | None = None
     kappa_set: frozenset = frozenset()
-    W_growth: Callable[[int], float] | None = None
     tail_certified: bool = False
     note: str = ""
-
-    def growth_weight(self) -> Callable[[int], float]:
-        return self.W_growth if self.W_growth is not None else self.W
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1112,9 @@ def shop_boundary_cut(params: ShopParams) -> int:
 
 def validate_shop_params(params: ShopParams) -> list:
     """Return ``(condition, message)`` pairs for every violated condition."""
-    bad = []
+    bad = [("finite", f"{f.name} must be finite, got {getattr(params, f.name)}")
+           for f in fields(params)
+           if f.type == "float" and not math.isfinite(getattr(params, f.name))]
     if params.theta <= 0 or params.action_max <= 0 or params.n_actions < 2:
         bad.append(("(I)", "need theta > 0, action_max > 0 and at least two "
                            "grid actions"))
@@ -1142,7 +1139,7 @@ def validate_shop_params(params: ShopParams) -> list:
         for j, r in params.boundary_row.items():
             if j < 2:
                 bad.append(("boundary row", f"target {j} must be >= 2"))
-            elif r <= 0:
+            elif not r > 0:  # NaN too
                 bad.append(("boundary row", f"rate to {j} must be positive"))
             elif r > math.exp(-2.0 * params.theta * j):
                 bad.append(("boundary row",
@@ -1793,14 +1790,22 @@ def save_model(model: GameModel, path) -> None:
     _write_json(path, model_to_dict(model))
 
 
-def _read_json(path):
-    """The JSON document in the file at ``path``; a ``ValueError`` naming
-    the file when it is nested too deep to decode."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deep to decode") from None
+def _read_json(path, data=None):
+    """The JSON document in the file at ``path``: its bytes (read here, or
+    ``data`` as the only reference to bytes already read), decoded as
+    UTF-8 and dropped before the parse starts.  Every decode failure is a
+    ``ValueError`` that starts with the path."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text)
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer too long
+        raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deep to decode") from None
 
 
 def load_model(path) -> GameModel:

@@ -100,15 +100,14 @@ class CertifyResult:
 
 def certify(model: GameModel, truncation: Truncation,
             v1: StationaryStrategy, v2: StationaryStrategy, eps: float,
-            tol: float = 1e-10, max_iter: int | None = None) -> CertifyResult:
+            tol: float = 1e-10) -> CertifyResult:
     """Compute both deviation gaps and compare them against ``eps``."""
-    return _certify(model, truncation, v1, v2, eps, tol, max_iter,
+    return _certify(model, truncation, v1, v2, eps, tol,
                     lambda player, opp: best_response_eigenpair(
-                        model, truncation, opp, player, tol, max_iter))
+                        model, truncation, opp, player, tol))
 
 
-def _certify(model, truncation, v1, v2, eps, tol, max_iter,
-             solve_br) -> CertifyResult:
+def _certify(model, truncation, v1, v2, eps, tol, solve_br) -> CertifyResult:
     """:func:`certify` with the best responses taken from
     ``solve_br(player, opponent_strategy) -> (EigenPair, selector)``.
 
@@ -122,8 +121,8 @@ def _certify(model, truncation, v1, v2, eps, tol, max_iter,
     br2, sel2 = solve_br(2, v1)
     A1 = generator.assemble(model, truncation, v1, v2, 1)
     A2 = generator.assemble(model, truncation, v1, v2, 2)
-    pair1 = principal_eigenpair(A1, model.anchor, tol, max_iter, psi0=br1.psi)
-    pair2 = principal_eigenpair(A2, model.anchor, tol, max_iter, psi0=br2.psi)
+    pair1 = principal_eigenpair(A1, model.anchor, tol, psi0=br1.psi)
+    pair2 = principal_eigenpair(A2, model.anchor, tol, psi0=br2.psi)
     delta1 = pair1.rho - br1.rho
     delta2 = pair2.rho - br2.rho
     for player, gap, pair in ((1, delta1, pair1), (2, delta2, pair2)):
@@ -222,8 +221,8 @@ def _pair_key(v1, v2, states):
 
 def nash_iterate(model: GameModel, truncation: Truncation,
                  damping: float = 1.0, eps: float = 1e-6,
-                 max_rounds: int = 100, tol: float = 1e-10,
-                 max_iter: int | None = None) -> NashCertificate:
+                 max_rounds: int = 100, tol: float = 1e-10
+                 ) -> NashCertificate:
     """Damped best-response iteration to an approximate equilibrium.
 
     Starts from the uniform pair.  Each round updates player 1, then
@@ -257,7 +256,7 @@ def nash_iterate(model: GameModel, truncation: Truncation,
             warm = hit or latest.get(3 - player)
             psi0 = None if warm is None else warm[1][0].psi
             hit = latest[player] = (opp, best_response_eigenpair(
-                model, truncation, opp, player, tol, max_iter, psi0=psi0))
+                model, truncation, opp, player, tol, psi0=psi0))
         return hit[1]
 
     seen = {_pair_key(v[1], v[2], states)}
@@ -271,7 +270,7 @@ def nash_iterate(model: GameModel, truncation: Truncation,
                 v[k] = brk if damping == 1.0 else mix_strategies(
                     model, brk, v[k], damping, states)
             cert = _certify(model, truncation, v[1], v[2], eps, tol,
-                            max_iter, solve_br)
+                            solve_br)
         except ConvergenceError as exc:
             if certified is None:
                 raise
@@ -309,8 +308,8 @@ def profile_count(model: GameModel, truncation: Truncation,
 
 
 def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
-              damping: float = 1.0, max_rounds: int = 100, tol: float = 1e-10,
-              max_iter: int | None = None) -> NashCertificate:
+              damping: float = 1.0, max_rounds: int = 100, tol: float = 1e-10
+              ) -> NashCertificate:
     """Equilibrium search with fallbacks.
 
     Tries plain best-response iteration, then a damped restart from the
@@ -321,11 +320,11 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
     attempt's status says so.
     """
     cert = nash_iterate(model, truncation, damping=damping, eps=eps,
-                        max_rounds=max_rounds, tol=tol, max_iter=max_iter)
+                        max_rounds=max_rounds, tol=tol)
     if cert.converged:
         return cert
     retry = nash_iterate(model, truncation, damping=0.5, eps=eps,
-                         max_rounds=max_rounds, tol=tol, max_iter=max_iter)
+                         max_rounds=max_rounds, tol=tol)
     if retry.converged:
         return retry
     best = min((cert, retry), key=lambda c: c.gap)
@@ -336,7 +335,7 @@ def find_nash(model: GameModel, truncation: Truncation, eps: float = 1e-6,
             p1 = pure_strategy(model, 1, lambda i, s=s1: s[i - 1])
             p2 = pure_strategy(model, 2, lambda i, s=s2: s[i - 1])
             try:
-                res = certify(model, truncation, p1, p2, eps, tol, max_iter)
+                res = certify(model, truncation, p1, p2, eps, tol)
             except ConvergenceError:
                 continue
             if res.passed:
@@ -380,13 +379,11 @@ class ConverseReport:
 
 def converse_check(model: GameModel, truncation: Truncation,
                    v1: StationaryStrategy, v2: StationaryStrategy,
-                   tol: float = 1e-10,
-                   max_iter: int | None = None) -> ConverseReport:
+                   tol: float = 1e-10) -> ConverseReport:
     """Solve both frozen-opponent eigenproblems, then
     :func:`converse_report` the pair against them."""
     eigenpairs = tuple(
-        best_response_eigenpair(model, truncation, opp, player, tol,
-                                max_iter)[0]
+        best_response_eigenpair(model, truncation, opp, player, tol)[0]
         for player, opp in ((1, v2), (2, v1)))
     return converse_report(model, truncation, v1, v2, eigenpairs, tol)
 

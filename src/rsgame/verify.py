@@ -176,7 +176,7 @@ def check_growth_drift(model: GameModel, spec: LyapunovSpec,
     """Growth bound: weighted drift at most ``C1 W + C2``, exit rate at
     most ``C3 W``, for every state in range and every pure action pair."""
     table = pair_table(model, states)
-    w, drift = _weighted_drifts(table, spec.growth_weight())
+    w, drift = _weighted_drifts(table, spec.W)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = spec.C1 * w[table.state] + spec.C2
         exit_bound = spec.C3 * w[table.state]

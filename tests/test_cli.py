@@ -6,6 +6,7 @@ import math
 import os
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rsgame.eigensolver import principal_eigenpair
 from rsgame.generator import assemble
 from rsgame.model import (
     load_model,
+    model_from_dict,
     model_to_dict,
     save_model,
     shop_model,
@@ -79,7 +81,7 @@ class TestSolve:
         code = main(["solve", "--model", decoupled_path, "--trunc", "3",
                      "--eps", "1e-8", "--out", out])
         assert code == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["certificate"]["status"] == "converged"
         assert max(abs(d) for d in doc["certificate"]["delta"]) <= 1e-8
         assert doc["converse"]["passed"] is True
@@ -91,7 +93,7 @@ class TestSolve:
         code = main(["solve", "--model", str(path), "--trunc", "1",
                      "--eps", "1e-9", "--out", out])
         assert code == 1
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["certificate"]["status"] == "cycle_detected"
 
     def test_byte_identical_reruns(self, decoupled_path, tmp_path):
@@ -650,7 +652,7 @@ class TestTableModelFiles:
 
     def test_float_indices_give_the_same_artifact(self, decoupled_path,
                                                   tmp_path):
-        doc = json.loads(open(decoupled_path).read())
+        doc = json.loads(Path(decoupled_path).read_text())
         for key in ("rates", "costs"):
             doc[key] = [[float(x) for x in e] for e in doc[key]]
         path = tmp_path / "floats.json"
@@ -688,16 +690,16 @@ class TestTableModelFiles:
 
 @pytest.fixture
 def session(monkeypatch):
-    """An empty session slot, and the models that ``load_model`` returns
-    while the test runs, in call order."""
+    """An empty session slot, and the models that the CLI builds from
+    model files while the test runs, in call order."""
     monkeypatch.setattr(cli, "_session", None)
     loaded = []
 
-    def counting_load(path):
-        loaded.append(load_model(path))
+    def counting_load(doc):
+        loaded.append(model_from_dict(doc))
         return loaded[-1]
 
-    monkeypatch.setattr(cli, "load_model", counting_load)
+    monkeypatch.setattr(cli, "model_from_dict", counting_load)
     return loaded
 
 
@@ -761,23 +763,60 @@ class TestSessionModel:
         assert _sha(out) == GOLDEN["digest-game solve"]
         assert len(session) == 2  # the good file was loaded again
 
-    def test_file_rewritten_during_the_load_is_not_kept(self, monkeypatch,
-                                                        tmp_path):
+    def test_file_rewritten_during_the_parse_is_loaded_again(
+            self, session, monkeypatch, tmp_path):
         path = tmp_path / "game.json"
         save_model(digest_game(), path)
         first = path.read_bytes()
-        monkeypatch.setattr(cli, "_session", None)
+        read_json = cli._read_json
 
-        def load_then_rewrite(p):
-            model = load_model(p)
-            path.write_bytes(first.replace(b"1", b"2", 1))
-            return model
+        def parse_then_rewrite(p, data):
+            doc = read_json(p, data)
+            save_model(matching_pennies(), path)
+            return doc
 
-        monkeypatch.setattr(cli, "load_model", load_then_rewrite)
-        assert main(["verify", "--model", str(path), "--out",
-                     str(tmp_path / "out.json"),
-                     *TestTableModelFiles.ARGS["verify"]]) == 1
-        assert cli._session is None
+        monkeypatch.setattr(cli, "_read_json", parse_then_rewrite)
+        out = tmp_path / "out.json"
+        args = ["verify", "--model", str(path), "--out", str(out),
+                *TestTableModelFiles.ARGS["verify"]]
+        assert main(args) == 1
+        assert _sha(out) == GOLDEN["digest-game verify"]  # the old bytes'
+        assert cli._session[0] == hashlib.sha256(first).hexdigest()
+        monkeypatch.setattr(cli, "_read_json", read_json)
+        assert main(args) in (0, 1)
+        assert len(session) == 2
+        assert cli._session == (_sha(path), session[1])
+
+    def test_one_open_and_one_hash_per_command(self, session, monkeypatch,
+                                               tmp_path):
+        path = tmp_path / "game.json"
+        save_model(digest_game(), path)
+        counts = {"open": 0, "sha256": 0, "parse": 0}
+        real_open, real_sha256, read_json = open, hashlib.sha256, cli._read_json
+
+        def counting_open(file, *args, **kwargs):
+            counts["open"] += str(file) == str(path)
+            return real_open(file, *args, **kwargs)
+
+        def counting_sha256(*args):
+            counts["sha256"] += 1
+            return real_sha256(*args)
+
+        def counting_parse(*args):
+            counts["parse"] += 1
+            return read_json(*args)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(cli, "_read_json", counting_parse)
+        out = tmp_path / "out.json"
+        args = TestTableModelFiles.ARGS
+        for command, parses in (("verify", 1), ("solve", 1)):
+            assert main([command, "--model", str(path), "--out", str(out),
+                         *args[command]]) == 1
+            assert counts["parse"] == parses  # the solve is a session hit
+        assert counts == {"open": 2, "sha256": 2, "parse": 1}
+        assert len(session) == 1
 
     def test_builtin_and_model_files_alternate(self, session, tmp_path):
         game = tmp_path / "game.json"
@@ -801,26 +840,26 @@ class TestSessionModel:
         assert len(session) == 2
         assert cli._session[0] != "shop"
 
-    def test_pipe_is_read_once_and_not_kept(self, session, tmp_path):
+    def test_pipe_is_read_once_and_kept(self, session, tmp_path):
         if not os.path.isdir("/dev/fd"):
             pytest.skip("no /dev/fd")
         text = json.dumps(model_to_dict(matching_pennies())).encode()
         path = tmp_path / "pennies.json"
         path.write_bytes(text)
-        outs = [tmp_path / "file.json", tmp_path / "pipe.json"]
+        outs = [tmp_path / "pipe.json", tmp_path / "file.json"]
         args = ["solve", "--trunc", "1", "--out"]
-        assert main([*args, str(outs[0]), "--model", str(path)]) == 1
         read, write = os.pipe()
         with open(write, "wb") as fh:
             fh.write(text)  # fits in the pipe's buffer
         try:
-            assert main([*args, str(outs[1]), "--model",
+            assert main([*args, str(outs[0]), "--model",
                          f"/dev/fd/{read}"]) == 1
         finally:
             os.close(read)
+        assert main([*args, str(outs[1]), "--model", str(path)]) == 1
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert cli._session is None
-        assert len(session) == 2
+        assert cli._session == (hashlib.sha256(text).hexdigest(), session[0])
+        assert len(session) == 1  # the file's bytes are the pipe's
 
     @pytest.mark.parametrize("previous", ["shop", "file"])
     def test_previous_model_gone_before_the_next_load(self, previous,
@@ -837,12 +876,13 @@ class TestSessionModel:
                      "--out", out]) in (0, 1)
         held = weakref.ref(cli._session[1])
         alive = []
+        read_json = cli._read_json
 
-        def load(path):
+        def parse(path, data):
             alive.append(held() is not None)
-            return load_model(path)
+            return read_json(path, data)
 
-        monkeypatch.setattr(cli, "load_model", load)
+        monkeypatch.setattr(cli, "_read_json", parse)
         gc.disable()
         try:
             assert main(["solve", "--model", str(b), "--trunc", "1",
@@ -956,7 +996,7 @@ class TestConfigHandling:
         out = str(tmp_path / "b.json")
         code = main(["solve", "--config", str(conf), "--out", out])
         assert code == 0
-        assert json.loads(open(out).read())["eps"] == 1e-6
+        assert json.loads(Path(out).read_text())["eps"] == 1e-6
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
@@ -992,16 +1032,26 @@ class TestConfigHandling:
         assert (f"config key {key!r}" if key else "a JSON object") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--config", "--model"])
-    def test_json_nested_too_deep_exits_two(self, flag, tmp_path, capsys):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
+    @pytest.mark.parametrize("flag, data, message", [
+        pytest.param(flag, data, message, id=flag + case)
+        for flag in ("--config", "--model")
+        for case, (data, message) in {
+            "": (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deep"),
+            "-empty": (b"", "Expecting value"),
+            "-not-utf-8": (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+            "-cut-short": (b'{"states": 2,', "Expecting property name"),
+        }.items()])
+    def test_json_nested_too_deep_exits_two(self, flag, data, message,
+                                            tmp_path, capsys):
+        # every file that does not decode is named, whatever the failure
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
         out = tmp_path / "out.json"
         builtin = ["--builtin", "shop"] if flag == "--config" else []
         assert main(["solve", *builtin, flag, str(path),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: JSON nested too deep" in err
+        assert f"{path}: {message}" in err
         assert not out.exists()
 
     def test_config_trunc_list_is_the_flag(self, tmp_path):

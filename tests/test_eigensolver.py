@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rsgame import eigensolver
 from rsgame.eigensolver import (
     POWER_STEPS,
     ROUNDING_ULPS,
@@ -129,14 +130,15 @@ class TestPrincipalEigenpair:
         assert ep.rho == pytest.approx(3.0, abs=1e-10)
         assert ep.psi.tolist() == [0.0, 1.0]
 
-    def test_max_iter_exhaustion_reports_bracket(self):
+    def test_max_iter_exhaustion_reports_bracket(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "default_max_iter", lambda n: 2)
         rng = np.random.default_rng(22)
         model = random_game(rng, n_states=8)
         trunc = truncate(model, 8)
         v1, v2 = fixed_pair(model)
         A = assemble(model, trunc, v1, v2, 1)
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenpair(A, i0=1, tol=1e-14, max_iter=2)
+            principal_eigenpair(A, i0=1, tol=1e-14)
         lo, hi = err.value.bracket
         assert np.isfinite(lo) and np.isfinite(hi) and lo <= hi
 
@@ -582,8 +584,7 @@ class TestLadder:
         model = shop_model()
         own = uniform_strategy(model, 1)
         opp = uniform_strategy(model, 2)
-        res = truncation_ladder(model, opp, 1, [6, 9, 12], own_strategy=own,
-                                max_iter=200_000)
+        res = truncation_ladder(model, opp, 1, [6, 9, 12], own_strategy=own)
         rhos = res.rho_values()
         assert len(rhos) == 3
         assert all(b - a >= -1e-10 for a, b in zip(rhos, rhos[1:]))
@@ -601,10 +602,11 @@ class TestLadder:
             assert rung.rho == ep.rho
             assert rung.eigenpair.psi.tobytes() == ep.psi.tobytes()
 
-    def test_failures_recorded_ladder_continues(self):
+    def test_failures_recorded_ladder_continues(self, monkeypatch):
+        monkeypatch.setattr(eigensolver, "default_max_iter", lambda n: 3)
         model = shop_model()
         opp = uniform_strategy(model, 2)
-        res = truncation_ladder(model, opp, 1, [5, 8], max_iter=3)
+        res = truncation_ladder(model, opp, 1, [5, 8])
         assert all(r.error is not None for r in res.rungs)
         assert res.rho_values() == []
 

@@ -182,6 +182,20 @@ class TestShopModel:
         with pytest.raises(ValueError, match=re.escape(condition)):
             shop_model(ShopParams(**kwargs))
 
+    @pytest.mark.parametrize("kwargs, problem", [
+        (dict(action_max=math.inf), "action_max must be finite"),
+        (dict(theta=math.nan), "theta must be finite"),
+        (dict(fee1=math.nan), "fee1 must be finite"),
+        (dict(sell_rate=math.inf), "sell_rate must be finite"),
+        (dict(boundary_row={2: math.nan}), "rate to 2 must be positive"),
+    ])
+    def test_non_finite_params_rejected_naming_the_field(self, kwargs,
+                                                         problem):
+        # each passed every condition before: NaN fails no comparison
+        with pytest.raises(ValueError, match="invalid shop parameters") as err:
+            shop_model(ShopParams(**kwargs))
+        assert problem in str(err.value)
+
     def test_custom_boundary_row_validated(self):
         params = ShopParams(boundary_row={2: 1.0})  # above the decay bound
         assert any(cond == "boundary row" for cond, _ in validate_shop_params(params))

@@ -318,14 +318,14 @@ class TestWarmCertificate:
                 return ep, sel
             return solve_br
 
-        res = nash._certify(model, trunc, v1, v2, 1.0, tol, None,
+        res = nash._certify(model, trunc, v1, v2, 1.0, tol,
                             lifted(2, 2.5 * tol))
         assert res.delta2 == pytest.approx(-2.5 * tol, rel=1e-6)
         for player in (1, 2):
             with pytest.raises(ConvergenceError, match=(
                     rf"player {player} is numerically unsound: the deviation "
                     r"gap -3\.500e-10 lies below -3 tol")):
-                nash._certify(model, trunc, v1, v2, 1.0, tol, None,
+                nash._certify(model, trunc, v1, v2, 1.0, tol,
                               lifted(player, 3.5 * tol))
 
 
