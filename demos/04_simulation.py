@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Monte-Carlo cross-validation of the eigenvalue machinery.
 
-Paths of the strategy-averaged jump chain are sampled with per-path
-counter-based streams (Philox keyed by seed and path index), so results
-are reproducible to the bit: the estimators advance blocks of paths in
-lockstep, and every path reads its own stream exactly as the one-path
-sampler does.  The growth-rate estimator exponentiates path costs and
+Paths of the strategy-averaged jump chain are sampled from counter-based
+streams (Philox keyed by the seed and the refill, counted from the path
+index), so results are reproducible to the bit: the estimators advance
+blocks of paths in lockstep, and every path reads its own uniforms
+exactly as the one-path sampler does.  The growth-rate estimator exponentiates path costs and
 therefore lives in log space; its batch standard error quantifies the
 comparison against the eigensolver.
 """

@@ -6,19 +6,27 @@ cost.  Holding times are exponential in the averaged exit rate and jump
 targets follow the averaged embedded chain.
 
 Randomness discipline (bit-exact, documented so results are reproducible
-across machines): path ``p`` of a run with seed ``s`` draws from
-``numpy.random.Philox`` keyed by the 128-bit pair ``(s, p)``.  Uniform
-variates are taken from that stream in blocks of 256; every jump consumes
-exactly two uniforms, first the holding time (by inversion,
-``-log1p(-u) / rate``), then the target (by cumulative-rate lookup).
-Absorbing states consume nothing.  The estimators advance a block of paths
-in lockstep, one jump per step, so every path reads the same uniforms as
-the one-path loop of :func:`sample_path`; reductions run in path-index
-order, so the block size never changes a digit.  With ``workers`` above
-1 the estimators hand contiguous ranges of path indices to processes
-forked from the caller; a path keeps its ``(seed, p)`` stream in whichever
-process runs it and the results are joined in path order, so the worker
-count never changes a digit either.
+across machines): path ``p`` of a run with seed ``s`` draws its uniforms in
+refills of 256.  Refill ``k`` is drawn from ``numpy.random.Philox`` keyed
+by the 128-bit pair ``(s, k)``, from the 256-bit counter ``64 * p`` (see
+:class:`_Streams`), so refill ``k`` of paths ``p, p + 1, ...`` follow one
+another in one stream and a run of consecutive paths is drawn in one call.
+Every jump consumes exactly two uniforms, first the holding time (by
+inversion, ``-log1p(-u) / rate`` with ``scipy.special.log1p``, whose bits
+do not follow numpy's CPU dispatch), then the target (by cumulative-rate
+lookup).  Absorbing states consume nothing.  The estimators advance a
+block of paths in lockstep, one jump per step, so every path reads the
+same uniforms as the one-path loop of :func:`sample_path`, which draws
+through the same streams one path at a time; reductions run in
+path-index order, so the block size never changes a digit.  With
+``workers`` above 1 the estimators hand contiguous ranges of path indices
+to processes forked from the caller; a path keeps its uniforms in
+whichever process runs it and the results are joined in path order, so
+the worker count never changes a digit either.
+
+No run makes more than ``_JUMP_BUDGET`` jumps (about 20 s): the growth
+estimate on a finite model refuses a run whose paths, horizon and largest
+exit rate promise more, and every kernel call counts the jumps it makes.
 
 Forking copies the caller's memory copy-on-write and needs no pickling of
 models or strategies; only the per-path results come back, pickled through
@@ -53,51 +61,27 @@ __all__ = [
     "RiskCostEstimate",
     "HittingCheckRow",
     "HittingReport",
-    "path_rng",
     "sample_path",
     "estimate_risk_cost",
     "hitting_representation_check",
 ]
 
-_DRAWS = 256  # uniforms per draw from a path's stream: 128 jumps
+_DRAWS = 256  # uniforms per refill of a path's stream: 128 jumps
 _PATH_BLOCK = 2048  # paths advanced together; one 4 MB uniform buffer
 _TABLE_START = 32  # states a fresh jump table covers before it doubles
 _MASK64 = (1 << 64) - 1
-
-
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path: Philox keyed by (seed, path)."""
-    key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-class _Uniforms:
-    """Blocked uniform source; one scalar per call, 256 drawn at a time."""
-
-    __slots__ = ("rng", "buf", "pos")
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = rng.random(_DRAWS)
-        self.pos = 0
-
-    def take(self) -> float:
-        if self.pos == _DRAWS:
-            self.buf = self.rng.random(_DRAWS)
-            self.pos = 0
-        v = self.buf[self.pos]
-        self.pos += 1
-        return v
+_JUMP_BUDGET = 10**8  # jumps one run may make: about 20 s of the kernel
 
 
 class _Streams:
-    """Blocks of many paths' streams through one reusable Philox.
+    """Uniforms of many paths' streams, drawn in bulk.
 
-    Philox yields four 64-bit words per counter value and raises the
-    counter before each four, so block ``b`` (the ``b``-th 256-draw) of the
-    stream keyed ``(seed, p)`` starts from counter ``64 * b`` with an empty
-    buffer.  Setting that state reproduces ``path_rng(seed, p)``'s block
-    bit for bit without a generator per path.
+    Philox yields four 64-bit words per counter value and raises its
+    256-bit counter before each four, so the 256 draws of refill ``k`` of
+    path ``p`` (the stream keyed ``(seed, k)`` from counter ``64 * p``, an
+    empty buffer) take counter values ``64 * p + 1 .. 64 * p + 64``, and
+    refill ``k`` of path ``p + 1`` follows on.  The counter is split over
+    words 0 and 1, so it stays exact for every 64-bit path index.
     """
 
     def __init__(self, seed: int):
@@ -108,14 +92,19 @@ class _Streams:
         self._state["state"] = {"counter": self._counter, "key": self._key}
         self._gen = np.random.Generator(self._bits)
 
-    def fill(self, out, rows, first: int, block: int) -> None:
-        """Row ``r`` of ``out``, for each ``r`` in ``rows``: block
-        ``block`` of path ``first + r``."""
-        self._counter[0] = block * (_DRAWS // 4)
-        for r in rows.tolist():
-            self._key[1] = (first + r) & _MASK64
+    def fill(self, out, rows, first: int, refill: int) -> None:
+        """Row ``r`` of ``out``, for each ``r`` in ``rows`` (increasing):
+        refill ``refill`` of path ``first + r``.  One draw per run of
+        consecutive rows."""
+        self._key[1] = refill
+        cut = np.flatnonzero(np.diff(rows) != 1) + 1  # where runs start
+        for lo, hi in zip(rows[np.r_[0, cut]].tolist(),
+                          (rows[np.r_[cut, rows.size] - 1] + 1).tolist()):
+            counter = 64 * ((first + lo) & _MASK64)
+            self._counter[0] = counter & _MASK64
+            self._counter[1] = counter >> 64
             self._bits.state = self._state
-            self._gen.random(_DRAWS, out=out[r])
+            self._gen.random((hi - lo, _DRAWS), out=out[lo:hi])
 
 
 class _AveragedChain:
@@ -262,9 +251,12 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
     ``2m + 1`` of each running path's stream, so every path matches the
     one-path loop of ``sample_path``.
 
-    Returns each path's integral, final state, highest state visited and
-    whether ``halt`` stopped it.
+    Raises a ``ValueError`` once the call has made more than
+    ``_JUMP_BUDGET`` jumps.  Returns each path's integral, final state,
+    highest state visited and whether ``halt`` stopped it.
     """
+    from scipy.special import log1p  # loaded by the caller before a fork
+
     acc_out = np.empty(n)
     state_out = np.empty(n, dtype=np.int64)
     top_out = np.empty(n, dtype=np.int64)
@@ -273,6 +265,7 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
     uniforms = np.empty((min(n, _PATH_BLOCK), _DRAWS))
     k = 0 if player == 1 else 1
     jumps_per_draw = _DRAWS // 2
+    jumps = 0
     chain.cover(start)
     for lo in range(0, n, _PATH_BLOCK):
         rows = np.arange(min(_PATH_BLOCK, n - lo))  # running paths
@@ -291,12 +284,9 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
                              step // jumps_per_draw)
             rate = chain.exit[s]
             c = chain.cost[s, k] - shift
-            log_hold = np.fromiter(
-                map(math.log1p, (-uniforms[rows, col]).tolist()), float,
-                rows.size)
             # a zero exit rate never jumps: its path stops below
-            wait = np.divide(-log_hold, rate, out=np.full(rows.size, np.inf),
-                             where=rate > 0.0)
+            wait = np.divide(-log1p(-uniforms[rows, col]), rate,
+                             out=np.full(rows.size, np.inf), where=rate > 0.0)
             t_next = t + wait
             stop = (rate == 0.0) | (t_next >= limit if tail else t_next > limit)
             if held is not None:
@@ -315,6 +305,11 @@ def _lockstep(chain: _AveragedChain, seed: int, first: int, n: int,
                     c[go])
                 if not rows.size:
                     break
+            jumps += rows.size
+            if jumps > _JUMP_BUDGET:
+                raise ValueError(
+                    f"simulation passed its budget of {_JUMP_BUDGET:g} "
+                    f"jumps, at exit rates up to {float(rate.max()):.3g}")
             acc += (t_next - t) * c
             t = t_next
             s = chain.jump(s, uniforms[rows, col + 1])
@@ -429,17 +424,23 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
                 stream, box: int | None = None) -> TrajectorySample:
     """Simulate one path of the averaged chain up to ``horizon``.
 
-    ``stream`` is either a ``(seed, path_index)`` pair naming a
-    counter-based stream or a ready ``numpy.random.Generator``.  ``box``
-    marks the sample when the path ever leaves ``{1..box}``.  The jump
-    tables of the pair ``(v1, v2)`` are built on first use and kept on the
-    model, so later paths under the same strategy objects reuse them; they
-    go with either strategy.
+    ``stream`` is the ``(seed, path_index)`` pair naming the path's
+    uniforms, drawn one refill at a time through :class:`_Streams`, as the
+    estimators draw them.  ``box`` marks the sample when the path ever
+    leaves ``{1..box}``.  The jump tables of the pair ``(v1, v2)`` are
+    built on first use and kept on the model, so later paths under the
+    same strategy objects reuse them; they go with either strategy.
     """
+    from scipy.special import log1p
+
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = path_rng(*stream) if isinstance(stream, tuple) else stream
-    uni = _Uniforms(rng)
+    seed, path = stream
+    streams = _Streams(seed)
+    uniforms = np.empty((1, _DRAWS))
+    refill = 0
+    holds = u_jumps = ()  # the current refill's holding times and
+    j = 0                 # target uniforms, from jump j on
     # one chain per strategy pair, kept beside the pair store; weak keys,
     # since a strategy may hold the model (uniform and pure ones do)
     chains = model._chain_cache.get(v1)
@@ -461,9 +462,15 @@ def sample_path(model: GameModel, v1: StationaryStrategy,
             cost1 += (horizon - t) * c1
             cost2 += (horizon - t) * c2
             break
-        u_hold = uni.take()
-        u_jump = uni.take()
-        dt = -math.log1p(-u_hold) / exit_rate
+        if j == len(holds):
+            streams.fill(uniforms, np.zeros(1, dtype=np.int64), path, refill)
+            holds = (-log1p(-uniforms[0, 0::2])).tolist()
+            u_jumps = uniforms[0, 1::2].tolist()
+            refill += 1
+            j = 0
+        dt = holds[j] / exit_rate
+        u_jump = u_jumps[j]
+        j += 1
         if t + dt >= horizon:
             cost1 += (horizon - t) * c1
             cost2 += (horizon - t) * c2
@@ -523,9 +530,11 @@ def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
                        workers: int = 1) -> RiskCostEstimate:
     """Estimate the long-run growth rate of the exponentiated cost.
 
-    Reproducible by construction: path ``p`` draws only from the stream
-    keyed ``(seed, p)`` and the reduction runs in path order; each path's
-    cost integral equals ``sample_path(..., (seed, p))``'s bit for bit.
+    Reproducible by construction: path ``p`` draws only its own uniforms
+    (see the module notes) and the reduction runs in path order; each
+    path's cost integral equals ``sample_path(..., (seed, p))``'s bit for
+    bit.  On a finite model, a run whose paths x horizon x largest exit
+    rate passes ``_JUMP_BUDGET`` jumps is refused before any path runs.
     When a diagnostic ``box`` is given, paths leaving it are counted and
     the estimate is marked invalid if every path escaped.  ``workers``
     above 1 splits the paths into contiguous ranges run in forked
@@ -539,6 +548,13 @@ def estimate_risk_cost(model: GameModel, v1: StationaryStrategy,
         raise ValueError("need paths >= batches >= 10")
     if paths % batches:
         raise ValueError("batches must divide the path count")
+    if model.is_finite:
+        rate = float(np.max(-model._built(model.n_states).diag, initial=0.0))
+        if paths * horizon * rate > _JUMP_BUDGET:
+            raise ValueError(
+                f"{paths} paths to horizon {horizon:g} at exit rates up to "
+                f"{rate:.3g} would pass the budget of {_JUMP_BUDGET:g} "
+                f"jumps")
     chain = _AveragedChain(model, v1, v2)
 
     def run(share):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.special import logsumexp
+from scipy.special import log1p, logsumexp
 
 from scipy import sparse
 
@@ -31,7 +31,6 @@ from rsgame.model import (
     Violation,
     tabular_model,
 )
-from rsgame.simulate import path_rng
 
 
 def random_game(rng, n_states=4, m1=2, m2=2, rate_scale=1.0, cost_scale=1.0,
@@ -656,11 +655,22 @@ def reference_jump_row(model: GameModel, v1, v2, i):
             float(c1), float(c2))
 
 
+def reference_refill(seed, path, refill):
+    """The 256 uniforms of refill ``refill`` of path ``path``, from Philox
+    built as the README describes it: key ``(seed, refill)`` as one
+    128-bit integer, 256-bit counter ``64 * path``."""
+    mask = (1 << 64) - 1
+    bits = np.random.Philox(counter=64 * (path & mask),
+                            key=(seed & mask) | (refill << 64))
+    return np.random.Generator(bits).random(256)
+
+
 def _stream(seed, path):
-    """Uniforms of path ``path``'s stream, drawn 256 at a time."""
-    rng = path_rng(seed, path)
+    """Uniforms of path ``path``'s stream, one refill of 256 at a time."""
+    refill = 0
     while True:
-        yield from rng.random(256)
+        yield from reference_refill(seed, path, refill).tolist()
+        refill += 1
 
 
 def reference_hit(model: GameModel, v1, v2, player, start, targets, seed,
@@ -688,7 +698,7 @@ def reference_hit(model: GameModel, v1, v2, player, start, targets, seed,
             return "capped", z, state  # absorbing off-target: never hits
         u_hold = next(uniforms)
         u_jump = next(uniforms)
-        dt = -math.log1p(-u_hold) / exit_rate
+        dt = float(-log1p(-u_hold)) / exit_rate
         if t + dt > tau_cap:
             return "capped", z, state
         t_next = t + dt

@@ -21,7 +21,6 @@ from rsgame.model import (
 from rsgame.simulate import (
     estimate_risk_cost,
     hitting_representation_check,
-    path_rng,
     sample_path,
 )
 
@@ -29,6 +28,7 @@ from tests.helpers import (
     random_game,
     reference_hitting_row,
     reference_jump_row,
+    reference_refill,
     unbiased_mc_instance,
 )
 
@@ -659,25 +659,101 @@ class TestFanOut:
         assert same_bits(est.log_weights, ref)
 
 
+class TestJumpBudget:
+    def test_finite_model_refused_before_any_path(self, monkeypatch):
+        # flip-flop exits at rate 1: 100 paths to horizon 30 promise 3000
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 2000)
+        monkeypatch.setattr(simulate, "_lockstep", None)  # never reached
+        model = flip_flop_model()
+        v1, v2 = pair(model)
+        with pytest.raises(ValueError, match=(
+                r"^100 paths to horizon 30 at exit rates up to 1 would pass "
+                r"the budget of 2000 jumps$")):
+            estimate_risk_cost(model, v1, v2, 1, 1, 30.0, paths=100,
+                               batches=10, seed=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_running_count_ends_a_countable_model(self, monkeypatch, cores,
+                                                  workers):
+        # the shop has no largest exit rate, so only the kernel's count
+        # stops it: here after about 1000 of the 24,000 jumps, and from a
+        # forked share as from this process
+        cores(2)
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 1000)
+        model = shop_model()
+        v1, v2 = pair(model)
+        budget = r"^simulation passed its budget of {} jumps, at exit rates "
+        with pytest.raises(ValueError, match=budget.format(1000)):
+            estimate_risk_cost(model, v1, v2, 1, 3, 50.0, paths=100,
+                               batches=10, seed=1, workers=workers)
+        assert_no_child_left()
+        # the hitting check makes no estimate up front; 200 paths from a
+        # start outside the targets jump at least 200 times
+        monkeypatch.setattr(simulate, "_JUMP_BUDGET", 150)
+        with pytest.raises(ValueError, match=budget.format(150)):
+            hitting_representation_check(
+                model, v1, v2, 1, {i: 1.0 for i in range(1, 41)}, rho=0.3,
+                target_set={1}, starts=[5, 6], n_paths=200, seed=1,
+                batches=10, kill_outside=40, workers=workers)
+        assert_no_child_left()
+
+
 class TestStreams:
+    """``_Streams.fill`` against the layout built from Philox primitives
+    (``helpers.reference_refill``)."""
+
+    @staticmethod
+    def filled(seed, rows, first, refill, size):
+        out = np.full((size, 256), np.nan)
+        simulate._Streams(seed).fill(out, np.asarray(rows, dtype=np.int64),
+                                     first, refill)
+        return out
+
     def test_block_draws_match_path_streams(self):
-        # one reusable Philox reproduces each path's b-th 256-draw, with
-        # the key masked to 64 bits like path_rng's
-        out = np.empty((3, 256))
-        streams = simulate._Streams(-5)
-        first = 2**64 - 2
-        for block in range(3):
-            streams.fill(out, np.arange(3), first, block)
-            for r in range(3):
-                rng = path_rng(-5, first + r)
-                for _ in range(block):
-                    rng.random(256)
-                assert out[r].tobytes() == rng.random(256).tobytes()
+        # live rows in three runs, which are not consecutive; the rows
+        # between them stay untouched
+        rows = [0, 1, 3, 6, 7, 8]
+        for refill in (0, 1, 5):
+            out = self.filled(17, rows, 40, refill, 10)
+            for r in range(10):
+                if r in rows:
+                    assert out[r].tobytes() == reference_refill(
+                        17, 40 + r, refill).tobytes()
+                else:
+                    assert np.isnan(out[r]).all()
+
+    def test_counter_carried_past_two_to_the_64(self):
+        # paths 2**58 - 2 .. 2**58 + 1: path 2**58's counter 2**64 lies in
+        # counter word 1, and one draw carries into it
+        first = 2**58 - 2
+        out = self.filled(3, np.arange(4), first, 2, 4)
+        for r in range(4):
+            assert out[r].tobytes() == reference_refill(3, first + r,
+                                                        2).tobytes()
+
+    def test_negative_seed_is_masked_to_64_bits(self):
+        out = self.filled(-5, np.arange(3), 0, 1, 3)
+        same = self.filled(2**64 - 5, np.arange(3), 0, 1, 3)
+        assert out.tobytes() == same.tobytes()
+        for r in range(3):
+            assert out[r].tobytes() == reference_refill(-5, r, 1).tobytes()
+
+    def test_share_starting_mid_block(self):
+        # a forked share from path 1000 draws exactly rows 1000.. of the
+        # whole run, live or not
+        whole = self.filled(9, np.arange(2048), 0, 3, 2048)
+        share = self.filled(9, [0, 1, 2, 5, 9], 1000, 3, 10)
+        for r in (0, 1, 2, 5, 9):
+            assert share[r].tobytes() == whole[1000 + r].tobytes()
+        assert whole[1000].tobytes() == reference_refill(9, 1000,
+                                                         3).tobytes()
 
     def test_philox_streams_are_stable(self):
-        # the documented stream scheme: Philox keyed by (seed, path index)
-        a = path_rng(42, 0).random(4)
-        b = path_rng(42, 0).random(4)
-        c = path_rng(42, 1).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # the documented layout draws the same uniforms every time, and
+        # apart for another path, refill or seed
+        assert same_bits(reference_refill(42, 0, 0),
+                         reference_refill(42, 0, 0))
+        draws = [reference_refill(s, p, k)[:4].tobytes()
+                 for s, p, k in [(42, 0, 0), (42, 1, 0), (42, 0, 1),
+                                 (43, 0, 0)]]
+        assert len(set(draws)) == 4
